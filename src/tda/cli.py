@@ -221,29 +221,34 @@ def _cosheaf_command(cfg: RunConfig) -> int:
     return 0
 
 
-def _leray_command(cfg: RunConfig) -> int:
+def _mapped_complex_and_cover(cfg: RunConfig):
     M = leray.MappedComplex(
         formats.parse_complex(formats.read_text(cfg.complex)),
         formats.parse_vertex_values(formats.read_text(cfg.values)),
     )
-    cover = formats.parse_cover(cfg.cover)
-    built = leray.build_leray_cosheaf(M, cover, cfg.degree, cfg.field)
+    return M, formats.parse_cover(cfg.cover)
+
+
+def _leray_command(cfg: RunConfig) -> int:
+    M, cover = _mapped_complex_and_cover(cfg)
+    cosheaves = [
+        leray.build_leray_cosheaf(M, cover, i, cfg.field).cosheaf
+        for i in range(max(M.complex.dimension, cfg.degree) + 1)
+    ]
+    stalks = cosheaves[cfg.degree].stalks
     lines = []
-    for ns in sorted(built.cosheaf.stalks, key=lambda s: (len(s), s)):
+    for ns in sorted(stalks, key=lambda s: (len(s), s)):
         label = ",".join(str(v) for v in ns)
-        lines.append(f"stalk[{label}]={built.cosheaf.stalks[ns]}")
-    for i in range(max(M.complex.dimension, cfg.degree) + 1):
-        lines.append(f"H_{i}={leray.global_homology(M, cover, i, cfg.field)}")
+        lines.append(f"stalk[{label}]={stalks[ns]}")
+    for i, top in enumerate(cosheaves):
+        below = cosheaves[i - 1] if i > 0 else None
+        lines.append(f"H_{i}={leray.leray_formula(top, below, cfg.field)}")
     _emit("\n".join(lines) + "\n", None)
     return 0
 
 
 def _sublevel_command(cfg: RunConfig) -> int:
-    M = leray.MappedComplex(
-        formats.parse_complex(formats.read_text(cfg.complex)),
-        formats.parse_vertex_values(formats.read_text(cfg.values)),
-    )
-    cover = formats.parse_cover(cfg.cover)
+    M, cover = _mapped_complex_and_cover(cfg)
     module = leray.sublevel_module(M, cover, cfg.degree, cfg.thresholds, cfg.field)
     ranks = [int(fields.rank(Mx, cfg.field)) for Mx in module.maps]
     payload = {

@@ -15,7 +15,7 @@ import numpy as np
 from . import fields, zigzag
 from .complexes import Simplex, SimplicialComplex
 from .errors import InvalidCosheafError, NonlinearNerveError, NotASubcomplexError
-from .homology import HomologyResult
+from .homology import HomologyResult, _result
 
 
 def codim1_pairs(K: SimplicialComplex) -> list[tuple[Simplex, Simplex]]:
@@ -172,8 +172,7 @@ def cosheaf_homology(F: SimplicialCosheaf, p: int, field: int = 2) -> HomologyRe
     quotient = fields.Quotient(
         cosheaf_boundary(F, p, field), cosheaf_boundary(F, p + 1, field), field
     )
-    basis = [quotient.representatives[:, j].copy() for j in range(quotient.dimension)]
-    return HomologyResult(degree=p, dimension=quotient.dimension, cycle_basis=basis)
+    return _result(p, quotient)
 
 
 def sheaf_to_cosheaf(F: SimplicialSheaf) -> SimplicialCosheaf:

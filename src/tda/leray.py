@@ -1,16 +1,18 @@
 """Leray cosheaves of a real-valued vertex function over an interval cover.
 
-Preimages of cover pieces are modeled as full subcomplexes on the vertices
-whose value lands in the piece; the per-simplex granularity precondition
-(every simplex's value range inside some single piece) makes the pieces a
-simplexwise cover, so the nerve formula
+One path computes everything: preimage pieces, then one cosheaf per
+degree, then the nerve formula. Pieces are full subcomplexes on the
+vertices whose value lands in a nerve simplex's interval; the
+per-simplex granularity precondition (every simplex's value range inside
+some single piece) makes them a simplexwise cover. F_i has stalks
+H_i(piece) and inclusion-induced maps, and for a linear nerve N
 
-    dim H_i(K) = dim H_0(N; F_i) + dim H_1(N; F_{i-1})
+    dim H_i(K) = dim H_0(N; F_i) + dim H_1(N; F_{i-1}),
 
-holds exactly for linear nerves. Sublevel restriction clips every piece at
-a threshold; connecting maps between thresholds are computed on the
-blowup (total) chain complex of the cover, which carries honest chain
-inclusions and therefore exact ranks.
+which :func:`leray_formula` evaluates. Sublevel restriction clips every
+piece at a threshold. Maps between thresholds come from the blowup
+(total) chain complex of the clipped pieces, whose honest chain
+inclusions give exact ranks; the formula cross-checks its dimension.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .errors import (
     InternalInconsistencyError,
     MissingVertexValueError,
 )
-from .homology import boundary_matrix
+from .homology import homology_quotient
 from .persistence import ExplicitModule
 
 
@@ -103,41 +105,54 @@ def _leray_pieces(
     return pieces
 
 
-def _inclusion_chain_map(sub: SimplicialComplex, sup: SimplicialComplex, q: int) -> np.ndarray:
-    rows = sup.p_simplices(q)
-    cols = sub.p_simplices(q)
-    idx = {s: i for i, s in enumerate(rows)}
-    A = np.zeros((len(rows), len(cols)), dtype=np.int64)
-    for j, s in enumerate(cols):
-        A[idx[s], j] = 1
+def _inclusion_matrix(sub: Sequence, sup: Sequence) -> np.ndarray:
+    """0/1 matrix sending each basis element of ``sub`` to the same
+    element of ``sup``, which must contain it."""
+    idx = {key: i for i, key in enumerate(sup)}
+    A = np.zeros((len(sup), len(sub)), dtype=np.int64)
+    for j, key in enumerate(sub):
+        A[idx[key], j] = 1
     return A
 
 
-def _piece_quotient(P: SimplicialComplex, degree: int, field: int) -> fields.Quotient:
-    return fields.Quotient(
-        boundary_matrix(P, degree, field), boundary_matrix(P, degree + 1, field), field
-    )
-
-
 def _leray_cosheaf_data(
-    M: MappedComplex,
-    cover: IntervalCover,
-    degree: int,
-    field: int,
-    clip: float | None = None,
-):
-    pieces = _leray_pieces(M, cover, clip)
+    pieces: dict[Simplex, SimplicialComplex], degree: int, field: int
+) -> tuple[SimplicialCosheaf, dict[Simplex, fields.Quotient]]:
+    """F_degree over the nerve of the pieces, with each piece's homology."""
     nerve = SimplicialComplex(pieces.keys(), _closed=True)
-    quotients = {ns: _piece_quotient(P, degree, field) for ns, P in pieces.items()}
+    quotients = {ns: homology_quotient(P, degree, field) for ns, P in pieces.items()}
     stalks = {ns: quotients[ns].dimension for ns in pieces}
     maps = {}
     for edge in nerve.p_simplices(1):
         for vertex in ((edge[0],), (edge[1],)):
-            incl = _inclusion_chain_map(pieces[edge], pieces[vertex], degree)
+            incl = _inclusion_matrix(
+                pieces[edge].p_simplices(degree), pieces[vertex].p_simplices(degree)
+            )
             pushed = fields.matmul(incl, quotients[edge].representatives, field)
             maps[(vertex, edge)] = quotients[vertex].coordinates(pushed)
-    cosheaf = SimplicialCosheaf(base=nerve, stalks=stalks, maps=maps)
-    return cosheaf, pieces, quotients
+    return SimplicialCosheaf(base=nerve, stalks=stalks, maps=maps), quotients
+
+
+def leray_formula(
+    top: SimplicialCosheaf, below: SimplicialCosheaf | None, field: int
+) -> int:
+    """dim H_0(N; top) + dim H_1(N; below) over the shared nerve N.
+
+    With top = F_i and below = F_{i-1} (None for i = 0, where F_{-1} = 0)
+    this is dim H_i of the complex the pieces cover.
+    """
+    total = cosheaf_homology(top, 0, field).dimension
+    if below is not None:
+        total += cosheaf_homology(below, 1, field).dimension
+    return total
+
+
+def _formula_on_pieces(
+    pieces: dict[Simplex, SimplicialComplex], degree: int, field: int
+) -> int:
+    top, _ = _leray_cosheaf_data(pieces, degree, field)
+    below = _leray_cosheaf_data(pieces, degree - 1, field)[0] if degree > 0 else None
+    return leray_formula(top, below, field)
 
 
 @dataclass
@@ -153,10 +168,6 @@ class LerayCosheaf:
     pieces: dict[Simplex, SimplicialComplex]
     piece_homology: dict[Simplex, fields.Quotient]
 
-    @property
-    def stalk_dims(self) -> dict[Simplex, int]:
-        return dict(self.cosheaf.stalks)
-
 
 def build_leray_cosheaf(
     M: MappedComplex, cover: IntervalCover, degree: int, field: int = 2
@@ -166,7 +177,8 @@ def build_leray_cosheaf(
         raise ValueError(f"degree must be nonnegative, got {degree}")
     fields.check_prime(field)
     check_cover_granularity(M, cover)
-    cosheaf, pieces, quotients = _leray_cosheaf_data(M, cover, degree, field)
+    pieces = _leray_pieces(M, cover)
+    cosheaf, quotients = _leray_cosheaf_data(pieces, degree, field)
     return LerayCosheaf(
         cosheaf=cosheaf,
         degree=degree,
@@ -186,12 +198,7 @@ def global_homology(M: MappedComplex, cover: IntervalCover, degree: int, field: 
         raise ValueError(f"degree must be nonnegative, got {degree}")
     fields.check_prime(field)
     check_cover_granularity(M, cover)
-    top, _, _ = _leray_cosheaf_data(M, cover, degree, field)
-    total = cosheaf_homology(top, 0, field).dimension
-    if degree > 0:
-        below, _, _ = _leray_cosheaf_data(M, cover, degree - 1, field)
-        total += cosheaf_homology(below, 1, field).dimension
-    return total
+    return _formula_on_pieces(_leray_pieces(M, cover), degree, field)
 
 
 def _tot_basis(pieces: dict[Simplex, SimplicialComplex], n: int):
@@ -228,17 +235,6 @@ def _tot_boundary(pieces: dict[Simplex, SimplicialComplex], n: int, field: int) 
     return D % field
 
 
-def _restricted_formula_dim(
-    M: MappedComplex, cover: IntervalCover, degree: int, field: int, clip: float
-) -> int:
-    top, _, _ = _leray_cosheaf_data(M, cover, degree, field, clip)
-    total = cosheaf_homology(top, 0, field).dimension
-    if degree > 0:
-        below, _, _ = _leray_cosheaf_data(M, cover, degree - 1, field, clip)
-        total += cosheaf_homology(below, 1, field).dimension
-    return total
-
-
 def sublevel_module(
     M: MappedComplex,
     cover: IntervalCover,
@@ -266,32 +262,27 @@ def sublevel_module(
         raise ValueError("thresholds must be finite")
     check_cover_granularity(M, cover)
 
-    states = [_leray_pieces(M, cover, clip=t) for t in ts]
-    quotients = []
-    dims = []
-    for t, pieces in zip(ts, states):
+    dims: list[int] = []
+    maps: list[np.ndarray] = []
+    prev_basis = prev_quot = None
+    for t in ts:
+        pieces = _leray_pieces(M, cover, clip=t)
         quot = fields.Quotient(
             _tot_boundary(pieces, degree, field),
             _tot_boundary(pieces, degree + 1, field),
             field,
         )
-        formula = _restricted_formula_dim(M, cover, degree, field, clip=t)
+        formula = _formula_on_pieces(pieces, degree, field)
         if formula != quot.dimension:
             raise InternalInconsistencyError(
                 f"cosheaf formula gives {formula} at t={t}, blowup complex gives {quot.dimension}"
             )
-        quotients.append(quot)
+        basis = _tot_basis(pieces, degree)
+        if prev_quot is not None:
+            pushed = fields.matmul(
+                _inclusion_matrix(prev_basis, basis), prev_quot.representatives, field
+            )
+            maps.append(quot.coordinates(pushed))
         dims.append(quot.dimension)
-
-    maps = []
-    for j in range(len(ts) - 1):
-        src, tgt = quotients[j], quotients[j + 1]
-        cols = _tot_basis(states[j], degree)
-        rows = _tot_basis(states[j + 1], degree)
-        idx = {key: i for i, key in enumerate(rows)}
-        incl = np.zeros((len(rows), len(cols)), dtype=np.int64)
-        for c, key in enumerate(cols):
-            incl[idx[key], c] = 1
-        pushed = fields.matmul(incl, src.representatives, field)
-        maps.append(tgt.coordinates(pushed))
+        prev_basis, prev_quot = basis, quot
     return ExplicitModule(dims=dims, maps=maps)

@@ -188,15 +188,18 @@ def cech_filtration(
         raise ValueError(f"max_radius must be positive, got {max_radius}")
     pts = np.asarray(points, dtype=float)
     candidates = rips_filtration(pts, max_dim, max_radius, precomputed=False)
-    entries: list[tuple[Simplex, float]] = []
-    for s, val in candidates:
+    values: dict[Simplex, float] = {}
+    for s, val in candidates:  # faces come before their cofaces
         if len(s) <= 2:
-            entries.append((s, val))  # meb radius is 0 or half the distance
+            values[s] = val  # meb radius is 0 or half the distance
             continue
         _, rad = min_enclosing_ball(pts[list(s)])
+        # The exact radius is never below a facet's, but rounding can put
+        # it an ulp below; a facet dropped for its radius drops s too.
+        rad = max(rad, *(values.get(s[:k] + s[k + 1 :], math.inf) for k in range(len(s))))
         if rad <= max_radius + TOL:
-            entries.append((s, rad))
-    return FilteredComplex(entries)
+            values[s] = rad
+    return FilteredComplex(values.items())
 
 
 def lower_star_filtration(K: SimplicialComplex, vertex_values: Mapping[int, float]) -> FilteredComplex:
@@ -341,29 +344,36 @@ def _composite_ranks(module: ExplicitModule, field: int) -> dict[tuple[int, int]
     return r
 
 
+def interval_multiplicities(ranks: Mapping[tuple[int, int], int]) -> list[tuple[int, int, int]]:
+    """Closed intervals [b, d] with positive multiplicity
+    r(b,d) - r(b-1,d) - r(b,d+1) + r(b-1,d+1), from interval ranks given
+    for every 0 <= b <= d < n (ranks outside the table count as 0)."""
+
+    def rk(b: int, d: int) -> int:
+        return ranks.get((b, d), 0)
+
+    out: list[tuple[int, int, int]] = []
+    for b, d in sorted(ranks):
+        mult = rk(b, d) - rk(b - 1, d) - rk(b, d + 1) + rk(b - 1, d + 1)
+        if mult < 0:
+            raise InternalInconsistencyError(
+                f"negative multiplicity {mult} for interval [{b}, {d}]"
+            )
+        if mult:
+            out.append((b, d, mult))
+    return out
+
+
 def decompose_explicit(module: ExplicitModule, field: int = 2) -> Barcode:
     """Interval decomposition of an explicit module over integer grades.
 
-    Multiplicity of the closed bar [b, d] is the inclusion-exclusion
-    r(b,d) - r(b-1,d) - r(b,d+1) + r(b-1,d+1) of composite-map ranks.
-    Bars are returned with degree None and integer birth/death grades.
+    Multiplicities come from composite-map ranks by inclusion-exclusion
+    (see :func:`interval_multiplicities`). Bars are returned with degree
+    None and integer birth/death grades.
     """
     fields.check_prime(field)
-    n = len(module.dims)
-    r = _composite_ranks(module, field)
-
-    def rk(b: int, d: int) -> int:
-        if b < 0 or d >= n:
-            return 0
-        return r[(b, d)]
-
-    bars: list[Bar] = []
-    for b in range(n):
-        for d in range(b, n):
-            mult = rk(b, d) - rk(b - 1, d) - rk(b, d + 1) + rk(b - 1, d + 1)
-            if mult < 0:
-                raise InternalInconsistencyError(
-                    f"negative multiplicity {mult} for interval [{b}, {d}]"
-                )
-            bars.extend(Bar(degree=None, birth=float(b), death=float(d)) for _ in range(mult))
-    return Barcode(bars)
+    return Barcode(
+        Bar(degree=None, birth=float(b), death=float(d))
+        for b, d, mult in interval_multiplicities(_composite_ranks(module, field))
+        for _ in range(mult)
+    )

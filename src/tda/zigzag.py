@@ -14,8 +14,8 @@ from typing import Sequence
 import numpy as np
 
 from . import fields
-from .errors import InternalInconsistencyError, TdaError
-from .persistence import ExplicitModule
+from .errors import TdaError
+from .persistence import ExplicitModule, interval_multiplicities
 
 FORWARD = "fwd"
 BACKWARD = "bwd"
@@ -173,27 +173,10 @@ def decompose_zigzag(z: ZigzagModule, field: int = 2) -> list[IntegerBar]:
     """Interval multiplicities of a zigzag via generalized-rank
     inclusion-exclusion; negative multiplicities signal an internal bug."""
     n = len(z.dims)
-    r: dict[tuple[int, int], int] = {}
-    for b in range(n):
-        for d in range(b, n):
-            r[(b, d)] = generalized_rank(z, b, d, field)
-
-    def rk(b: int, d: int) -> int:
-        if b < 0 or d >= n:
-            return 0
-        return r[(b, d)]
-
-    bars: list[IntegerBar] = []
-    for b in range(n):
-        for d in range(b, n):
-            mult = rk(b, d) - rk(b - 1, d) - rk(b, d + 1) + rk(b - 1, d + 1)
-            if mult < 0:
-                raise InternalInconsistencyError(
-                    f"negative multiplicity {mult} for slots [{b}, {d}]"
-                )
-            if mult:
-                bars.append(IntegerBar(b, d, mult))
-    return bars
+    ranks = {
+        (b, d): generalized_rank(z, b, d, field) for b in range(n) for d in range(b, n)
+    }
+    return [IntegerBar(b, d, mult) for b, d, mult in interval_multiplicities(ranks)]
 
 
 def forward_module_to_zigzag(module: ExplicitModule) -> ZigzagModule:

@@ -158,9 +158,15 @@ def test_cli_leray_octagon(tmp_path, capsys):
         "--cover=-1.5,-0.3;-0.8,0.8;0.3,1.5", "--degree", "0",
     )
     assert code == 0
-    lines = out.splitlines()
-    assert "stalk[0]=1" in lines and "stalk[1]=2" in lines
-    assert "H_0=1" in lines and "H_1=1" in lines
+    assert out.splitlines() == [
+        "stalk[0]=1",
+        "stalk[1]=2",
+        "stalk[2]=1",
+        "stalk[0,1]=2",
+        "stalk[1,2]=2",
+        "H_0=1",
+        "H_1=1",
+    ]
 
 
 def test_cli_sublevel_json(tmp_path, capsys):

@@ -100,8 +100,12 @@ def test_reconstruction_on_random_mapped_complexes():
     for _ in range(10):
         M = random_mapped_complex(rng)
         cover = admissible_random_cover(rng, M)
-        for i in (0, 1, 2):
-            assert L.global_homology(M, cover, i) == tda.homology(M.complex, i).dimension
+        for field in (2, 3):
+            for i in (0, 1, 2):
+                assert (
+                    L.global_homology(M, cover, i, field)
+                    == tda.homology(M.complex, i, field).dimension
+                )
 
 
 def test_leray_cosheaf_validates_on_random_inputs():
@@ -129,12 +133,13 @@ def test_sublevel_matches_direct_lower_star_on_octagon():
     M = octagon_mapped()
     thresholds = [-0.9, -0.2, 0.5, 1.2]
     fc = P.lower_star_filtration(M.complex, M.values)
-    bc = P.compute_barcode(fc)
-    for degree in (0, 1):
-        module = L.sublevel_module(M, OCTAGON_COVER, degree, thresholds)
-        assert module.dims == [bc.alive_at(t, degree) for t in thresholds]
-        for j, Mx in enumerate(module.maps):
-            assert fields.rank(Mx, 2) == bc.rank(thresholds[j], thresholds[j + 1], degree)
+    for field in (2, 3):
+        bc = P.compute_barcode(fc, field)
+        for degree in (0, 1):
+            module = L.sublevel_module(M, OCTAGON_COVER, degree, thresholds, field)
+            assert module.dims == [bc.alive_at(t, degree) for t in thresholds]
+            for j, Mx in enumerate(module.maps):
+                assert fields.rank(Mx, field) == bc.rank(thresholds[j], thresholds[j + 1], degree)
 
 
 def test_sublevel_rejects_bad_thresholds():

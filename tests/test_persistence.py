@@ -49,6 +49,17 @@ def test_cech_filtration_triangle_value_is_circumradius():
     assert abs(vals[(0, 1, 2)] - 1 / math.sqrt(3)) < 1e-9
 
 
+def test_cech_filtration_monotone_on_uniform_clouds():
+    # An obtuse triangle's enclosing-ball radius is half its longest edge,
+    # which rounding can put an ulp below that edge's Rips value.
+    for seed in range(50):
+        pts = np.random.default_rng(seed).random((30, 2))
+        vals = P.cech_filtration(pts, max_radius=0.3).values()
+        for s, v in vals.items():
+            facets = [s[:k] + s[k + 1 :] for k in range(len(s))] if len(s) > 1 else []
+            assert all(v >= vals[f] for f in facets)
+
+
 def test_lower_star_interval():
     fc = P.lower_star_filtration(interval_complex(), {0: 0.0, 1: 1.0})
     assert fc.values() == {(0,): 0.0, (1,): 1.0, (0, 1): 1.0}
