@@ -9,10 +9,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
-from dataclasses import dataclass
 
 from . import cosheaf as cosheaf_mod
 from . import fields, formats, leray, persistence, svg, zigzag
@@ -37,27 +35,6 @@ file formats:
   barcode JSON   {"field": p, "bars": [{"dim": i, "birth": b,
                  "death": d-or-null}, ...]} sorted by (dim, birth, death)
 """
-
-
-@dataclass
-class RunConfig:
-    """Everything a subcommand needs, validated at parse time."""
-
-    command: str
-    input: str | None = None
-    distances: str | None = None
-    complex: str | None = None
-    values: str | None = None
-    cover: str | None = None
-    thresholds: list[float] | None = None
-    degree: int = 0
-    field: int = 2
-    max_dim: int = 2
-    max_radius: float = math.inf
-    output: str | None = None
-    include_zero_bars: bool = False
-    header: bool = False
-    width: int = 720
 
 
 def _prime(text: str) -> int:
@@ -157,7 +134,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def parse_args(argv) -> RunConfig:
+def parse_args(argv) -> argparse.Namespace:
+    """Parse and validate a command line; usage errors exit with code 2."""
     parser = build_parser()
     ns = parser.parse_args(argv)
     for attr in ("input", "distances", "complex", "values"):
@@ -167,11 +145,7 @@ def parse_args(argv) -> RunConfig:
     if getattr(ns, "command", None) == "rips":
         if (ns.input is None) == (ns.distances is None):
             parser.error("rips needs exactly one of --input or --distances")
-    cfg = RunConfig(command=ns.command)
-    for key, value in vars(ns).items():
-        if key != "command" and hasattr(cfg, key):
-            setattr(cfg, key, value)
-    return cfg
+    return ns
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -182,38 +156,38 @@ def _emit(text: str, output: str | None) -> None:
             fh.write(text)
 
 
-def _barcode_command(cfg: RunConfig) -> int:
-    if cfg.command == "rips":
-        if cfg.input is not None:
-            data = formats.parse_point_cloud(formats.read_text(cfg.input), cfg.header)
-            fc = persistence.rips_filtration(data, cfg.max_dim, cfg.max_radius, precomputed=False)
+def _barcode_command(args: argparse.Namespace) -> int:
+    if args.command == "rips":
+        if args.input is not None:
+            data = formats.parse_point_cloud(formats.read_text(args.input), args.header)
+            fc = persistence.rips_filtration(data, args.max_dim, args.max_radius, precomputed=False)
         else:
-            data = formats.parse_distance_matrix(formats.read_text(cfg.distances))
-            fc = persistence.rips_filtration(data, cfg.max_dim, cfg.max_radius, precomputed=True)
+            data = formats.parse_distance_matrix(formats.read_text(args.distances))
+            fc = persistence.rips_filtration(data, args.max_dim, args.max_radius, precomputed=True)
     else:
-        points = formats.parse_point_cloud(formats.read_text(cfg.input), cfg.header)
-        fc = persistence.cech_filtration(points, cfg.max_dim, cfg.max_radius)
-    bc = persistence.compute_barcode(fc, cfg.field, cfg.include_zero_bars)
-    _emit(formats.barcode_to_json(bc, cfg.field), cfg.output)
+        points = formats.parse_point_cloud(formats.read_text(args.input), args.header)
+        fc = persistence.cech_filtration(points, args.max_dim, args.max_radius)
+    bc = persistence.compute_barcode(fc, args.field, args.include_zero_bars)
+    _emit(formats.barcode_to_json(bc, args.field), args.output)
     return 0
 
 
-def _homology_command(cfg: RunConfig) -> int:
-    K = formats.parse_complex(formats.read_text(cfg.complex))
+def _homology_command(args: argparse.Namespace) -> int:
+    K = formats.parse_complex(formats.read_text(args.complex))
     lines = []
     for p in range(max(K.dimension, 0) + 1):
-        lines.append(f"H_{p}={homology(K, p, cfg.field).dimension}")
+        lines.append(f"H_{p}={homology(K, p, args.field).dimension}")
     _emit("\n".join(lines) + "\n", None)
     return 0
 
 
-def _cosheaf_command(cfg: RunConfig) -> int:
-    F = formats.parse_cosheaf(formats.read_text(cfg.input))
+def _cosheaf_command(args: argparse.Namespace) -> int:
+    F = formats.parse_cosheaf(formats.read_text(args.input))
     lines = []
     for p in range(max(F.base.dimension, 0) + 1):
-        lines.append(f"H_{p}={cosheaf_mod.cosheaf_homology(F, p, cfg.field).dimension}")
+        lines.append(f"H_{p}={cosheaf_mod.cosheaf_homology(F, p, args.field).dimension}")
     try:
-        census = cosheaf_mod.bar_census(F, cfg.field)
+        census = cosheaf_mod.bar_census(F, args.field)
         lines.append(f"census={census}")
     except NonlinearNerveError:
         lines.append("census=unavailable (base not linear)")
@@ -221,58 +195,58 @@ def _cosheaf_command(cfg: RunConfig) -> int:
     return 0
 
 
-def _mapped_complex_and_cover(cfg: RunConfig):
+def _mapped_complex_and_cover(args: argparse.Namespace):
     M = leray.MappedComplex(
-        formats.parse_complex(formats.read_text(cfg.complex)),
-        formats.parse_vertex_values(formats.read_text(cfg.values)),
+        formats.parse_complex(formats.read_text(args.complex)),
+        formats.parse_vertex_values(formats.read_text(args.values)),
     )
-    return M, formats.parse_cover(cfg.cover)
+    return M, formats.parse_cover(args.cover)
 
 
-def _leray_command(cfg: RunConfig) -> int:
-    M, cover = _mapped_complex_and_cover(cfg)
+def _leray_command(args: argparse.Namespace) -> int:
+    M, cover = _mapped_complex_and_cover(args)
     cosheaves = [
-        leray.build_leray_cosheaf(M, cover, i, cfg.field).cosheaf
-        for i in range(max(M.complex.dimension, cfg.degree) + 1)
+        leray.build_leray_cosheaf(M, cover, i, args.field).cosheaf
+        for i in range(max(M.complex.dimension, args.degree) + 1)
     ]
-    stalks = cosheaves[cfg.degree].stalks
+    stalks = cosheaves[args.degree].stalks
     lines = []
     for ns in sorted(stalks, key=lambda s: (len(s), s)):
         label = ",".join(str(v) for v in ns)
         lines.append(f"stalk[{label}]={stalks[ns]}")
     for i, top in enumerate(cosheaves):
         below = cosheaves[i - 1] if i > 0 else None
-        lines.append(f"H_{i}={leray.leray_formula(top, below, cfg.field)}")
+        lines.append(f"H_{i}={leray.leray_formula(top, below, args.field)}")
     _emit("\n".join(lines) + "\n", None)
     return 0
 
 
-def _sublevel_command(cfg: RunConfig) -> int:
-    M, cover = _mapped_complex_and_cover(cfg)
-    module = leray.sublevel_module(M, cover, cfg.degree, cfg.thresholds, cfg.field)
-    ranks = [int(fields.rank(Mx, cfg.field)) for Mx in module.maps]
+def _sublevel_command(args: argparse.Namespace) -> int:
+    M, cover = _mapped_complex_and_cover(args)
+    module = leray.sublevel_module(M, cover, args.degree, args.thresholds, args.field)
+    ranks = [int(fields.rank(Mx, args.field)) for Mx in module.maps]
     payload = {
-        "degree": cfg.degree,
+        "degree": args.degree,
         "dims": module.dims,
-        "field": cfg.field,
+        "field": args.field,
         "ranks": ranks,
-        "thresholds": cfg.thresholds,
+        "thresholds": args.thresholds,
     }
-    _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", cfg.output)
+    _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.output)
     return 0
 
 
-def _zigzag_command(cfg: RunConfig) -> int:
-    z = formats.parse_zigzag(formats.read_text(cfg.input))
-    bars = zigzag.decompose_zigzag(z, cfg.field)
+def _zigzag_command(args: argparse.Namespace) -> int:
+    z = formats.parse_zigzag(formats.read_text(args.input))
+    bars = zigzag.decompose_zigzag(z, args.field)
     lines = [f"bar [{b.lo},{b.hi}] multiplicity {b.multiplicity}" for b in bars]
     _emit("\n".join(lines) + ("\n" if lines else ""), None)
     return 0
 
 
-def _plot_command(cfg: RunConfig) -> int:
-    _, bc = formats.parse_barcode_json(formats.read_text(cfg.input))
-    svg.render_svg(bc, cfg.output, width=cfg.width)
+def _plot_command(args: argparse.Namespace) -> int:
+    _, bc = formats.parse_barcode_json(formats.read_text(args.input))
+    svg.render_svg(bc, args.output, width=args.width)
     return 0
 
 
@@ -288,10 +262,10 @@ _COMMANDS = {
 }
 
 
-def run(cfg: RunConfig) -> int:
-    """Execute a parsed configuration; domain errors become exit code 1."""
+def run(args: argparse.Namespace) -> int:
+    """Execute parsed arguments; domain errors become exit code 1."""
     try:
-        return _COMMANDS[cfg.command](cfg)
+        return _COMMANDS[args.command](args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -2,22 +2,32 @@
 
 Explicit complexes from simplex lists, Vietoris-Rips and Čech complexes of
 point clouds, nerves of interval covers, and eccentricity vertex functions.
-All constructions use closed-ball conventions (<= comparisons) and compare
-squared distances where possible, with an absolute tolerance of 1e-9 for
-the rest.
+All constructions use closed-ball conventions (<= comparisons) with an
+absolute tolerance of 1e-9: Rips compares squared distances (d² <= 4r² +
+1e-9), Čech compares minimum-enclosing-ball radii (radius <= r + 1e-9).
+
+Rips and Čech complexes and filtrations have one construction path:
+``_rips_entries`` is the only clique enumerator and ``_cech_entries`` the
+only enclosing-ball filter. The builders here return the underlying
+complexes of their entries; ``persistence`` wraps the same entries in
+filtrations.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import InvalidMetricError, MalformedSimplexError, NonlinearNerveError
+from .errors import InvalidMetricError, MalformedSimplexError, NonlinearNerveError, TdaError
 
 TOL = 1e-9
+# Largest predicted Rips/Čech simplex count: a build plus an F2 barcode
+# costs about 500 bytes per simplex, so this is about 2.5 GB.
+MAX_SIMPLICES = 5_000_000
 
 Simplex = tuple[int, ...]
 
@@ -151,36 +161,55 @@ def squared_distance_matrix(data, precomputed: bool | None = None) -> np.ndarray
     return np.einsum("ijk,ijk->ij", diff, diff)
 
 
-def _cliques_of_graph(n: int, neighbors: dict[int, set[int]], max_dim: int) -> list[Simplex]:
-    """All cliques with at most max_dim+1 vertices; neighbors[v] holds w > v."""
-    simplices: list[Simplex] = [(i,) for i in range(n)]
-    prev: list[Simplex] = list(simplices)
+def _rips_entries(D2: np.ndarray, max_dim: int, max_radius: float) -> list[tuple[Simplex, float]]:
+    """Every simplex with at most max_dim+1 vertices and all pairwise
+    distances <= 2 max_radius, valued at half its diameter, faces first.
+
+    The one clique enumerator: each simplex grows by the common upper
+    neighbours of its vertices. Before any simplex is built, the count is
+    bounded by n + sum_v sum_{k=1..max_dim} C(deg+(v), k), where deg+(v)
+    counts the neighbours above v; a bound over MAX_SIMPLICES raises.
+    """
+    if not max_radius > 0:
+        raise ValueError(f"max_radius must be positive, got {max_radius}")
+    if max_dim < 0:
+        raise ValueError(f"max_dim must be nonnegative, got {max_dim}")
+    n = D2.shape[0]
+    adjacent = np.triu(D2 <= 4.0 * max_radius * max_radius + TOL, 1)
+    predicted = n
+    for deg in np.count_nonzero(adjacent, axis=1).tolist():
+        predicted += sum(math.comb(deg, k) for k in range(1, min(deg, max_dim) + 1))
+        if predicted > MAX_SIMPLICES:
+            raise TdaError(
+                f"the complex would have more than {MAX_SIMPLICES:,} simplices; "
+                f"lower max_radius or max_dim"
+            )
+    neighbors = [set(np.flatnonzero(row).tolist()) for row in adjacent]
+    entries: list[tuple[Simplex, float]] = [((i,), 0.0) for i in range(n)]
+    layer = list(entries)
     for _ in range(max_dim):
-        cur: list[Simplex] = []
-        for s in prev:
+        grown: list[tuple[Simplex, float]] = []
+        for s, val in layer:
             common = neighbors[s[0]]
             for v in s[1:]:
                 common = common & neighbors[v]
             for w in sorted(common):
-                cur.append(s + (w,))
-        if not cur:
+                d2w = max(D2[v, w] for v in s)
+                grown.append((s + (w,), max(val, math.sqrt(d2w) / 2.0)))
+        if not grown:
             break
-        simplices.extend(cur)
-        prev = cur
-    return simplices
+        entries.extend(grown)
+        layer = grown
+    return entries
 
 
 def build_rips(data, r: float, max_dim: int = 2, precomputed: bool | None = None) -> SimplicialComplex:
-    """Vietoris-Rips complex: a simplex iff all pairwise distances <= 2r."""
-    if r <= 0:
-        raise ValueError(f"Rips radius must be positive, got {r}")
-    if max_dim < 0:
-        raise ValueError(f"max_dim must be nonnegative, got {max_dim}")
-    D2 = squared_distance_matrix(data, precomputed)
-    n = D2.shape[0]
-    thr = 4.0 * r * r + TOL
-    neighbors = {i: {j for j in range(i + 1, n) if D2[i, j] <= thr} for i in range(n)}
-    return SimplicialComplex(_cliques_of_graph(n, neighbors, max_dim), _closed=True)
+    """Vietoris-Rips complex: a simplex iff all pairwise distances <= 2r.
+
+    The underlying complex of ``rips_filtration(data, max_dim, r)``.
+    """
+    entries = _rips_entries(squared_distance_matrix(data, precomputed), max_dim, r)
+    return SimplicialComplex((s for s, _ in entries), _closed=True)
 
 
 def _ball_from_boundary(boundary: list[np.ndarray]):
@@ -224,25 +253,35 @@ def min_enclosing_ball(points) -> tuple[np.ndarray, float]:
     return center, radius
 
 
+def _cech_entries(points, max_dim: int, max_radius: float) -> list[tuple[Simplex, float]]:
+    """Every simplex whose minimum enclosing ball has radius <= max_radius
+    (+TOL), valued at that radius, faces first.
+
+    The one Čech filter, run over the Rips candidates. The exact radius is
+    never below a facet's, but rounding can put it an ulp below, so each
+    value is clamped by its facets'; a facet dropped for its radius drops
+    the simplex too.
+    """
+    pts = as_point_cloud(points)
+    values: dict[Simplex, float] = {}
+    D2 = squared_distance_matrix(pts, precomputed=False)
+    for s, val in _rips_entries(D2, max_dim, max_radius):
+        if len(s) > 2:  # below that the radius is 0 or half the distance
+            _, rad = min_enclosing_ball(pts[list(s)])
+            val = max(rad, *(values.get(f, math.inf) for f in faces(s)))
+            if not val <= max_radius + TOL:
+                continue
+        values[s] = val
+    return list(values.items())
+
+
 def build_cech(points, r: float, max_dim: int = 2) -> SimplicialComplex:
     """Čech complex: a simplex iff the radius-r closed balls around its
-    points intersect, decided exactly via the minimum enclosing ball."""
-    if r <= 0:
-        raise ValueError(f"Čech radius must be positive, got {r}")
-    if max_dim < 0:
-        raise ValueError(f"max_dim must be nonnegative, got {max_dim}")
-    pts = as_point_cloud(points)
-    candidates = build_rips(pts, r, max_dim, precomputed=False)
-    r2 = r * r + TOL
-    kept = []
-    for s in candidates.simplices:
-        if len(s) <= 2:
-            kept.append(s)  # meb radius <= r already implied by the Rips test
-            continue
-        _, rad = min_enclosing_ball(pts[list(s)])
-        if rad * rad <= r2:
-            kept.append(s)
-    return SimplicialComplex(kept, _closed=False)
+    points intersect, decided exactly via the minimum enclosing ball.
+
+    The underlying complex of ``cech_filtration(points, max_dim, r)``.
+    """
+    return SimplicialComplex((s for s, _ in _cech_entries(points, max_dim, r)), _closed=True)
 
 
 @dataclass(frozen=True)

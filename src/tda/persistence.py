@@ -16,7 +16,14 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from . import fields
-from .complexes import Simplex, SimplicialComplex, simplex, squared_distance_matrix, TOL
+from .complexes import (
+    Simplex,
+    SimplicialComplex,
+    _cech_entries,
+    _rips_entries,
+    simplex,
+    squared_distance_matrix,
+)
 from .errors import MissingVertexValueError, TdaError, InternalInconsistencyError
 
 
@@ -151,30 +158,8 @@ def rips_filtration(
     precomputed: bool | None = None,
 ) -> FilteredComplex:
     """Rips filtration: each simplex appears at half its diameter."""
-    if not max_radius > 0:
-        raise ValueError(f"max_radius must be positive, got {max_radius}")
-    if max_dim < 0:
-        raise ValueError(f"max_dim must be nonnegative, got {max_dim}")
     D2 = squared_distance_matrix(data, precomputed)
-    n = D2.shape[0]
-    thr = 4.0 * max_radius * max_radius + TOL if math.isfinite(max_radius) else math.inf
-    neighbors = {i: {j for j in range(i + 1, n) if D2[i, j] <= thr} for i in range(n)}
-    entries: list[tuple[Simplex, float]] = [((i,), 0.0) for i in range(n)]
-    prev: list[tuple[Simplex, float]] = list(entries)
-    for _ in range(max_dim):
-        cur: list[tuple[Simplex, float]] = []
-        for s, val in prev:
-            common = neighbors[s[0]]
-            for v in s[1:]:
-                common = common & neighbors[v]
-            for w in sorted(common):
-                d2w = max(D2[v, w] for v in s)
-                cur.append((s + (w,), max(val, math.sqrt(d2w) / 2.0)))
-        if not cur:
-            break
-        entries.extend(cur)
-        prev = cur
-    return FilteredComplex(entries)
+    return FilteredComplex(_rips_entries(D2, max_dim, max_radius))
 
 
 def cech_filtration(
@@ -182,24 +167,7 @@ def cech_filtration(
 ) -> FilteredComplex:
     """Čech filtration: each simplex appears at its minimum enclosing ball
     radius, which is exactly the smallest r whose closed balls intersect."""
-    from .complexes import min_enclosing_ball
-
-    if not max_radius > 0:
-        raise ValueError(f"max_radius must be positive, got {max_radius}")
-    pts = np.asarray(points, dtype=float)
-    candidates = rips_filtration(pts, max_dim, max_radius, precomputed=False)
-    values: dict[Simplex, float] = {}
-    for s, val in candidates:  # faces come before their cofaces
-        if len(s) <= 2:
-            values[s] = val  # meb radius is 0 or half the distance
-            continue
-        _, rad = min_enclosing_ball(pts[list(s)])
-        # The exact radius is never below a facet's, but rounding can put
-        # it an ulp below; a facet dropped for its radius drops s too.
-        rad = max(rad, *(values.get(s[:k] + s[k + 1 :], math.inf) for k in range(len(s))))
-        if rad <= max_radius + TOL:
-            values[s] = rad
-    return FilteredComplex(values.items())
+    return FilteredComplex(_cech_entries(points, max_dim, max_radius))
 
 
 def lower_star_filtration(K: SimplicialComplex, vertex_values: Mapping[int, float]) -> FilteredComplex:

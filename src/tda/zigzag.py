@@ -50,6 +50,25 @@ def _offsets(dims: Sequence[int]) -> list[int]:
     return off
 
 
+def _difference_kernel(dims, morphisms, field: int) -> tuple[int, list[np.ndarray]]:
+    """Kernel of the difference map sending (v_x)_x to (M v_src - v_tgt)
+    per morphism (src, tgt, M), cut into one coordinate block per object.
+
+    Takes raw, already-validated data, so colimits can pass the dual
+    diagram without building and re-checking a FiniteDiagram.
+    """
+    off = _offsets(dims)
+    Phi = np.zeros((sum(dims[t] for _, t, _ in morphisms), off[-1]), dtype=np.int64)
+    r = 0
+    for s, t, M in morphisms:
+        h = dims[t]
+        Phi[r : r + h, off[s] : off[s + 1]] += M
+        Phi[r : r + h, off[t] : off[t + 1]] -= np.eye(h, dtype=np.int64)
+        r += h
+    K = fields.kernel_basis(Phi % field, field)
+    return K.shape[1], [K[off[x] : off[x + 1], :] for x in range(len(dims))]
+
+
 def limit(diagram: FiniteDiagram, field: int = 2) -> tuple[int, list[np.ndarray]]:
     """Limit dimension and projection matrices onto each object.
 
@@ -57,42 +76,22 @@ def limit(diagram: FiniteDiagram, field: int = 2) -> tuple[int, list[np.ndarray]
     (F(g)(v_src) - v_tgt)_g; projections are coordinate restrictions.
     """
     fields.check_prime(field)
-    off = _offsets(diagram.dims)
-    total = off[-1]
-    rows = sum(diagram.dims[t] for _, t, _ in diagram.morphisms)
-    Phi = np.zeros((rows, total), dtype=np.int64)
-    r = 0
-    for s, t, M in diagram.morphisms:
-        h = diagram.dims[t]
-        Phi[r : r + h, off[s] : off[s + 1]] += M
-        Phi[r : r + h, off[t] : off[t + 1]] -= np.eye(h, dtype=np.int64)
-        r += h
-    K = fields.kernel_basis(Phi % field, field)
-    projections = [K[off[x] : off[x + 1], :] for x in range(len(diagram.dims))]
-    return K.shape[1], projections
+    return _difference_kernel(diagram.dims, diagram.morphisms, field)
 
 
 def colimit(diagram: FiniteDiagram, field: int = 2) -> tuple[int, list[np.ndarray]]:
     """Colimit dimension and the induced inclusion of each object.
 
     The colimit is the cokernel of the map collecting, per morphism g and
-    vector v, the relation F(g)(v) at the target minus v at the source;
-    each inclusion is the quotient map restricted to one coordinate block.
+    vector v, the relation F(g)(v) at the target minus v at the source.
+    That map is the transposed difference map of the dual diagram (every
+    morphism reversed and transposed), so the inclusions are the
+    transposed kernel blocks of the dual.
     """
     fields.check_prime(field)
-    off = _offsets(diagram.dims)
-    total = off[-1]
-    cols = sum(diagram.dims[s] for s, _, _ in diagram.morphisms)
-    Psi = np.zeros((total, cols), dtype=np.int64)
-    c = 0
-    for s, t, M in diagram.morphisms:
-        w = diagram.dims[s]
-        Psi[off[t] : off[t + 1], c : c + w] += M
-        Psi[off[s] : off[s + 1], c : c + w] -= np.eye(w, dtype=np.int64)
-        c += w
-    Q = fields.kernel_basis((Psi % field).T, field).T
-    inclusions = [Q[:, off[x] : off[x + 1]] for x in range(len(diagram.dims))]
-    return Q.shape[0], inclusions
+    dual = [(t, s, M.T) for s, t, M in diagram.morphisms]
+    dim, blocks = _difference_kernel(diagram.dims, dual, field)
+    return dim, [B.T for B in blocks]
 
 
 @dataclass

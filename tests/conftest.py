@@ -5,14 +5,36 @@ tiny self-contained oracles kept independent of the library internals."""
 from __future__ import annotations
 
 import os
+import tempfile
 
 import numpy as np
+from hypothesis import configuration, settings
+from hypothesis import strategies as st
 
 import tda
 from tda import leray
 from tda.complexes import IntervalCover, SimplicialComplex
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
+
+# Property tests replay the same examples on every run and keep no example
+# database, so the suite stays deterministic. Hypothesis still caches
+# constants parsed from source files; that cache goes to the temp directory,
+# not to a .hypothesis/ in the checkout.
+settings.register_profile("tda", derandomize=True, database=None, deadline=None)
+settings.load_profile("tda")
+configuration.set_hypothesis_home_dir(os.path.join(tempfile.gettempdir(), "tda-hypothesis"))
+
+
+@st.composite
+def small_clouds(draw):
+    """(points, r, max_dim): 1-12 points in R^1..R^3 drawn from the unit
+    cube, a radius in (0.05, 1) and max_dim <= 3."""
+    n = draw(st.integers(1, 12))
+    d = draw(st.integers(1, 3))
+    coords = draw(st.lists(st.floats(0.0, 1.0), min_size=n * d, max_size=n * d))
+    r = draw(st.floats(0.05, 1.0, exclude_min=True, exclude_max=True))
+    return np.array(coords).reshape(n, d), r, draw(st.integers(0, 3))
 
 
 def interval_complex() -> SimplicialComplex:

@@ -4,6 +4,7 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
 
 import tda
@@ -217,6 +218,15 @@ def test_cli_usage_errors_exit_2(tmp_path):
     with pytest.raises(SystemExit) as err:
         cli.parse_args(["homology", "--complex", CIRCLE, "--no-such-flag"])
     assert err.value.code == 2
+
+
+def test_cli_rips_predicted_oversize_exits_1(tmp_path, capsys):
+    pts = np.random.default_rng(0).random((3000, 2))
+    path = tmp_path / "big.csv"
+    path.write_text("".join(f"{x!r},{y!r}\n" for x, y in pts.tolist()))
+    code, out, err = run_cli(capsys, "rips", "--input", str(path), "--max-radius", "100")
+    assert code == 1 and out == ""
+    assert "simplices" in err
 
 
 def test_cli_domain_errors_exit_1(tmp_path, capsys):

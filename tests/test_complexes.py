@@ -5,8 +5,11 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given
 
 import tda
+from conftest import small_clouds
+from tda import persistence as P
 from tda.complexes import IntervalCover, simplex
 from tda.errors import InvalidMetricError, MalformedSimplexError, NonlinearNerveError
 
@@ -173,6 +176,16 @@ def test_cech_monotone_in_radius():
         small = tda.build_cech(pts, r, 2)
         large = tda.build_cech(pts, r * 1.3, 2)
         assert small.simplices <= large.simplices
+
+
+@given(small_clouds())
+def test_builders_are_underlying_complexes_of_filtrations(cloud):
+    pts, r, max_dim = cloud
+    rips = tda.build_rips(pts, r, max_dim, precomputed=False)
+    assert rips == P.rips_filtration(pts, max_dim, r, precomputed=False).underlying_complex()
+    cech = tda.build_cech(pts, r, max_dim)
+    assert cech == P.cech_filtration(pts, max_dim, r).underlying_complex()
+    assert cech.is_subcomplex_of(rips)
 
 
 def test_nerve_two_overlapping():

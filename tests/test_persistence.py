@@ -1,13 +1,17 @@
 """Filtrations, barcodes, and explicit-module decomposition."""
 
+import functools
 import math
+import time
 from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import tda
-from conftest import grid_torus, interval_complex, random_complex
+from conftest import grid_torus, interval_complex, random_complex, small_clouds
 from tda import fields
 from tda import persistence as P
 from tda.errors import MissingVertexValueError, TdaError
@@ -49,15 +53,62 @@ def test_cech_filtration_triangle_value_is_circumradius():
     assert abs(vals[(0, 1, 2)] - 1 / math.sqrt(3)) < 1e-9
 
 
+@functools.lru_cache(maxsize=None)
+def uniform_cloud_cech(seed):
+    """A uniform 30-point cloud in the unit square and its Čech filtration
+    up to radius 0.3, shared by the tests that sweep seeds 0-49."""
+    pts = np.random.default_rng(seed).random((30, 2))
+    return pts, P.cech_filtration(pts, max_radius=0.3)
+
+
 def test_cech_filtration_monotone_on_uniform_clouds():
     # An obtuse triangle's enclosing-ball radius is half its longest edge,
     # which rounding can put an ulp below that edge's Rips value.
     for seed in range(50):
-        pts = np.random.default_rng(seed).random((30, 2))
-        vals = P.cech_filtration(pts, max_radius=0.3).values()
+        vals = uniform_cloud_cech(seed)[1].values()
         for s, v in vals.items():
             facets = [s[:k] + s[k + 1 :] for k in range(len(s))] if len(s) > 1 else []
             assert all(v >= vals[f] for f in facets)
+
+
+def test_build_cech_is_filtration_complex_on_uniform_clouds():
+    for seed in range(50):
+        pts, fc = uniform_cloud_cech(seed)
+        assert tda.build_cech(pts, 0.3) == fc.underlying_complex()
+
+
+def test_rips_filtration_rejects_predicted_oversize_quickly():
+    # With the default infinite radius, 3000 points would give 4.5e9
+    # triangles; the size bound must refuse before building any of them.
+    pts = np.random.default_rng(0).random((3000, 2))
+    start = time.process_time()
+    with pytest.raises(TdaError, match="simplices"):
+        P.rips_filtration(pts)
+    assert time.process_time() - start < 1.0
+
+
+@given(small_clouds())
+def test_rips_values_are_half_diameters(cloud):
+    pts, r, max_dim = cloud
+    vals = P.rips_filtration(pts, max_dim, r, precomputed=False).values()
+    for k in range(1, max_dim + 2):
+        for s in combinations(range(len(pts)), k):
+            half_diameter = max(
+                (math.dist(pts[a], pts[b]) / 2 for a, b in combinations(s, 2)), default=0.0
+            )
+            if s in vals:
+                assert abs(vals[s] - half_diameter) < 1e-12
+                assert half_diameter <= r + 1e-9
+            else:
+                assert half_diameter > r - 1e-9
+
+
+@given(small_clouds(), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+def test_sublevel_complexes_nest(cloud, s, t):
+    pts, r, max_dim = cloud
+    s, t = sorted((s, t))
+    for fc in (P.rips_filtration(pts, max_dim, r, precomputed=False), P.cech_filtration(pts, max_dim, r)):
+        assert fc.complex_at(s).is_subcomplex_of(fc.complex_at(t))
 
 
 def test_lower_star_interval():
