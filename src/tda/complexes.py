@@ -28,6 +28,10 @@ TOL = 1e-9
 # Largest predicted Rips/Čech simplex count: a build plus an F2 barcode
 # costs about 500 bytes per simplex, so this is about 2.5 GB.
 MAX_SIMPLICES = 5_000_000
+# Largest coordinate-difference block squared_distance_matrix holds at once,
+# in bytes. Each entry is the same einsum over its row's block, so the result
+# equals the unblocked einsum bit for bit.
+DISTANCE_BLOCK_BYTES = 16 * 2**20
 
 Simplex = tuple[int, ...]
 
@@ -157,8 +161,13 @@ def squared_distance_matrix(data, precomputed: bool | None = None) -> np.ndarray
             raise InvalidMetricError("distances must be nonnegative")
         return arr**2
     pts = as_point_cloud(arr)
-    diff = pts[:, None, :] - pts[None, :, :]
-    return np.einsum("ijk,ijk->ij", diff, diff)
+    n, d = pts.shape
+    rows = max(1, DISTANCE_BLOCK_BYTES // max(1, n * d * pts.itemsize))
+    D2 = np.empty((n, n))
+    for i in range(0, n, rows):
+        diff = pts[i : i + rows, None, :] - pts[None, :, :]
+        D2[i : i + rows] = np.einsum("ijk,ijk->ij", diff, diff)
+    return D2
 
 
 def _rips_entries(D2: np.ndarray, max_dim: int, max_radius: float) -> list[tuple[Simplex, float]]:

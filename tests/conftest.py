@@ -178,6 +178,24 @@ def random_zigzag(rng: np.random.Generator, max_len: int = 6, max_dim: int = 3, 
     return ZigzagModule(dims=dims, arrows=arrows)
 
 
+@st.composite
+def small_zigzags(draw):
+    """(zigzag, field): 1-8 slots of dimension 0-3, arrows of either
+    direction with arbitrary entries, over F2, F3 or F5."""
+    from tda.zigzag import BACKWARD, FORWARD, ZigzagModule
+
+    field = draw(st.sampled_from([2, 3, 5]))
+    dims = draw(st.lists(st.integers(0, 3), min_size=1, max_size=8))
+    arrows = []
+    for i in range(len(dims) - 1):
+        direction = draw(st.sampled_from([FORWARD, BACKWARD]))
+        shape = (dims[i + 1], dims[i]) if direction == FORWARD else (dims[i], dims[i + 1])
+        size = shape[0] * shape[1]
+        entries = draw(st.lists(st.integers(0, field - 1), min_size=size, max_size=size))
+        arrows.append((direction, np.array(entries, dtype=np.int64).reshape(shape)))
+    return ZigzagModule(dims=dims, arrows=arrows), field
+
+
 def random_invertible(rng: np.random.Generator, n: int, field: int) -> np.ndarray:
     """Unit lower-triangular times unit upper-triangular, always invertible."""
     L = np.tril(rng.integers(0, field, size=(n, n)), -1) + np.eye(n, dtype=np.int64)

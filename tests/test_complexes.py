@@ -9,8 +9,9 @@ from hypothesis import given
 
 import tda
 from conftest import small_clouds
+from tda import complexes
 from tda import persistence as P
-from tda.complexes import IntervalCover, simplex
+from tda.complexes import IntervalCover, simplex, squared_distance_matrix
 from tda.errors import InvalidMetricError, MalformedSimplexError, NonlinearNerveError
 
 
@@ -107,6 +108,24 @@ def test_rips_monotone_in_radius():
         small = tda.build_rips(pts, r, 2)
         large = tda.build_rips(pts, r * 1.4, 2)
         assert small.simplices <= large.simplices
+
+
+def full_einsum_squared_distances(pts):
+    diff = pts[:, None, :] - pts[None, :, :]
+    return np.einsum("ijk,ijk->ij", diff, diff)
+
+
+def test_squared_distances_by_row_blocks_equal_full_einsum(monkeypatch):
+    rng = np.random.default_rng(31)
+    pts = rng.normal(size=(600, 8))  # two blocks at the module's block size
+    assert np.array_equal(squared_distance_matrix(pts, False), full_einsum_squared_distances(pts))
+    for rows in (1, 7, 50):
+        for n in (rows, rows + 1, 3 * rows + 2):
+            d = int(rng.integers(1, 9))
+            pts = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-3, 3)
+            monkeypatch.setattr(complexes, "DISTANCE_BLOCK_BYTES", rows * n * d * 8)
+            blocked = squared_distance_matrix(pts, False)
+            assert np.array_equal(blocked, full_einsum_squared_distances(pts))
 
 
 def test_meb_single_point():

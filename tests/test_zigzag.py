@@ -3,8 +3,10 @@
 from itertools import product
 
 import numpy as np
+import pytest
+from hypothesis import given
 
-from conftest import gf2_rank_reference, torus_leray_zigzag, random_zigzag
+from conftest import gf2_rank_reference, random_zigzag, small_zigzags, torus_leray_zigzag
 from tda import fields
 from tda import persistence as P
 from tda import zigzag as Z
@@ -259,3 +261,43 @@ def test_forward_module_agrees_with_decompose_explicit():
                 key = (int(bar.birth), int(bar.death))
                 from_module[key] = from_module.get(key, 0) + 1
             assert from_zigzag == from_module
+
+
+def assert_bars_match_definition(z, bars, field):
+    """Bars cover every slot dims[i] times and every interval [b, d] as
+    often as its generalized rank, computed from the definition."""
+    n = len(z.dims)
+    for i in range(n):
+        assert sum(bar.multiplicity for bar in bars if bar.lo <= i <= bar.hi) == z.dims[i]
+    for b in range(n):
+        for d in range(b, n):
+            covering = sum(bar.multiplicity for bar in bars if bar.lo <= b and d <= bar.hi)
+            assert covering == Z.generalized_rank(z, b, d, field)
+
+
+@given(small_zigzags())
+def test_decompose_zigzag_sweep_matches_generalized_rank(case):
+    z, field = case
+    assert_bars_match_definition(z, Z.decompose_zigzag(z, field), field)
+
+
+def test_decompose_zigzag_sweep_matches_generalized_rank_on_16_slots():
+    rng = np.random.default_rng(30)
+    for field in (2, 3):
+        z = Z.ZigzagModule(
+            dims=[5] * 16,
+            arrows=[
+                (Z.FORWARD if rng.random() < 0.5 else Z.BACKWARD, rng.integers(0, 3, (5, 5)))
+                for _ in range(15)
+            ],
+        )
+        assert_bars_match_definition(z, Z.decompose_zigzag(z, field), field)
+
+
+def test_decompose_zigzag_rejects_non_prime_field():
+    eye = np.eye(2, dtype=np.int64)
+    one_slot = Z.ZigzagModule(dims=[2], arrows=[])
+    three_slots = Z.ZigzagModule(dims=[2, 2, 2], arrows=[(Z.FORWARD, eye), (Z.BACKWARD, eye)])
+    for z in (one_slot, three_slots):
+        with pytest.raises(ValueError):
+            Z.decompose_zigzag(z, 4)
