@@ -66,17 +66,19 @@ class SimplicialComplex:
 
     The constructor normalizes each input simplex and takes the face
     closure, so the result is always a valid complex; construction is
-    idempotent on already-closed input.
+    idempotent on already-closed input. Library code that already holds
+    normalized, face-closed simplices passes ``_closed=True`` to skip both.
     """
 
-    __slots__ = ("_simplices", "_dim")
+    __slots__ = ("_simplices", "_dim", "_by_dim")
 
     def __init__(self, simplices: Iterable[Sequence[int]] = (), *, _closed: bool = False):
-        cleaned = {simplex(s) for s in simplices}
-        if not _closed:
-            cleaned = face_closure(cleaned)
-        self._simplices = frozenset(cleaned)
-        self._dim = max((len(s) - 1 for s in cleaned), default=-1)
+        if _closed:
+            self._simplices = frozenset(simplices)
+        else:
+            self._simplices = frozenset(face_closure({simplex(s) for s in simplices}))
+        self._dim = max((len(s) - 1 for s in self._simplices), default=-1)
+        self._by_dim: dict[int, list[Simplex]] | None = None
 
     @property
     def simplices(self) -> frozenset[Simplex]:
@@ -88,8 +90,12 @@ class SimplicialComplex:
         return self._dim
 
     def p_simplices(self, p: int) -> list[Simplex]:
-        """The p-simplices in lexicographic vertex order."""
-        return sorted(s for s in self._simplices if len(s) == p + 1)
+        """The p-simplices in lexicographic vertex order (sorted once)."""
+        if self._by_dim is None:
+            self._by_dim = {}
+            for s in sorted(self._simplices):
+                self._by_dim.setdefault(len(s) - 1, []).append(s)
+        return list(self._by_dim.get(p, ()))
 
     def vertices(self) -> list[int]:
         return sorted(s[0] for s in self._simplices if len(s) == 1)

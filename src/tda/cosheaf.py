@@ -15,7 +15,7 @@ import numpy as np
 from . import fields, zigzag
 from .complexes import Simplex, SimplicialComplex
 from .errors import InvalidCosheafError, NonlinearNerveError, NotASubcomplexError
-from .homology import HomologyResult, _result
+from .homology import HomologyResult, _check_degree, _result, chain_boundary, simplex_faces
 
 
 def codim1_pairs(K: SimplicialComplex) -> list[tuple[Simplex, Simplex]]:
@@ -28,7 +28,9 @@ def codim1_pairs(K: SimplicialComplex) -> list[tuple[Simplex, Simplex]]:
     return sorted(pairs)
 
 
-def _check_structure(base, stalks, maps, kind: str) -> None:
+def _check_structure(F, kind: str) -> None:
+    """Validate stalks and map keys; make each map an int64 array of its shape."""
+    base, stalks, maps = F.base, F.stalks, F.maps
     for s in base.simplices:
         if s not in stalks:
             raise InvalidCosheafError(f"{kind} has no stalk dimension for {s}")
@@ -44,6 +46,9 @@ def _check_structure(base, stalks, maps, kind: str) -> None:
         raise InvalidCosheafError(
             f"{kind} extension maps mismatch; missing {missing}, unexpected {extra}"
         )
+    for (face, coface), M in list(maps.items()):
+        shape = (stalks[face], stalks[coface]) if kind == "cosheaf" else (stalks[coface], stalks[face])
+        maps[(face, coface)] = np.asarray(M, dtype=np.int64).reshape(shape)
 
 
 @dataclass
@@ -59,10 +64,7 @@ class SimplicialCosheaf:
     maps: dict[tuple[Simplex, Simplex], np.ndarray] = dataclass_field(default_factory=dict)
 
     def __post_init__(self):
-        _check_structure(self.base, self.stalks, self.maps, "cosheaf")
-        for (face, coface), M in list(self.maps.items()):
-            M = np.asarray(M, dtype=np.int64).reshape(self.stalks[face], self.stalks[coface])
-            self.maps[(face, coface)] = M
+        _check_structure(self, "cosheaf")
 
 
 @dataclass
@@ -75,10 +77,7 @@ class SimplicialSheaf:
     maps: dict[tuple[Simplex, Simplex], np.ndarray] = dataclass_field(default_factory=dict)
 
     def __post_init__(self):
-        _check_structure(self.base, self.stalks, self.maps, "sheaf")
-        for (face, coface), M in list(self.maps.items()):
-            M = np.asarray(M, dtype=np.int64).reshape(self.stalks[coface], self.stalks[face])
-            self.maps[(face, coface)] = M
+        _check_structure(self, "sheaf")
 
 
 def constant_cosheaf(K: SimplicialComplex, n: int) -> SimplicialCosheaf:
@@ -146,22 +145,22 @@ def cosheaf_boundary(F: SimplicialCosheaf, p: int, field: int = 2) -> np.ndarray
     Block (sigma, tau) is (-1)^j r_{sigma,tau} when sigma is the j-th
     face of tau (delete the j-th vertex), zero otherwise.
     """
-    if p < 0:
-        raise ValueError(f"degree must be nonnegative, got {p}")
-    fields.check_prime(field)
-    cols, col_off = chain_offsets(F, p)
-    if p == 0:
-        return np.zeros((0, col_off[-1]), dtype=np.int64)
-    rows, row_off = chain_offsets(F, p - 1)
-    row_index = {s: i for i, s in enumerate(rows)}
-    D = np.zeros((row_off[-1], col_off[-1]), dtype=np.int64)
-    for j, tau in enumerate(cols):
-        for k in range(len(tau)):
-            sigma = tau[:k] + tau[k + 1 :]
-            i = row_index[sigma]
-            block = F.maps[(sigma, tau)] * ((-1) ** k)
-            D[row_off[i] : row_off[i + 1], col_off[j] : col_off[j + 1]] += block
-    return D % field
+    _check_degree(p, field)
+    return _boundary(F, p, field).dense()
+
+
+def _boundary(F: SimplicialCosheaf, p: int, field: int) -> fields.ColumnMatrix:
+    """Columns of the block boundary over the basis (simplex, stalk index)."""
+
+    def basis(q):
+        return [(s, k) for s in F.base.p_simplices(q) for k in range(F.stalks[s])]
+
+    def faces(cell):
+        tau, k = cell
+        blocks = [(sigma, sign, F.maps[(sigma, tau)][:, k].tolist()) for sigma, sign in simplex_faces(tau)]
+        return [((sigma, i), sign * x) for sigma, sign, col in blocks for i, x in enumerate(col)]
+
+    return chain_boundary(basis(p), basis(p - 1), faces, field)
 
 
 def cosheaf_homology(F: SimplicialCosheaf, p: int, field: int = 2) -> HomologyResult:
@@ -169,10 +168,8 @@ def cosheaf_homology(F: SimplicialCosheaf, p: int, field: int = 2) -> HomologyRe
     violation = validate(F, field)
     if violation is not None:
         raise InvalidCosheafError(str(violation))
-    quotient = fields.Quotient(
-        cosheaf_boundary(F, p, field), cosheaf_boundary(F, p + 1, field), field
-    )
-    return _result(p, quotient)
+    _check_degree(p, field)
+    return _result(p, fields.Quotient(_boundary(F, p, field), _boundary(F, p + 1, field), field))
 
 
 def sheaf_to_cosheaf(F: SimplicialSheaf) -> SimplicialCosheaf:

@@ -1,12 +1,15 @@
-"""Dense linear algebra over prime fields.
-
-Matrices are numpy int64 arrays with entries reduced mod p. GF(2) gets a
-bit-packed fast path (rows packed into bytes, XOR row operations); other
-primes use plain modular row reduction. Pivots are always chosen leftmost
-column first, topmost row first, so every routine is deterministic.
+"""Linear algebra over prime fields. Chain complexes are sparse: all
+homology (:class:`Quotient`) and the persistence barcode run on the one
+column-reduction kernel :func:`reduce_columns`. Stalk-sized matrices
+(zigzags, cosheaf maps, ranks of module maps) are dense int64 arrays with
+entries mod p, row-reduced with pivots chosen leftmost column first,
+topmost row first, so every routine is deterministic.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -38,35 +41,6 @@ def normalize(A, p: int) -> np.ndarray:
     return M % p
 
 
-def _gf2_rref(A: np.ndarray):
-    m, n = A.shape
-    if m == 0 or n == 0:
-        return A.astype(np.int64, copy=True), []
-    P = np.packbits(A.astype(np.uint8, copy=False), axis=1, bitorder="little")
-    pivots: list[int] = []
-    r = 0
-    for c in range(n):
-        byte, bit = divmod(c, 8)
-        col = (P[r:, byte] >> bit) & 1
-        nz = np.nonzero(col)[0]
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            P[[r, i]] = P[[i, r]]
-        full = (P[:, byte] >> bit) & 1
-        full[r] = 0
-        rows = np.nonzero(full)[0]
-        if rows.size:
-            P[rows] ^= P[r]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    R = np.unpackbits(P, axis=1, count=n, bitorder="little").astype(np.int64)
-    return R, pivots
-
-
 def _modp_rref(A: np.ndarray, p: int):
     R = A.copy()
     m, n = R.shape
@@ -95,10 +69,7 @@ def _modp_rref(A: np.ndarray, p: int):
 
 def rref(A, p: int):
     """Reduced row echelon form mod p. Returns (R, pivot_columns)."""
-    M = normalize(A, p)
-    if p == 2:
-        return _gf2_rref(M)
-    return _modp_rref(M, p)
+    return _modp_rref(normalize(A, p), p)
 
 
 def rank(A, p: int) -> int:
@@ -147,38 +118,150 @@ def matmul(A, B, p: int) -> np.ndarray:
     return (normalize(A, p) @ normalize(B, p)) % p
 
 
-class Quotient:
-    """The quotient ker(d_low) / im(d_high) with frozen representatives.
+@dataclass
+class ColumnMatrix:
+    """A sparse GF(p) matrix by columns: row sets for p = 2, else {row: coeff in [1, p)}."""
 
-    d_low maps the ambient chain space out, d_high maps into it; the usual
-    homology situation. Representatives are the kernel-basis columns that
-    extend a basis of the image, chosen by the leftmost-pivot rule.
+    n_rows: int
+    cols: list
+
+    def dense(self) -> np.ndarray:
+        D = np.zeros((self.n_rows, len(self.cols)), dtype=np.int64)
+        for j, col in enumerate(self.cols):
+            D[list(col), j] = list(col.values()) if isinstance(col, dict) else 1
+        return D
+
+    def transpose(self, p: int) -> "ColumnMatrix":
+        rows: list[list] = [[] for _ in range(self.n_rows)]
+        for j, col in enumerate(self.cols):
+            for r, c in _items(col):
+                rows[r].append((j, c))
+        return ColumnMatrix(len(self.cols), [sparse_column(row, p) for row in rows])
+
+    def compose(self, other: "ColumnMatrix", p: int) -> "ColumnMatrix":
+        """The product self @ other."""
+        out = []
+        for col in other.cols:
+            acc: dict[int, int] = {}
+            for k, c in _items(col):
+                for r, a in _items(self.cols[k]):
+                    acc[r] = acc.get(r, 0) + a * c
+            out.append(sparse_column(acc.items(), p))
+        return ColumnMatrix(self.n_rows, out)
+
+
+def _items(col):
+    return col.items() if isinstance(col, dict) else ((r, 1) for r in col)
+
+
+def sparse_column(coeffs, p: int):
+    """The column with the given (row, coeff) pairs, rows distinct."""
+    if p == 2:
+        return {r for r, c in coeffs if c % 2}
+    return {r: c % p for r, c in coeffs if c % p}
+
+
+def as_columns(A, p: int) -> ColumnMatrix:
+    """A :class:`ColumnMatrix` as given, or the columns of a dense matrix."""
+    if isinstance(A, ColumnMatrix):
+        return A
+    M = normalize(A, p)
+    cols = [sparse_column(zip(np.flatnonzero(c).tolist(), c[c != 0].tolist()), p) for c in M.T]
+    return ColumnMatrix(M.shape[0], cols)
+
+
+def _subtract(vec: dict, other: dict, factor: int, p: int) -> None:
+    for r, c in other.items():
+        if x := (vec.get(r, 0) - factor * c) % p:
+            vec[r] = x
+        else:
+            del vec[r]
+
+
+def reduce_columns(columns, p: int, pivots: dict | None = None, tracks=None, insert: bool = True):
+    """Standard column reduction: reduce a copy of each column, in order,
+    by the stored column whose pivot (largest row) it shares. ``pivots``
+    maps a pivot row to a stored (column, track) pair and may be shared
+    across calls. A track (the V of R = D V) is an optional column that
+    takes the same additions; ``tracks`` gives the starting ones, and a
+    stored column without one adds nothing to them. With ``insert`` a
+    column that stays nonzero is stored, scaled with its track to pivot 1.
+    Yields (pivot, or None for zero, column, track).
+    """
+    if pivots is None:
+        pivots = {}
+    for col, track in zip(columns, repeat(None) if tracks is None else tracks):
+        col = col.copy()
+        while col:
+            piv = max(col)
+            stored = pivots.get(piv)
+            if stored is None:
+                break
+            other, other_track = stored
+            if p == 2:
+                col ^= other
+                if track is not None and other_track:
+                    track ^= other_track
+                continue
+            factor = col[piv]
+            _subtract(col, other, factor, p)
+            if track is not None and other_track:
+                _subtract(track, other_track, factor, p)
+        else:
+            piv = None
+        if insert and piv is not None:
+            if p != 2 and col[piv] != 1:
+                inv = pow(col[piv], -1, p)
+                col = {r: c * inv % p for r, c in col.items()}
+                track = None if track is None else {r: c * inv % p for r, c in track.items()}
+            pivots[piv] = (col, track)
+        yield piv, col, track
+
+
+class Quotient:
+    """The quotient ker(d_low) / im(d_high) with frozen representatives;
+    d_low and d_high are :class:`ColumnMatrix` or dense.
+
+    The kernel basis is the tracks of the d_low columns that reduce to
+    zero: 1 at that free column, support on earlier pivot columns (the
+    rref kernel basis). Representatives are the kernel columns that stay
+    nonzero when reduced, in order, after the columns of d_high: the
+    leftmost-pivot extension of an image basis.
     """
 
     def __init__(self, d_low, d_high, p: int):
         self.field = p
-        low = normalize(d_low, p)
-        high = normalize(d_high, p)
-        if low.shape[1] != high.shape[0]:
+        low, high = as_columns(d_low, p), as_columns(d_high, p)
+        n = len(low.cols)
+        if n != high.n_rows:
             raise ValueError(
-                f"chain space mismatch: d_low has {low.shape[1]} columns, "
-                f"d_high has {high.shape[0]} rows"
+                f"chain space mismatch: d_low has {n} columns, d_high has {high.n_rows} rows"
             )
-        Z = kernel_basis(low, p)
-        stacked = np.hstack([high, Z])
-        _, pivots = rref(stacked, p)
-        nb = high.shape[1]
-        image_cols = [c for c in pivots if c < nb]
-        rep_cols = [c - nb for c in pivots if c >= nb]
-        self.representatives = Z[:, rep_cols]
-        self.dimension = len(rep_cols)
-        self._solve_mat = np.hstack([self.representatives, high[:, image_cols]])
+        units = (sparse_column([(j, 1)], p) for j in range(n))
+        kernel = [t for piv, _, t in reduce_columns(low.cols, p, {}, units) if piv is None]
+        self._pivots: dict = {}
+        nh = len(high.cols)
+        units = (sparse_column([(i, 1)], p) for i in range(len(kernel)))
+        reduced = reduce_columns(high.cols + kernel, p, self._pivots, chain(repeat(None, nh), units))
+        reps = [j - nh for j, (piv, _, _) in enumerate(reduced) if j >= nh and piv is not None]
+        self._rep_index = {i: k for k, i in enumerate(reps)}
+        self.dimension = len(reps)
+        self.representatives = ColumnMatrix(n, [kernel[i] for i in reps]).dense()
 
     def coordinates(self, V) -> np.ndarray:
-        """Coordinates of cycle column(s) V in the representative basis."""
-        X = solve(self._solve_mat, V, self.field)
-        if X is None:
-            raise InternalInconsistencyError(
-                "vector is not a cycle modulo boundaries of this quotient"
-            )
-        return X[: self.dimension]
+        """Coordinates of cycle column(s) V (dense or a ColumnMatrix) in the
+        representatives, by reduction tracking only representative columns."""
+        p = self.field
+        squeeze = not isinstance(V, ColumnMatrix) and np.ndim(V) == 1
+        cols = as_columns(np.asarray(V)[:, None] if squeeze else V, p)
+        if cols.n_rows != self.representatives.shape[0]:
+            raise ValueError("right-hand side has wrong number of rows")
+        X = np.zeros((self.dimension, len(cols.cols)), dtype=np.int64)
+        tracks = (sparse_column((), p) for _ in cols.cols)
+        reduced = reduce_columns(cols.cols, p, self._pivots, tracks, insert=False)
+        for j, (piv, _, track) in enumerate(reduced):
+            if piv is not None:
+                raise InternalInconsistencyError("vector is not a cycle modulo boundaries of this quotient")
+            for i, c in _items(track):  # V + (stored columns combined by track) = 0
+                X[self._rep_index[i], j] = -c % p
+        return X[:, 0] if squeeze else X

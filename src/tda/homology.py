@@ -3,19 +3,49 @@
 Boundary and coboundary matrices, homology dimensions with representative
 cycle bases, and the maps on homology induced by simplicial vertex maps.
 Orientations come from the global integer order on vertex ids; bases are
-deterministic via the leftmost-pivot elimination rule.
+deterministic via the leftmost-pivot elimination rule. All of it is
+sparse: :func:`chain_boundary` builds simplicial, cosheaf and Leray blowup
+boundary columns and :class:`fields.Quotient` reduces them; the dense
+matrices returned here are views of the same columns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from . import fields
-from .complexes import SimplicialComplex
+from .complexes import Simplex, SimplicialComplex
 from .errors import InternalInconsistencyError, NonSimplicialMapError
+
+
+def chain_boundary(cols: Sequence, rows: Sequence, faces, field: int) -> fields.ColumnMatrix:
+    """Sparse columns of a map between chain groups, one per cell of
+    ``cols``, over one row per cell of ``rows``. ``faces(cell)`` yields
+    each (row cell, integer coefficient) term of a column once."""
+    index = {cell: i for i, cell in enumerate(rows)}
+    if field == 2:
+        return fields.ColumnMatrix(len(rows), [{index[f] for f, c in faces(x) if c % 2} for x in cols])
+    return fields.ColumnMatrix(
+        len(rows), [{index[f]: c % field for f, c in faces(x) if c % field} for x in cols]
+    )
+
+
+def simplex_faces(tau: Simplex) -> list[tuple[Simplex, int]]:
+    """Codimension-1 faces of tau; deleting vertex j gives sign (-1)^j."""
+    return [(tau[:j] + tau[j + 1 :], -1 if j % 2 else 1) for j in range(len(tau))] if len(tau) > 1 else []
+
+
+def _check_degree(p: int, field: int) -> None:
+    if p < 0:
+        raise ValueError(f"degree must be nonnegative, got {p}")
+    fields.check_prime(field)
+
+
+def _boundary(K: SimplicialComplex, p: int, field: int) -> fields.ColumnMatrix:
+    return chain_boundary(K.p_simplices(p), K.p_simplices(p - 1), simplex_faces, field)
 
 
 def boundary_matrix(K: SimplicialComplex, p: int, field: int = 2) -> np.ndarray:
@@ -25,19 +55,8 @@ def boundary_matrix(K: SimplicialComplex, p: int, field: int = 2) -> np.ndarray:
     order; the j-th face (delete the j-th vertex) gets sign (-1)^j mod p.
     For p = 0 this is the empty-row matrix.
     """
-    if p < 0:
-        raise ValueError(f"degree must be nonnegative, got {p}")
-    fields.check_prime(field)
-    cols = K.p_simplices(p)
-    rows = K.p_simplices(p - 1) if p > 0 else []
-    row_index = {s: i for i, s in enumerate(rows)}
-    D = np.zeros((len(rows), len(cols)), dtype=np.int64)
-    for j, tau in enumerate(cols):
-        for k in range(len(tau)):
-            face = tau[:k] + tau[k + 1 :]
-            if face:
-                D[row_index[face], j] = (-1) ** k % field
-    return D
+    _check_degree(p, field)
+    return _boundary(K, p, field).dense()
 
 
 def coboundary_matrix(K: SimplicialComplex, p: int, field: int = 2) -> np.ndarray:
@@ -64,9 +83,8 @@ def _result(degree: int, quotient: fields.Quotient) -> HomologyResult:
 
 
 def homology_quotient(K: SimplicialComplex, p: int, field: int = 2) -> fields.Quotient:
-    return fields.Quotient(
-        boundary_matrix(K, p, field), boundary_matrix(K, p + 1, field), field
-    )
+    _check_degree(p, field)
+    return fields.Quotient(_boundary(K, p, field), _boundary(K, p + 1, field), field)
 
 
 def homology(K: SimplicialComplex, p: int, field: int = 2) -> HomologyResult:
@@ -76,12 +94,8 @@ def homology(K: SimplicialComplex, p: int, field: int = 2) -> HomologyResult:
 
 def cohomology(K: SimplicialComplex, p: int, field: int = 2) -> HomologyResult:
     """H^p(K) from coboundary ranks; its dimension equals dim H_p(K)."""
-    if p < 0:
-        raise ValueError(f"degree must be nonnegative, got {p}")
-    low = coboundary_matrix(K, p, field)
-    high = coboundary_matrix(K, p - 1, field) if p > 0 else np.zeros(
-        (len(K.p_simplices(0)), 0), dtype=np.int64
-    )
+    _check_degree(p, field)
+    low, high = (_boundary(K, q, field).transpose(field) for q in (p + 1, p))
     return _result(p, fields.Quotient(low, high, field))
 
 
@@ -118,16 +132,15 @@ def chain_map(
     """
     fields.check_prime(field)
     _check_simplicial(f, source, target)
-    src = source.p_simplices(p)
-    tgt = target.p_simplices(p)
-    tgt_index = {s: i for i, s in enumerate(tgt)}
-    M = np.zeros((len(tgt), len(src)), dtype=np.int64)
-    for j, s in enumerate(src):
-        image = [f[v] for v in s]
-        if len(set(image)) != len(image):
-            continue
-        M[tgt_index[tuple(sorted(image))], j] = _permutation_sign(image) % field
-    return M
+    return _chain_columns(f, source, target, p, field).dense()
+
+
+def _chain_columns(f, source, target, p: int, field: int) -> fields.ColumnMatrix:
+    def image(s):
+        img = [f[v] for v in s]
+        return [] if len(set(img)) != len(img) else [(tuple(sorted(img)), _permutation_sign(img))]
+
+    return chain_boundary(source.p_simplices(p), target.p_simplices(p), image, field)
 
 
 def induced_map(
@@ -142,18 +155,15 @@ def induced_map(
     The chain-level map is verified to commute with the boundary operators
     before being projected to homology.
     """
-    Cp = chain_map(f, source, target, p, field)
-    Cp_minus = chain_map(f, source, target, p - 1, field) if p > 0 else None
-    dK = boundary_matrix(source, p, field)
-    dL = boundary_matrix(target, p, field)
+    fields.check_prime(field)
+    _check_simplicial(f, source, target)
+    Cp = _chain_columns(f, source, target, p, field)
     if p > 0:
-        lhs = fields.matmul(Cp_minus, dK, field)
-        rhs = fields.matmul(dL, Cp, field)
-        if not np.array_equal(lhs, rhs):
+        lhs = _chain_columns(f, source, target, p - 1, field).compose(_boundary(source, p, field), field)
+        if lhs.cols != _boundary(target, p, field).compose(Cp, field).cols:
             raise InternalInconsistencyError("chain map does not commute with boundaries")
     hK = homology_quotient(source, p, field)
     hL = homology_quotient(target, p, field)
     if hK.dimension == 0:
         return np.zeros((hL.dimension, 0), dtype=np.int64)
-    pushed = fields.matmul(Cp, hK.representatives, field)
-    return hL.coordinates(pushed)
+    return hL.coordinates(Cp.compose(fields.as_columns(hK.representatives, field), field))

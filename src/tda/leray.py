@@ -31,7 +31,7 @@ from .errors import (
     InternalInconsistencyError,
     MissingVertexValueError,
 )
-from .homology import homology_quotient
+from .homology import _check_degree, chain_boundary, homology_quotient, simplex_faces
 from .persistence import ExplicitModule
 
 
@@ -105,14 +105,10 @@ def _leray_pieces(
     return pieces
 
 
-def _inclusion_matrix(sub: Sequence, sup: Sequence) -> np.ndarray:
-    """0/1 matrix sending each basis element of ``sub`` to the same
-    element of ``sup``, which must contain it."""
-    idx = {key: i for i, key in enumerate(sup)}
-    A = np.zeros((len(sup), len(sub)), dtype=np.int64)
-    for j, key in enumerate(sub):
-        A[idx[key], j] = 1
-    return A
+def _push(reps: np.ndarray, sub: Sequence, sup: Sequence, field: int) -> fields.ColumnMatrix:
+    """Columns over the basis ``sub`` rewritten over its superset ``sup``."""
+    inclusion = chain_boundary(sub, sup, lambda key: [(key, 1)], field)
+    return inclusion.compose(fields.as_columns(reps, field), field)
 
 
 def _leray_cosheaf_data(
@@ -125,10 +121,8 @@ def _leray_cosheaf_data(
     maps = {}
     for edge in nerve.p_simplices(1):
         for vertex in ((edge[0],), (edge[1],)):
-            incl = _inclusion_matrix(
-                pieces[edge].p_simplices(degree), pieces[vertex].p_simplices(degree)
-            )
-            pushed = fields.matmul(incl, quotients[edge].representatives, field)
+            sub, sup = (pieces[ns].p_simplices(degree) for ns in (edge, vertex))
+            pushed = _push(quotients[edge].representatives, sub, sup, field)
             maps[(vertex, edge)] = quotients[vertex].coordinates(pushed)
     return SimplicialCosheaf(base=nerve, stalks=stalks, maps=maps), quotients
 
@@ -173,20 +167,11 @@ def build_leray_cosheaf(
     M: MappedComplex, cover: IntervalCover, degree: int, field: int = 2
 ) -> LerayCosheaf:
     """Stalk H_degree(preimage) per nerve simplex, inclusion-induced maps."""
-    if degree < 0:
-        raise ValueError(f"degree must be nonnegative, got {degree}")
-    fields.check_prime(field)
+    _check_degree(degree, field)
     check_cover_granularity(M, cover)
     pieces = _leray_pieces(M, cover)
     cosheaf, quotients = _leray_cosheaf_data(pieces, degree, field)
-    return LerayCosheaf(
-        cosheaf=cosheaf,
-        degree=degree,
-        field=field,
-        cover=cover,
-        pieces=pieces,
-        piece_homology=quotients,
-    )
+    return LerayCosheaf(cosheaf, degree, field, cover, pieces, quotients)
 
 
 def global_homology(M: MappedComplex, cover: IntervalCover, degree: int, field: int = 2) -> int:
@@ -194,45 +179,31 @@ def global_homology(M: MappedComplex, cover: IntervalCover, degree: int, field: 
 
     For an admissible cover this equals dim H_degree of the complex.
     """
-    if degree < 0:
-        raise ValueError(f"degree must be nonnegative, got {degree}")
-    fields.check_prime(field)
+    _check_degree(degree, field)
     check_cover_granularity(M, cover)
     return _formula_on_pieces(_leray_pieces(M, cover), degree, field)
 
 
-def _tot_basis(pieces: dict[Simplex, SimplicialComplex], n: int):
-    basis = []
-    for ns in sorted(pieces, key=lambda s: (len(s), s)):
-        q = n if len(ns) == 1 else n - 1
-        if q < 0:
-            continue
-        for s in pieces[ns].p_simplices(q):
-            basis.append((ns, s))
-    return basis
+def _tot_basis(pieces: dict[Simplex, SimplicialComplex], n: int) -> list:
+    """(nerve simplex, simplex): n-simplices of vertex pieces, (n-1) of edge pieces."""
+    order = sorted(pieces, key=lambda s: (len(s), s))
+    return [(ns, s) for ns in order for s in pieces[ns].p_simplices(n + 1 - len(ns))]
 
 
-def _tot_boundary(pieces: dict[Simplex, SimplicialComplex], n: int, field: int) -> np.ndarray:
-    """Differential of the cover's blowup complex in total degree n.
+def _tot_boundary(pieces: dict[Simplex, SimplicialComplex], n: int, field: int) -> fields.ColumnMatrix:
+    """Differential of the cover's blowup complex in total degree n: the
+    simplicial boundary within each piece, negated on edge pieces, which
+    also map by signed inclusions into their endpoint pieces (d² = 0)."""
 
-    Vertex blocks carry the simplicial boundary; edge blocks additionally
-    map by signed chain inclusions into their two endpoint pieces, and
-    their internal boundary is negated so the square is zero.
-    """
-    rows = _tot_basis(pieces, n - 1)
-    cols = _tot_basis(pieces, n)
-    idx = {key: i for i, key in enumerate(rows)}
-    D = np.zeros((len(rows), len(cols)), dtype=np.int64)
-    for j, (ns, tau) in enumerate(cols):
-        vertical_sign = 1 if len(ns) == 1 else -1
-        for k in range(len(tau)):
-            face = tau[:k] + tau[k + 1 :]
-            if face:
-                D[idx[(ns, face)], j] += vertical_sign * (-1) ** k
+    def faces(cell):
+        ns, tau = cell
+        sign = 1 if len(ns) == 1 else -1
+        out = [((ns, face), sign * c) for face, c in simplex_faces(tau)]
         if len(ns) == 2:
-            D[idx[((ns[1],), tau)], j] += 1
-            D[idx[((ns[0],), tau)], j] -= 1
-    return D % field
+            out += [(((ns[1],), tau), 1), (((ns[0],), tau), -1)]
+        return out
+
+    return chain_boundary(_tot_basis(pieces, n), _tot_basis(pieces, n - 1), faces, field)
 
 
 def sublevel_module(
@@ -250,9 +221,7 @@ def sublevel_module(
     clipped blowup complexes, the functorial route, and the direct-sum
     formula is asserted against the blowup dimension at every threshold.
     """
-    if degree < 0:
-        raise ValueError(f"degree must be nonnegative, got {degree}")
-    fields.check_prime(field)
+    _check_degree(degree, field)
     ts = [float(t) for t in thresholds]
     if not ts:
         raise ValueError("need at least one threshold")
@@ -267,11 +236,8 @@ def sublevel_module(
     prev_basis = prev_quot = None
     for t in ts:
         pieces = _leray_pieces(M, cover, clip=t)
-        quot = fields.Quotient(
-            _tot_boundary(pieces, degree, field),
-            _tot_boundary(pieces, degree + 1, field),
-            field,
-        )
+        low, high = (_tot_boundary(pieces, n, field) for n in (degree, degree + 1))
+        quot = fields.Quotient(low, high, field)
         formula = _formula_on_pieces(pieces, degree, field)
         if formula != quot.dimension:
             raise InternalInconsistencyError(
@@ -279,10 +245,7 @@ def sublevel_module(
             )
         basis = _tot_basis(pieces, degree)
         if prev_quot is not None:
-            pushed = fields.matmul(
-                _inclusion_matrix(prev_basis, basis), prev_quot.representatives, field
-            )
-            maps.append(quot.coordinates(pushed))
+            maps.append(quot.coordinates(_push(prev_quot.representatives, prev_basis, basis, field)))
         dims.append(quot.dimension)
         prev_basis, prev_quot = basis, quot
     return ExplicitModule(dims=dims, maps=maps)

@@ -25,6 +25,7 @@ from .complexes import (
     squared_distance_matrix,
 )
 from .errors import MissingVertexValueError, TdaError, InternalInconsistencyError
+from .homology import chain_boundary, simplex_faces
 
 
 @dataclass(frozen=True)
@@ -191,63 +192,6 @@ def superlevel_filtration(K: SimplicialComplex, vertex_values: Mapping[int, floa
     return lower_star_filtration(K, negated)
 
 
-def _reduce_gf2(entries, index_of_face):
-    pivot_owner: dict[int, int] = {}
-    reduced: dict[int, set[int]] = {}
-    pairs: list[tuple[int, int]] = []
-    positive: list[int] = []
-    for j, (s, _) in enumerate(entries):
-        col = {index_of_face[s[:k] + s[k + 1 :]] for k in range(len(s))} if len(s) > 1 else set()
-        while col:
-            piv = max(col)
-            owner = pivot_owner.get(piv)
-            if owner is None:
-                break
-            col ^= reduced[owner]
-        if col:
-            piv = max(col)
-            pivot_owner[piv] = j
-            reduced[j] = col
-            pairs.append((piv, j))
-        else:
-            positive.append(j)
-    return pairs, positive
-
-
-def _reduce_modp(entries, index_of_face, p):
-    pivot_owner: dict[int, int] = {}
-    reduced: dict[int, dict[int, int]] = {}
-    pairs: list[tuple[int, int]] = []
-    positive: list[int] = []
-    for j, (s, _) in enumerate(entries):
-        col: dict[int, int] = {}
-        if len(s) > 1:
-            for k in range(len(s)):
-                face = s[:k] + s[k + 1 :]
-                col[index_of_face[face]] = (-1) ** k % p
-        while col:
-            piv = max(col)
-            owner = pivot_owner.get(piv)
-            if owner is None:
-                break
-            ocol = reduced[owner]
-            factor = col[piv] * pow(ocol[piv], -1, p) % p
-            for row, coeff in ocol.items():
-                new = (col.get(row, 0) - factor * coeff) % p
-                if new:
-                    col[row] = new
-                else:
-                    col.pop(row, None)
-        if col:
-            piv = max(col)
-            pivot_owner[piv] = j
-            reduced[j] = col
-            pairs.append((piv, j))
-        else:
-            positive.append(j)
-    return pairs, positive
-
-
 def compute_barcode(fc: FilteredComplex, field: int = 2, include_zero_bars: bool = False) -> Barcode:
     """Barcode of a filtration by the standard column reduction.
 
@@ -257,21 +201,16 @@ def compute_barcode(fc: FilteredComplex, field: int = 2, include_zero_bars: bool
     """
     fields.check_prime(field)
     entries = fc.entries
-    index = {s: i for i, (s, _) in enumerate(entries)}
-    if field == 2:
-        pairs, positive = _reduce_gf2(entries, index)
-    else:
-        pairs, positive = _reduce_modp(entries, index, field)
+    simplices = [s for s, _ in entries]
+    columns = chain_boundary(simplices, simplices, simplex_faces, field).cols
+    pivots = [i for i, _, _ in fields.reduce_columns(columns, field)]
+    paired_rows = set(pivots)
     bars: list[Bar] = []
-    for i, j in pairs:
-        birth, death = entries[i][1], entries[j][1]
-        if birth == death and not include_zero_bars:
-            continue
-        bars.append(Bar(degree=len(entries[i][0]) - 1, birth=birth, death=death))
-    paired_rows = {i for i, _ in pairs}
-    for j in positive:
-        if j not in paired_rows:
+    for j, i in enumerate(pivots):
+        if i is None and j not in paired_rows:
             bars.append(Bar(degree=len(entries[j][0]) - 1, birth=entries[j][1], death=math.inf))
+        elif i is not None and (entries[i][1] != entries[j][1] or include_zero_bars):
+            bars.append(Bar(degree=len(entries[i][0]) - 1, birth=entries[i][1], death=entries[j][1]))
     return Barcode(bars)
 
 

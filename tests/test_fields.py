@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import gf2_rank_reference
 from tda import fields
+from tda.errors import InternalInconsistencyError
 
 
 def test_field_axioms_exhaustive_for_small_primes():
@@ -79,3 +82,51 @@ def test_quotient_representatives_are_independent_mod_image():
             assert fields.rank(stacked, p) == fields.rank(high, p) + quotient.dimension
             coords = quotient.coordinates(quotient.representatives)
             assert np.array_equal(coords, np.eye(quotient.dimension, dtype=np.int64))
+
+
+def _dense_quotient(low, high, p, V):
+    """The rref recipe: kernel basis, leftmost pivots of [high | Z], then
+    the unique solution over [representatives | image basis]."""
+    Z = fields.kernel_basis(low, p)
+    _, pivots = fields.rref(np.hstack([high, Z]), p)
+    nb = high.shape[1]
+    reps = Z[:, [c - nb for c in pivots if c >= nb]]
+    image = high[:, [c for c in pivots if c < nb]]
+    X = fields.solve(np.hstack([reps, image]), V, p)
+    return reps, None if X is None else X[: reps.shape[1]]
+
+
+@st.composite
+def quotient_cases(draw):
+    """(low, high, V, p): d_low of shape m x n (empty shapes included), its
+    kernel basis Z, high = Z * random so that low * high = 0, and cycles
+    V = Z * random."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    m, n, k, r = (draw(st.integers(0, hi)) for hi in (5, 6, 4, 3))
+    low = np.array(draw(st.lists(st.integers(0, p - 1), min_size=m * n, max_size=m * n)),
+                   dtype=np.int64).reshape(m, n)
+    Z = fields.kernel_basis(low, p)
+    mix = draw(st.lists(st.integers(0, p - 1), min_size=Z.shape[1] * k, max_size=Z.shape[1] * k))
+    high = fields.matmul(Z, np.array(mix, dtype=np.int64).reshape(Z.shape[1], k), p)
+    coeffs = draw(st.lists(st.integers(0, p - 1), min_size=Z.shape[1] * r, max_size=Z.shape[1] * r))
+    V = fields.matmul(Z, np.array(coeffs, dtype=np.int64).reshape(Z.shape[1], r), p)
+    return low, high, V, p
+
+
+@given(quotient_cases())
+def test_sparse_quotient_matches_dense_rref_recipe(case):
+    low, high, V, p = case
+    quotient = fields.Quotient(low, high, p)
+    reps, coords = _dense_quotient(low, high, p, V)
+    assert quotient.dimension == reps.shape[1]
+    assert quotient.representatives.shape == reps.shape
+    assert np.array_equal(quotient.representatives, reps)
+    assert np.array_equal(quotient.coordinates(V), coords)
+    for j in range(low.shape[1]):  # a column of low that is not a cycle
+        if low[:, j].any():
+            e = np.zeros(low.shape[1], dtype=np.int64)
+            e[j] = 1
+            assert _dense_quotient(low, high, p, e[:, None])[1] is None
+            with pytest.raises(InternalInconsistencyError):
+                quotient.coordinates(e)
+            break

@@ -1,10 +1,14 @@
 """Boundary matrices, (co)homology, and induced maps."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import tda
-from conftest import hollow_triangle, interval_complex, random_complex, solid_triangle
+from conftest import hollow_triangle, interval_complex, random_complex, small_clouds, solid_triangle
 from tda import fields
 from tda.errors import NonSimplicialMapError
 from tda.homology import boundary_matrix, chain_map, coboundary_matrix, induced_map
@@ -187,3 +191,33 @@ def test_functoriality_of_induced_maps():
                 induced_map(g, L, Mcx, p, 2), induced_map(f, K, L, p, 2), 2
             )
             assert np.array_equal(left, right)
+
+
+@given(small_clouds(), st.sampled_from([2, 3]))
+def test_homology_counts_infinite_bars_of_the_barcode(cloud, field):
+    """Both users of the column-reduction kernel agree: dim H_p of the
+    whole Rips complex is the number of infinite degree-p bars."""
+    points, r, max_dim = cloud
+    fc = tda.rips_filtration(points, max_dim, r)
+    K = fc.underlying_complex()
+    bc = tda.compute_barcode(fc, field)
+    for p in range(max_dim + 1):
+        infinite = sum(1 for b in bc.in_degree(p) if b.infinite)
+        assert tda.homology(K, p, field).dimension == infinite
+
+
+def test_h1_of_a_large_rips_circle_stays_sparse():
+    """36,875 simplices: the dense degree-2 boundary alone would be ~1 GB."""
+    n = 200
+    angles = 2 * np.pi * np.arange(n) / n
+    noise = np.random.default_rng(0).normal(0.0, 0.05, size=(n, 2))
+    points = np.column_stack([np.cos(angles), np.sin(angles)]) + noise
+    K = tda.rips_filtration(points, 2, 0.3).underlying_complex()
+    tracemalloc.start()
+    try:
+        dimension = tda.homology(K, 1, 3).dimension
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dimension == 1
+    assert peak < 64 * 2**20
