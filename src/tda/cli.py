@@ -205,8 +205,10 @@ def _mapped_complex_and_cover(args: argparse.Namespace):
 
 def _leray_command(args: argparse.Namespace) -> int:
     M, cover = _mapped_complex_and_cover(args)
+    leray.check_cover_granularity(M, cover)
+    pieces = leray._leray_pieces(M, cover)
     cosheaves = [
-        leray.build_leray_cosheaf(M, cover, i, args.field).cosheaf
+        leray._leray_cosheaf_data(pieces, i, args.field)[0]
         for i in range(max(M.complex.dimension, args.degree) + 1)
     ]
     stalks = cosheaves[args.degree].stalks

@@ -9,10 +9,10 @@ H_i(piece) and inclusion-induced maps, and for a linear nerve N
 
     dim H_i(K) = dim H_0(N; F_i) + dim H_1(N; F_{i-1}),
 
-which :func:`leray_formula` evaluates. Sublevel restriction clips every
-piece at a threshold. Maps between thresholds come from the blowup
-(total) chain complex of the clipped pieces, whose honest chain
-inclusions give exact ranks; the formula cross-checks its dimension.
+which :func:`leray_formula` evaluates. Sublevel persistence is one
+filtered reduction of the pieces' blowup (total) chain complex, through
+the pairing routine of ``compute_barcode``; the formula, on the pieces
+clipped at each requested threshold, cross-checks its dimensions.
 """
 
 from __future__ import annotations
@@ -32,7 +32,8 @@ from .errors import (
     MissingVertexValueError,
 )
 from .homology import _check_degree, chain_boundary, homology_quotient, simplex_faces
-from .persistence import ExplicitModule
+from .persistence import Barcode, _filtration_barcode
+from .zigzag import ExplicitModule
 
 
 @dataclass
@@ -184,26 +185,36 @@ def global_homology(M: MappedComplex, cover: IntervalCover, degree: int, field: 
     return _formula_on_pieces(_leray_pieces(M, cover), degree, field)
 
 
-def _tot_basis(pieces: dict[Simplex, SimplicialComplex], n: int) -> list:
-    """(nerve simplex, simplex): n-simplices of vertex pieces, (n-1) of edge pieces."""
-    order = sorted(pieces, key=lambda s: (len(s), s))
-    return [(ns, s) for ns in order for s in pieces[ns].p_simplices(n + 1 - len(ns))]
+def _tot_faces(cell):
+    """Boundary of a cell (nerve simplex, simplex) of the cover's blowup
+    complex: the simplicial boundary within the piece, negated on edge
+    pieces, which also map by signed inclusions into their endpoint pieces."""
+    ns, tau = cell
+    sign = 1 if len(ns) == 1 else -1
+    out = [((ns, face), sign * c) for face, c in simplex_faces(tau)]
+    if len(ns) == 2:
+        out += [(((ns[1],), tau), 1), (((ns[0],), tau), -1)]
+    return out
 
 
-def _tot_boundary(pieces: dict[Simplex, SimplicialComplex], n: int, field: int) -> fields.ColumnMatrix:
-    """Differential of the cover's blowup complex in total degree n: the
-    simplicial boundary within each piece, negated on edge pieces, which
-    also map by signed inclusions into their endpoint pieces (d² = 0)."""
+def sublevel_barcode(M: MappedComplex, cover: IntervalCover, field: int = 2) -> Barcode:
+    """Sublevel-set persistence of f in every degree, from level data.
 
-    def faces(cell):
-        ns, tau = cell
-        sign = 1 if len(ns) == 1 else -1
-        out = [((ns, face), sign * c) for face, c in simplex_faces(tau)]
-        if len(ns) == 2:
-            out += [(((ns[1],), tau), 1), (((ns[0],), tau), -1)]
-        return out
-
-    return chain_boundary(_tot_basis(pieces, n), _tot_basis(pieces, n - 1), faces, field)
+    Clipping the cover at t keeps the blowup cells (ns, tau) with max f
+    over tau <= t, so one filtration of the blowup complex has every
+    clipped one as a sublevel complex. Cells of total degree dim tau +
+    dim ns are ordered by (value, degree, cell), faces and inclusion
+    images first. Bars are half-open; zero-length ones are dropped.
+    """
+    check_cover_granularity(M, cover)
+    value = {tau: max(M.values[v] for v in tau) for tau in M.complex.simplices}
+    cells = sorted(
+        ((ns, tau) for ns, P in _leray_pieces(M, cover).items() for tau in P.simplices),
+        key=lambda c: (value[c[1]], len(c[0]) + len(c[1]), c),
+    )
+    values = [value[tau] for _, tau in cells]
+    degrees = [len(ns) + len(tau) - 2 for ns, tau in cells]
+    return _filtration_barcode(cells, values, degrees, _tot_faces, field)
 
 
 def sublevel_module(
@@ -215,11 +226,12 @@ def sublevel_module(
 ) -> ExplicitModule:
     """Sublevel-set persistence in one degree, recovered from level data.
 
-    At each threshold the cover is clipped to (-inf, t], emptied pieces
-    drop out, and the value is dim H_0(N; F_degree|) + dim H_1(N;
-    F_{degree-1}|). Connecting maps come from the chain inclusions of the
-    clipped blowup complexes, the functorial route, and the direct-sum
-    formula is asserted against the blowup dimension at every threshold.
+    Dims and maps are read off :func:`sublevel_barcode`, the one filtered
+    blowup reduction; each map is the 0/1 matrix sending a bar alive at
+    one threshold to itself at the next, if it is still alive. At every
+    threshold the cover is also clipped to (-inf, t], emptied pieces drop
+    out, and the nerve formula dim H_0(N; F_degree|) + dim H_1(N;
+    F_{degree-1}|) is asserted against the dimension.
     """
     _check_degree(degree, field)
     ts = [float(t) for t in thresholds]
@@ -229,23 +241,15 @@ def sublevel_module(
         raise ValueError(f"thresholds must be strictly increasing, got {ts}")
     if not all(math.isfinite(t) for t in ts):
         raise ValueError("thresholds must be finite")
-    check_cover_granularity(M, cover)
-
-    dims: list[int] = []
-    maps: list[np.ndarray] = []
-    prev_basis = prev_quot = None
-    for t in ts:
-        pieces = _leray_pieces(M, cover, clip=t)
-        low, high = (_tot_boundary(pieces, n, field) for n in (degree, degree + 1))
-        quot = fields.Quotient(low, high, field)
-        formula = _formula_on_pieces(pieces, degree, field)
-        if formula != quot.dimension:
+    bc = sublevel_barcode(M, cover, field)
+    dims = [bc.alive_at(t, degree) for t in ts]
+    for t, dim in zip(ts, dims):
+        formula = _formula_on_pieces(_leray_pieces(M, cover, clip=t), degree, field)
+        if formula != dim:
             raise InternalInconsistencyError(
-                f"cosheaf formula gives {formula} at t={t}, blowup complex gives {quot.dimension}"
+                f"cosheaf formula gives {formula} at t={t}, blowup complex gives {dim}"
             )
-        basis = _tot_basis(pieces, degree)
-        if prev_quot is not None:
-            maps.append(quot.coordinates(_push(prev_quot.representatives, prev_basis, basis, field)))
-        dims.append(quot.dimension)
-        prev_basis, prev_quot = basis, quot
+    bars = bc.in_degree(degree)
+    alive = [[k for k, b in enumerate(bars) if b.birth <= t < b.death] for t in ts]
+    maps = [np.equal.outer(now, before).astype(np.int64) for before, now in zip(alive, alive[1:])]
     return ExplicitModule(dims=dims, maps=maps)

@@ -3,17 +3,16 @@
 Filtration barcodes use half-open bars [birth, death): the pairing the
 column reduction produces makes pointwise dimension counts exact under
 that convention. Module decompositions over integer grades (see
-:func:`decompose_explicit`) use closed bars instead, with degree None.
+:func:`tda.zigzag.decompose_explicit`) use closed bars instead, with
+degree None.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
-
-import numpy as np
 
 from . import fields
 from .complexes import (
@@ -24,7 +23,7 @@ from .complexes import (
     simplex,
     squared_distance_matrix,
 )
-from .errors import MissingVertexValueError, TdaError, InternalInconsistencyError
+from .errors import MissingVertexValueError, TdaError
 from .homology import chain_boundary, simplex_faces
 
 
@@ -192,95 +191,30 @@ def superlevel_filtration(K: SimplicialComplex, vertex_values: Mapping[int, floa
     return lower_star_filtration(K, negated)
 
 
-def compute_barcode(fc: FilteredComplex, field: int = 2, include_zero_bars: bool = False) -> Barcode:
-    """Barcode of a filtration by the standard column reduction.
-
-    Pivot pair (i, j) yields the bar [value_i, value_j) in degree dim(i);
-    unpaired positive simplices yield infinite bars. Zero-length bars are
-    dropped unless include_zero_bars is set.
-    """
+def _filtration_barcode(cells, values, degrees, faces, field: int, include_zero_bars: bool = False) -> Barcode:
+    """Barcode of cells ordered as a filtration (``faces`` of a cell come
+    earlier), with their values and degrees, by the standard column
+    reduction. Pivot pair (i, j) yields the bar [value_i, value_j) in
+    degree_i; unpaired positive cells yield infinite bars."""
     fields.check_prime(field)
-    entries = fc.entries
-    simplices = [s for s, _ in entries]
-    columns = chain_boundary(simplices, simplices, simplex_faces, field).cols
+    columns = chain_boundary(cells, cells, faces, field).cols
     pivots = [i for i, _, _ in fields.reduce_columns(columns, field)]
     paired_rows = set(pivots)
     bars: list[Bar] = []
     for j, i in enumerate(pivots):
         if i is None and j not in paired_rows:
-            bars.append(Bar(degree=len(entries[j][0]) - 1, birth=entries[j][1], death=math.inf))
-        elif i is not None and (entries[i][1] != entries[j][1] or include_zero_bars):
-            bars.append(Bar(degree=len(entries[i][0]) - 1, birth=entries[i][1], death=entries[j][1]))
+            bars.append(Bar(degree=degrees[j], birth=values[j], death=math.inf))
+        elif i is not None and (values[i] != values[j] or include_zero_bars):
+            bars.append(Bar(degree=degrees[i], birth=values[i], death=values[j]))
     return Barcode(bars)
 
 
-@dataclass
-class ExplicitModule:
-    """A persistence module on integer grades 0..n-1, given by matrices."""
-
-    dims: list[int]
-    maps: list[np.ndarray] = dataclass_field(default_factory=list)
-
-    def __post_init__(self):
-        if len(self.maps) != max(len(self.dims) - 1, 0):
-            raise TdaError(
-                f"need {max(len(self.dims) - 1, 0)} maps for {len(self.dims)} grades, "
-                f"got {len(self.maps)}"
-            )
-        for i, M in enumerate(self.maps):
-            M = np.asarray(M, dtype=np.int64)
-            if M.shape != (self.dims[i + 1], self.dims[i]):
-                raise TdaError(
-                    f"map {i} has shape {M.shape}, expected {(self.dims[i + 1], self.dims[i])}"
-                )
-            self.maps[i] = M
-
-    def __len__(self) -> int:
-        return len(self.dims)
-
-
-def _composite_ranks(module: ExplicitModule, field: int) -> dict[tuple[int, int], int]:
-    n = len(module.dims)
-    r: dict[tuple[int, int], int] = {}
-    for b in range(n):
-        r[(b, b)] = module.dims[b]
-        M = np.eye(module.dims[b], dtype=np.int64)
-        for d in range(b + 1, n):
-            M = fields.matmul(module.maps[d - 1], M, field)
-            r[(b, d)] = fields.rank(M, field)
-    return r
-
-
-def interval_multiplicities(ranks: Mapping[tuple[int, int], int]) -> list[tuple[int, int, int]]:
-    """Closed intervals [b, d] with positive multiplicity
-    r(b,d) - r(b-1,d) - r(b,d+1) + r(b-1,d+1), from interval ranks given
-    for every 0 <= b <= d < n (ranks outside the table count as 0)."""
-
-    def rk(b: int, d: int) -> int:
-        return ranks.get((b, d), 0)
-
-    out: list[tuple[int, int, int]] = []
-    for b, d in sorted(ranks):
-        mult = rk(b, d) - rk(b - 1, d) - rk(b, d + 1) + rk(b - 1, d + 1)
-        if mult < 0:
-            raise InternalInconsistencyError(
-                f"negative multiplicity {mult} for interval [{b}, {d}]"
-            )
-        if mult:
-            out.append((b, d, mult))
-    return out
-
-
-def decompose_explicit(module: ExplicitModule, field: int = 2) -> Barcode:
-    """Interval decomposition of an explicit module over integer grades.
-
-    Multiplicities come from composite-map ranks by inclusion-exclusion
-    (see :func:`interval_multiplicities`). Bars are returned with degree
-    None and integer birth/death grades.
+def compute_barcode(fc: FilteredComplex, field: int = 2, include_zero_bars: bool = False) -> Barcode:
+    """Barcode of a filtration by the standard column reduction, a
+    simplex's degree being its dimension. Zero-length bars are dropped
+    unless include_zero_bars is set.
     """
-    fields.check_prime(field)
-    return Barcode(
-        Bar(degree=None, birth=float(b), death=float(d))
-        for b, d, mult in interval_multiplicities(_composite_ranks(module, field))
-        for _ in range(mult)
-    )
+    simplices = [s for s, _ in fc.entries]
+    degrees = [len(s) - 1 for s in simplices]
+    values = [v for _, v in fc.entries]
+    return _filtration_barcode(simplices, values, degrees, simplex_faces, field, include_zero_bars)

@@ -12,19 +12,20 @@ colimit by a pushout when it points out of d; the other side only
 composes with the arrow. So each step costs one kernel of a slot-sized
 matrix, and a zigzag of n slots takes O(n²) of them. ``generalized_rank``
 is the single-interval definition, kept as the reference the sweep is
-tested against.
+tested against. An ordinary persistence module (:class:`ExplicitModule`)
+is decomposed as the all-forward zigzag.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, field as dataclass_field
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from . import fields
-from .errors import TdaError
-from .persistence import ExplicitModule, interval_multiplicities
+from .errors import InternalInconsistencyError, TdaError
+from .persistence import Bar, Barcode
 
 FORWARD = "fwd"
 BACKWARD = "bwd"
@@ -216,6 +217,26 @@ def _left_end_ranks(z: ZigzagModule, b: int, field: int) -> list[int]:
     return ranks
 
 
+def interval_multiplicities(ranks: Mapping[tuple[int, int], int]) -> list[tuple[int, int, int]]:
+    """Closed intervals [b, d] with positive multiplicity
+    r(b,d) - r(b-1,d) - r(b,d+1) + r(b-1,d+1), from interval ranks given
+    for every 0 <= b <= d < n (ranks outside the table count as 0)."""
+
+    def rk(b: int, d: int) -> int:
+        return ranks.get((b, d), 0)
+
+    out: list[tuple[int, int, int]] = []
+    for b, d in sorted(ranks):
+        mult = rk(b, d) - rk(b - 1, d) - rk(b, d + 1) + rk(b - 1, d + 1)
+        if mult < 0:
+            raise InternalInconsistencyError(
+                f"negative multiplicity {mult} for interval [{b}, {d}]"
+            )
+        if mult:
+            out.append((b, d, mult))
+    return out
+
+
 def decompose_zigzag(z: ZigzagModule, field: int = 2) -> list[IntegerBar]:
     """Interval multiplicities of a zigzag via generalized-rank
     inclusion-exclusion; negative multiplicities signal an internal bug.
@@ -234,8 +255,44 @@ def decompose_zigzag(z: ZigzagModule, field: int = 2) -> list[IntegerBar]:
     return [IntegerBar(b, d, mult) for b, d, mult in interval_multiplicities(ranks)]
 
 
+@dataclass
+class ExplicitModule:
+    """A persistence module on integer grades 0..n-1, given by matrices."""
+
+    dims: list[int]
+    maps: list[np.ndarray] = dataclass_field(default_factory=list)
+
+    def __post_init__(self):
+        if len(self.maps) != max(len(self.dims) - 1, 0):
+            raise TdaError(
+                f"need {max(len(self.dims) - 1, 0)} maps for {len(self.dims)} grades, "
+                f"got {len(self.maps)}"
+            )
+        for i, M in enumerate(self.maps):
+            M = np.asarray(M, dtype=np.int64)
+            if M.shape != (self.dims[i + 1], self.dims[i]):
+                raise TdaError(
+                    f"map {i} has shape {M.shape}, expected {(self.dims[i + 1], self.dims[i])}"
+                )
+            self.maps[i] = M
+
+    def __len__(self) -> int:
+        return len(self.dims)
+
+
 def forward_module_to_zigzag(module: ExplicitModule) -> ZigzagModule:
     """Embed an ordinary persistence module as an all-forward zigzag."""
     return ZigzagModule(
         dims=list(module.dims), arrows=[(FORWARD, M) for M in module.maps]
+    )
+
+
+def decompose_explicit(module: ExplicitModule, field: int = 2) -> Barcode:
+    """Interval decomposition of an explicit module over integer grades:
+    :func:`decompose_zigzag` of the all-forward zigzag, returned as closed
+    bars with degree None and integer birth/death grades."""
+    return Barcode(
+        Bar(degree=None, birth=float(bar.lo), death=float(bar.hi))
+        for bar in decompose_zigzag(forward_module_to_zigzag(module), field)
+        for _ in range(bar.multiplicity)
     )

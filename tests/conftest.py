@@ -130,6 +130,21 @@ def random_mapped_complex(rng: np.random.Generator, max_vertices: int = 12) -> l
     return leray.MappedComplex(K, values)
 
 
+def random_banded_mapped_complex(rng: np.random.Generator, max_vertices: int = 40) -> leray.MappedComplex:
+    """A random 2-dimensional complex whose simplices join vertices at most
+    two ids apart, valued by id plus jitter. Simplex value ranges stay
+    below 2.4 while the values span up to 40, so admissible covers
+    usually have several intervals and the blowup complex has edge pieces."""
+    nv = int(rng.integers(3, max_vertices + 1))
+    simplices = [[v] for v in range(nv)]
+    for _ in range(int(rng.integers(0, 3 * nv))):
+        a = int(rng.integers(0, nv - 1))
+        size = int(rng.integers(2, 4))
+        simplices.append(sorted({int(v) for v in rng.integers(a, min(a + 3, nv), size=size)}))
+    values = {v: v + float(rng.uniform(-0.2, 0.2)) for v in range(nv)}
+    return leray.MappedComplex(tda.build_complex(simplices), values)
+
+
 def admissible_random_cover(rng: np.random.Generator, M: leray.MappedComplex) -> IntervalCover:
     """A random linear cover that every simplex's value range fits into.
 

@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import tda
 from conftest import (
     admissible_random_cover,
     octagon_circle,
+    random_banded_mapped_complex,
     random_mapped_complex,
 )
 from tda import cosheaf as C
@@ -139,7 +142,23 @@ def test_sublevel_matches_direct_lower_star_on_octagon():
             module = L.sublevel_module(M, OCTAGON_COVER, degree, thresholds, field)
             assert module.dims == [bc.alive_at(t, degree) for t in thresholds]
             for j, Mx in enumerate(module.maps):
-                assert fields.rank(Mx, field) == bc.rank(thresholds[j], thresholds[j + 1], degree)
+                rank = bc.rank(thresholds[j], thresholds[j + 1], degree)
+                assert fields.rank(Mx, field) == rank
+                # the bar basis: a 0/1 matrix with one 1 per surviving bar
+                assert set(np.unique(Mx)) <= {0, 1}
+                assert Mx.sum() == rank
+                assert (Mx.sum(axis=0) <= 1).all() and (Mx.sum(axis=1) <= 1).all()
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3]), st.booleans())
+def test_sublevel_barcode_equals_lower_star_barcode(seed, field, banded):
+    """Level data recovers sublevel persistence bar for bar. Banded
+    complexes give covers of several intervals; the others mostly one."""
+    rng = np.random.default_rng(seed)
+    M = (random_banded_mapped_complex if banded else random_mapped_complex)(rng)
+    cover = admissible_random_cover(rng, M)
+    direct = P.compute_barcode(P.lower_star_filtration(M.complex, M.values), field)
+    assert L.sublevel_barcode(M, cover, field) == direct
 
 
 def test_sublevel_rejects_bad_thresholds():

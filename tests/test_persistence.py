@@ -14,6 +14,7 @@ import tda
 from conftest import grid_torus, interval_complex, random_complex, small_clouds
 from tda import fields
 from tda import persistence as P
+from tda import zigzag as Z
 from tda.errors import MissingVertexValueError, TdaError
 
 
@@ -228,22 +229,22 @@ def test_pointwise_dimension_matches_homology():
 
 
 def test_decompose_rank_two_map():
-    m = P.ExplicitModule(dims=[3, 2], maps=[np.array([[1, 0, 0], [0, 1, 0]])])
-    bc = P.decompose_explicit(m)
+    m = Z.ExplicitModule(dims=[3, 2], maps=[np.array([[1, 0, 0], [0, 1, 0]])])
+    bc = Z.decompose_explicit(m)
     assert bc.counter() == {(None, 0.0, 1.0): 2, (None, 0.0, 0.0): 1}
 
 
 def test_decompose_identity_chain_complex():
-    m = P.ExplicitModule(dims=[1, 1], maps=[np.array([[1]])])
-    bc = P.decompose_explicit(m, 5)
+    m = Z.ExplicitModule(dims=[1, 1], maps=[np.array([[1]])])
+    bc = Z.decompose_explicit(m, 5)
     assert bc.counter() == {(None, 0.0, 1.0): 1}
     # homology of the chain complex: nothing is left once the pair is removed
     assert not [b for b in bc if b.birth == b.death]
 
 
 def test_decompose_zero_maps_gives_singletons():
-    m = P.ExplicitModule(dims=[2, 3], maps=[np.zeros((3, 2), dtype=int)])
-    bc = P.decompose_explicit(m)
+    m = Z.ExplicitModule(dims=[2, 3], maps=[np.zeros((3, 2), dtype=int)])
+    bc = Z.decompose_explicit(m)
     assert bc.counter() == {(None, 0.0, 0.0): 2, (None, 1.0, 1.0): 3}
 
 
@@ -256,14 +257,18 @@ def test_decompose_reconstruction_random():
                 rng.integers(0, field, size=(dims[i + 1], dims[i]))
                 for i in range(len(dims) - 1)
             ]
-            module = P.ExplicitModule(dims=dims, maps=maps)
-            bc = P.decompose_explicit(module, field)
+            module = Z.ExplicitModule(dims=dims, maps=maps)
+            bc = Z.decompose_explicit(module, field)
             bars = [(int(b.birth), int(b.death)) for b in bc]
             for i, d in enumerate(dims):
                 assert sum(1 for lo, hi in bars if lo <= i <= hi) == d
-            ranks = P._composite_ranks(module, field)
-            for (b, d), r in ranks.items():
-                assert sum(1 for lo, hi in bars if lo <= b and d <= hi) == r
+            for b in range(len(dims)):
+                M = np.eye(module.dims[b], dtype=np.int64)
+                for d in range(b, len(dims)):
+                    if d > b:
+                        M = fields.matmul(module.maps[d - 1], M, field)
+                    r = fields.rank(M, field)
+                    assert sum(1 for lo, hi in bars if lo <= b and d <= hi) == r
 
 
 def test_diagram_points():

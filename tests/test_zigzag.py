@@ -8,7 +8,6 @@ from hypothesis import given
 
 from conftest import gf2_rank_reference, random_zigzag, small_zigzags, torus_leray_zigzag
 from tda import fields
-from tda import persistence as P
 from tda import zigzag as Z
 
 
@@ -159,7 +158,7 @@ def test_generalized_rank_equals_composite_rank_when_forward():
             maps = [
                 rng.integers(0, field, size=(dims[i + 1], dims[i])) for i in range(3)
             ]
-            module = P.ExplicitModule(dims=dims, maps=maps)
+            module = Z.ExplicitModule(dims=dims, maps=maps)
             z = Z.forward_module_to_zigzag(module)
             for b in range(4):
                 M = np.eye(dims[b], dtype=np.int64)
@@ -220,9 +219,9 @@ def test_decompose_zigzag_reconstruction_random():
 
 
 def test_forward_module_roundtrip_examples():
-    one = P.ExplicitModule(dims=[1, 1], maps=[np.array([[1]])])
+    one = Z.ExplicitModule(dims=[1, 1], maps=[np.array([[1]])])
     assert Z.decompose_zigzag(Z.forward_module_to_zigzag(one)) == [Z.IntegerBar(0, 1, 1)]
-    zero = P.ExplicitModule(dims=[1, 1], maps=[np.array([[0]])])
+    zero = Z.ExplicitModule(dims=[1, 1], maps=[np.array([[0]])])
     assert Z.decompose_zigzag(Z.forward_module_to_zigzag(zero)) == [
         Z.IntegerBar(0, 0, 1),
         Z.IntegerBar(1, 1, 1),
@@ -251,13 +250,13 @@ def test_forward_module_agrees_with_decompose_explicit():
                 rng.integers(0, field, size=(dims[i + 1], dims[i]))
                 for i in range(len(dims) - 1)
             ]
-            module = P.ExplicitModule(dims=dims, maps=maps)
+            module = Z.ExplicitModule(dims=dims, maps=maps)
             from_zigzag = {
                 (b.lo, b.hi): b.multiplicity
                 for b in Z.decompose_zigzag(Z.forward_module_to_zigzag(module), field)
             }
             from_module = {}
-            for bar in P.decompose_explicit(module, field):
+            for bar in Z.decompose_explicit(module, field):
                 key = (int(bar.birth), int(bar.death))
                 from_module[key] = from_module.get(key, 0) + 1
             assert from_zigzag == from_module
