@@ -1,5 +1,6 @@
 """Linear algebra over prime fields. Chain complexes are sparse: all
-homology (:class:`Quotient`) and the persistence barcode run on the one
+homology (:class:`Quotient`, on boundary columns) and the persistence
+barcode (on coboundary columns, with clearing) run on the one
 column-reduction kernel :func:`reduce_columns`. Stalk-sized matrices
 (zigzags, cosheaf maps, ranks of module maps) are dense int64 arrays with
 entries mod p, row-reduced with pivots chosen leftmost column first,

@@ -185,16 +185,19 @@ def parse_zigzag(text: str) -> ZigzagModule:
     return ZigzagModule(dims=dims, arrows=arrows)
 
 
+_BAR_JSON = '    {\n      "birth": %s,\n      "death": %s,\n      "dim": %s\n    }'
+
+
 def barcode_to_json(bc: Barcode, field: int) -> str:
-    bars = [
-        {
-            "dim": b.degree,
-            "birth": b.birth,
-            "death": None if math.isinf(b.death) else b.death,
-        }
-        for b in bc
-    ]
-    return json.dumps({"bars": bars, "field": field}, indent=2, sort_keys=True) + "\n"
+    """The bytes of ``json.dumps({"bars": [...], "field": field}, indent=2,
+    sort_keys=True)`` plus a newline, from one template per bar. One
+    compact json.dumps spells all the numbers (floats by repr, None as
+    null); splitting it at its separators gives them back one by one."""
+    numbers = json.dumps([x for b in bc for x in (b.birth, None if b.infinite else b.death, b.degree)])
+    spelled = iter(numbers[1:-1].split(", "))
+    bars = ",\n".join(_BAR_JSON % bar for bar in zip(spelled, spelled, spelled))
+    bars = f"[\n{bars}\n  ]" if bars else "[]"
+    return f'{{\n  "bars": {bars},\n  "field": {json.dumps(field)}\n}}\n'
 
 
 def parse_barcode_json(text: str) -> tuple[int, Barcode]:

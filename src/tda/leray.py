@@ -10,9 +10,10 @@ H_i(piece) and inclusion-induced maps, and for a linear nerve N
     dim H_i(K) = dim H_0(N; F_i) + dim H_1(N; F_{i-1}),
 
 which :func:`leray_formula` evaluates. Sublevel persistence is one
-filtered reduction of the pieces' blowup (total) chain complex, through
-the pairing routine of ``compute_barcode``; the formula, on the pieces
-clipped at each requested threshold, cross-checks its dimensions.
+filtered coboundary reduction, with clearing, of the pieces' blowup
+(total) chain complex, through the pairing routine of
+``compute_barcode``; the formula, on the pieces clipped at each
+requested threshold, cross-checks its dimensions.
 """
 
 from __future__ import annotations
@@ -204,7 +205,9 @@ def sublevel_barcode(M: MappedComplex, cover: IntervalCover, field: int = 2) -> 
     over tau <= t, so one filtration of the blowup complex has every
     clipped one as a sublevel complex. Cells of total degree dim tau +
     dim ns are ordered by (value, degree, cell), faces and inclusion
-    images first. Bars are half-open; zero-length ones are dropped.
+    images first, and paired by reducing the coboundary of that order
+    with clearing, as ``compute_barcode`` does. Bars are half-open;
+    zero-length ones are dropped.
     """
     check_cover_granularity(M, cover)
     value = {tau: max(M.values[v] for v in tau) for tau in M.complex.simplices}

@@ -1,10 +1,12 @@
 """Filtrations, the persistence reduction algorithm, and barcodes.
 
-Filtration barcodes use half-open bars [birth, death): the pairing the
-column reduction produces makes pointwise dimension counts exact under
-that convention. Module decompositions over integer grades (see
-:func:`tda.zigzag.decompose_explicit`) use closed bars instead, with
-degree None.
+Barcodes come from one pairing routine: it reduces the anti-transposed
+coboundary (persistent cohomology) degree by degree with clearing, which
+gives the same pairs as reducing the boundary. Filtration barcodes use
+half-open bars [birth, death): the pairing makes pointwise dimension
+counts exact under that convention. Module decompositions over integer
+grades (see :func:`tda.zigzag.decompose_explicit`) use closed bars
+instead, with degree None.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .complexes import (
     squared_distance_matrix,
 )
 from .errors import MissingVertexValueError, TdaError
-from .homology import chain_boundary, simplex_faces
+from .homology import simplex_faces
 
 
 @dataclass(frozen=True)
@@ -191,27 +193,52 @@ def superlevel_filtration(K: SimplicialComplex, vertex_values: Mapping[int, floa
     return lower_star_filtration(K, negated)
 
 
+def _coboundary(cells, faces) -> dict[int, list]:
+    """Coboundary terms of each cell that has cofaces, keyed by its index,
+    as (row, integer coefficient) pairs over rows in reverse filtration
+    order, so a column's largest row is its earliest coface."""
+    index = {cell: i for i, cell in enumerate(cells)}
+    terms: dict[int, list] = {}
+    for row, cell in enumerate(reversed(cells)):
+        for face, c in faces(cell):
+            terms.setdefault(index[face], []).append((row, c))
+    return terms
+
+
 def _filtration_barcode(cells, values, degrees, faces, field: int, include_zero_bars: bool = False) -> Barcode:
     """Barcode of cells ordered as a filtration (``faces`` of a cell come
-    earlier), with their values and degrees, by the standard column
-    reduction. Pivot pair (i, j) yields the bar [value_i, value_j) in
-    degree_i; unpaired positive cells yield infinite bars."""
+    earlier), with their values and degrees. Coboundary columns are
+    reduced degree by degree from low to high, each degree in decreasing
+    filtration order, skipping the cells already paired one degree down
+    (clearing). The column of cell i with the pivot row of cell j yields
+    the bar [value_i, value_j) in degree_i; a zero column yields an
+    infinite bar."""
     fields.check_prime(field)
-    columns = chain_boundary(cells, cells, faces, field).cols
-    pivots = [i for i, _, _ in fields.reduce_columns(columns, field)]
-    paired_rows = set(pivots)
+    n = len(cells)
+    terms = _coboundary(cells, faces)
+    cleared: set[int] = set()
     bars: list[Bar] = []
-    for j, i in enumerate(pivots):
-        if i is None and j not in paired_rows:
-            bars.append(Bar(degree=degrees[j], birth=values[j], death=math.inf))
-        elif i is not None and (values[i] != values[j] or include_zero_bars):
-            bars.append(Bar(degree=degrees[i], birth=values[i], death=values[j]))
+    for degree in sorted(set(degrees)):
+        unpaired = [i for i in reversed(range(n)) if degrees[i] == degree and i not in cleared]
+        # A cell without cofaces has a zero column; the others' terms are
+        # freed as they are reduced.
+        bars += [Bar(degree=degree, birth=values[i], death=math.inf) for i in unpaired if i not in terms]
+        order = [i for i in unpaired if i in terms]
+        columns = (fields.sparse_column(terms.pop(i), field) for i in order)
+        for i, (row, _, _) in zip(order, fields.reduce_columns(columns, field)):
+            if row is None:
+                bars.append(Bar(degree=degree, birth=values[i], death=math.inf))
+                continue
+            j = n - 1 - row
+            cleared.add(j)
+            if values[i] != values[j] or include_zero_bars:
+                bars.append(Bar(degree=degree, birth=values[i], death=values[j]))
     return Barcode(bars)
 
 
 def compute_barcode(fc: FilteredComplex, field: int = 2, include_zero_bars: bool = False) -> Barcode:
-    """Barcode of a filtration by the standard column reduction, a
-    simplex's degree being its dimension. Zero-length bars are dropped
+    """Barcode of a filtration, a simplex's degree being its dimension, by
+    the coboundary reduction with clearing. Zero-length bars are dropped
     unless include_zero_bars is set.
     """
     simplices = [s for s, _ in fc.entries]

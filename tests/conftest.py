@@ -4,6 +4,7 @@ tiny self-contained oracles kept independent of the library internals."""
 
 from __future__ import annotations
 
+import math
 import os
 import tempfile
 
@@ -12,8 +13,10 @@ from hypothesis import configuration, settings
 from hypothesis import strategies as st
 
 import tda
-from tda import leray
+from tda import fields, leray
 from tda.complexes import IntervalCover, SimplicialComplex
+from tda.homology import chain_boundary, simplex_faces
+from tda.persistence import Bar, Barcode
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -274,3 +277,23 @@ def gf2_rank_reference(A) -> int:
         top = 1 << (pivot.bit_length() - 1)
         rows = [r ^ pivot if r & top else r for r in rows if r != pivot]
         rank += 1
+
+
+def homology_barcode(fc, field: int = 2, include_zero_bars: bool = False) -> Barcode:
+    """Barcode of a filtration by the boundary (homology) reduction, the
+    oracle for the library's coboundary route: boundary columns in
+    filtration order through ``fields.reduce_columns``. A column j with
+    pivot i gives the bar [value_i, value_j) in dim i; a column that
+    reduces to zero and is no pivot gives an infinite bar."""
+    cells = [s for s, _ in fc.entries]
+    values = [v for _, v in fc.entries]
+    columns = chain_boundary(cells, cells, simplex_faces, field).cols
+    pivots = [i for i, _, _ in fields.reduce_columns(columns, field)]
+    paired = set(pivots)
+    bars = []
+    for j, i in enumerate(pivots):
+        if i is None and j not in paired:
+            bars.append(Bar(len(cells[j]) - 1, values[j], math.inf))
+        elif i is not None and (values[i] != values[j] or include_zero_bars):
+            bars.append(Bar(len(cells[i]) - 1, values[i], values[j]))
+    return Barcode(bars)

@@ -6,6 +6,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import tda
 from conftest import FIXTURES, octagon_circle
@@ -14,6 +16,7 @@ from tda.persistence import Bar, Barcode
 from tda.svg import svg_document
 
 CIRCLE = os.path.join(FIXTURES, "circle60.csv")
+GOLDEN = os.path.join(FIXTURES, "golden")
 
 
 def test_parse_point_cloud_separators_and_header():
@@ -65,6 +68,29 @@ def test_barcode_json_round_trip_is_byte_identical():
     field, parsed = formats.parse_barcode_json(text)
     assert field == 3
     assert formats.barcode_to_json(parsed, field) == text
+
+
+@st.composite
+def any_bars(draw):
+    """A bar with any finite birth, a death at or above it (or infinite),
+    and a degree that may be None."""
+    birth = draw(st.floats(allow_nan=False, allow_infinity=False))
+    death = draw(st.one_of(st.just(math.inf), st.floats(min_value=birth, allow_nan=False)))
+    return Bar(draw(st.one_of(st.none(), st.integers(0, 5))), birth, death)
+
+
+@given(st.lists(any_bars(), max_size=8), st.sampled_from([2, 3, 5, 32749]))
+@example([], 2)
+@example([Bar(None, -0.0, math.inf), Bar(0, -1e308, 1e308), Bar(2, 5e-324, 2.5e-308)], 3)
+def test_barcode_json_equals_json_dumps(bars, field):
+    bc = Barcode(bars)
+    obj = {
+        "bars": [{"dim": b.degree, "birth": b.birth, "death": None if b.infinite else b.death} for b in bc],
+        "field": field,
+    }
+    text = formats.barcode_to_json(bc, field)
+    assert text == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    assert formats.parse_barcode_json(text) == (field, bc)
 
 
 def test_svg_document_shapes():
@@ -126,6 +152,22 @@ def test_cli_rips_circle_fixture(tmp_path, capsys):
     assert field == 2
     long_h1 = [b for b in bc.in_degree(1) if b.death - b.birth > 0.5]
     assert len(long_h1) == 1
+
+
+@pytest.mark.parametrize("field", [2, 3])
+@pytest.mark.parametrize("zero_bars", [False, True])
+def test_cli_rips_reproduces_golden_output(tmp_path, capsys, field, zero_bars):
+    """Byte for byte against files written by the boundary-reduction
+    barcode and the json.dumps writer: 28 noisy circle points plus a 3x3
+    grid of tied distances, `--max-dim 2 --max-radius 0.4`."""
+    suffix = "_zero" if zero_bars else ""
+    out_path = tmp_path / "bars.json"
+    argv = ["rips", "--input", os.path.join(GOLDEN, "cloud37.csv"), "--max-dim", "2",
+            "--max-radius", "0.4", "--field", str(field), "--output", str(out_path)]
+    code, _, _ = run_cli(capsys, *argv, *(["--include-zero-bars"] if zero_bars else []))
+    assert code == 0
+    with open(os.path.join(GOLDEN, f"rips_f{field}{suffix}.json"), "rb") as fh:
+        assert out_path.read_bytes() == fh.read()
 
 
 def test_cli_rips_from_distances(tmp_path, capsys):

@@ -6,6 +6,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 import tda
 from conftest import small_clouds
@@ -161,6 +162,61 @@ def test_meb_radius_between_half_diameter_and_diameter():
         )
         _, r = tda.min_enclosing_ball(pts)
         assert diam / 2 - 1e-9 <= r <= diam + 1e-9
+
+
+def circumball(support):
+    """Center and radius of the ball with every support point on its
+    boundary and center in their affine hull, or None if there is none."""
+    q0, U = support[0], support[1:] - support[0]
+    if len(U) == 0:
+        return q0, 0.0
+    G = U @ U.T
+    lam = np.linalg.lstsq(2.0 * G, np.diag(G), rcond=None)[0]
+    center = q0 + U.T @ lam
+    radii = np.linalg.norm(support - center, axis=1)
+    if radii.max() - radii.min() > 1e-9:
+        return None
+    return center, float(radii.max())
+
+
+@st.composite
+def simplex_clouds(draw):
+    """1 to d+1 points in R^d, d = 1, 2, 3, on a 1/8 grid (so degenerate
+    and repeated points occur) or anywhere in the unit cube."""
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(1, d + 1))
+    coord = st.one_of(st.integers(0, 8).map(lambda k: k / 8), st.floats(0.0, 1.0))
+    return np.array(draw(st.lists(coord, min_size=n * d, max_size=n * d))).reshape(n, d)
+
+
+def contains_all(center, r, pts) -> bool:
+    """The library's inclusion test: squared distance <= r^2 + TOL."""
+    return bool((((pts - center) ** 2).sum(axis=1) <= r * r + complexes.TOL).all())
+
+
+@given(simplex_clouds())
+def test_meb_matches_brute_force_over_supports(pts):
+    """The ball contains every point, and no circumball of a subset of the
+    points that contains them all is smaller (both up to the library's
+    squared-distance tolerance)."""
+    center, r = tda.min_enclosing_ball(pts)
+    assert contains_all(center, r, pts)
+    enclosing = []
+    for k in range(1, len(pts) + 1):
+        for support in combinations(range(len(pts)), k):
+            ball = circumball(pts[list(support)])
+            if ball is not None and contains_all(*ball, pts):
+                enclosing.append(ball[1])
+    assert abs(r * r - min(enclosing) ** 2) <= complexes.TOL
+
+
+@given(small_clouds())
+def test_rips_inside_cech_at_sqrt2_radius(cloud):
+    """Jung's theorem: a set of diameter at most 2r lies in a ball of radius
+    at most 2r sqrt(d / (2d + 2)) < sqrt(2) r."""
+    pts, r, max_dim = cloud
+    rips = tda.build_rips(pts, r, max_dim, precomputed=False)
+    assert rips.simplices <= tda.build_cech(pts, math.sqrt(2) * r, max_dim).simplices
 
 
 def test_cech_equilateral_below_and_above_circumradius():

@@ -11,7 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import tda
-from conftest import grid_torus, interval_complex, random_complex, small_clouds
+from conftest import grid_torus, homology_barcode, interval_complex, random_complex, small_clouds
 from tda import fields
 from tda import persistence as P
 from tda import zigzag as Z
@@ -215,6 +215,38 @@ def test_barcode_invariant_under_tie_relabeling():
             left = P.compute_barcode(fc, field).counter()
             right = P.compute_barcode(fc2, field).counter()
             assert left == right
+
+
+def random_monotone_filtration(rng: np.random.Generator) -> P.FilteredComplex:
+    """A random complex valued at least at each simplex's faces, with small
+    integer values so ties are common; not a lower-star filtration."""
+    K = random_complex(rng, max_vertices=9)
+    values: dict = {}
+    for s in sorted(K.simplices, key=len):
+        faces = [values[s[:k] + s[k + 1 :]] for k in range(len(s))] if len(s) > 1 else []
+        values[s] = max([float(rng.integers(0, 4))] + faces)
+    return P.FilteredComplex(values.items())
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3, 5]), st.booleans(), st.booleans())
+def test_barcode_equals_homology_reduction(seed, field, include_zero_bars, lattice):
+    """The coboundary route pairs like the boundary reduction, ties and
+    zero-length bars included: random monotone filtrations, and Rips
+    filtrations of points on a coarse lattice (many equal distances)."""
+    rng = np.random.default_rng(seed)
+    if lattice:
+        pts = rng.integers(0, 4, size=(int(rng.integers(1, 11)), 2)) / 4.0
+        fc = P.rips_filtration(pts, int(rng.integers(1, 4)), float(rng.uniform(0.1, 0.8)))
+    else:
+        fc = random_monotone_filtration(rng)
+    assert P.compute_barcode(fc, field, include_zero_bars) == homology_barcode(fc, field, include_zero_bars)
+
+
+@given(small_clouds(), st.sampled_from([2, 3, 5]), st.booleans())
+def test_rips_barcode_equals_homology_reduction(cloud, field, include_zero_bars):
+    pts, r, max_dim = cloud
+    fc = P.rips_filtration(pts, max_dim, r, precomputed=False)
+    assert P.compute_barcode(fc, field, include_zero_bars) == homology_barcode(fc, field, include_zero_bars)
 
 
 def test_pointwise_dimension_matches_homology():
