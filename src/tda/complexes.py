@@ -4,13 +4,15 @@ Explicit complexes from simplex lists, Vietoris-Rips and Čech complexes of
 point clouds, nerves of interval covers, and eccentricity vertex functions.
 All constructions use closed-ball conventions (<= comparisons) with an
 absolute tolerance of 1e-9: Rips compares squared distances (d² <= 4r² +
-1e-9), Čech compares minimum-enclosing-ball radii (radius <= r + 1e-9).
+1e-9), Čech compares minimum-enclosing-ball radii (radius <= r + 1e-9),
+and an enclosing ball holds a point at distance <= radius + 1e-9.
 
 Rips and Čech complexes and filtrations have one construction path:
 ``_rips_entries`` is the only clique enumerator and ``_cech_entries`` the
-only enclosing-ball filter. The builders here return the underlying
-complexes of their entries; ``persistence`` wraps the same entries in
-filtrations.
+only enclosing-ball filter. Both return numpy arrays per dimension, the
+simplices' sorted vertex ids and their values. The builders here return
+the underlying complexes of those arrays; ``persistence`` validates the
+same arrays into filtrations.
 """
 
 from __future__ import annotations
@@ -28,9 +30,10 @@ TOL = 1e-9
 # Largest predicted Rips/Čech simplex count: a build plus an F2 barcode
 # costs about 500 bytes per simplex, so this is about 2.5 GB.
 MAX_SIMPLICES = 5_000_000
-# Largest coordinate-difference block squared_distance_matrix holds at once,
-# in bytes. Each entry is the same einsum over its row's block, so the result
-# equals the unblocked einsum bit for bit.
+# Largest block, in bytes, of coordinate differences (squared_distance_matrix)
+# or adjacency rows (_rips_entries) held at once. Each distance is the same
+# einsum over its row's block, so the result equals the unblocked einsum bit
+# for bit.
 DISTANCE_BLOCK_BYTES = 16 * 2**20
 
 Simplex = tuple[int, ...]
@@ -176,14 +179,21 @@ def squared_distance_matrix(data, precomputed: bool | None = None) -> np.ndarray
     return D2
 
 
-def _rips_entries(D2: np.ndarray, max_dim: int, max_radius: float) -> list[tuple[Simplex, float]]:
+def _rips_entries(D2: np.ndarray, max_dim: int, max_radius: float) -> list[tuple[np.ndarray, np.ndarray]]:
     """Every simplex with at most max_dim+1 vertices and all pairwise
-    distances <= 2 max_radius, valued at half its diameter, faces first.
+    distances <= 2 max_radius, valued at half its diameter, as one
+    (vertices, values) pair of arrays per dimension: row i of the
+    (N_k, k+1) vertex array is a k-simplex with ascending vertices, rows in
+    lexicographic order. Dimensions stop before the first empty one.
 
-    The one clique enumerator: each simplex grows by the common upper
-    neighbours of its vertices. Before any simplex is built, the count is
-    bounded by n + sum_v sum_{k=1..max_dim} C(deg+(v), k), where deg+(v)
-    counts the neighbours above v; a bound over MAX_SIMPLICES raises.
+    The one clique enumerator: each layer grows by AND-ing the rows of the
+    upper-triangular adjacency matrix over a simplex's vertices, in blocks
+    of at most DISTANCE_BLOCK_BYTES of adjacency rows, and values the new
+    simplex at max(its prefix face's value, sqrt(max D2 to the new vertex)
+    / 2), which is half its diameter bit for bit.
+    Before any simplex is built, the count is bounded by
+    n + sum_v sum_{k=1..max_dim} C(deg+(v), k), where deg+(v) counts the
+    neighbours above v; a bound over MAX_SIMPLICES raises.
     """
     if not max_radius > 0:
         raise ValueError(f"max_radius must be positive, got {max_radius}")
@@ -199,23 +209,32 @@ def _rips_entries(D2: np.ndarray, max_dim: int, max_radius: float) -> list[tuple
                 f"the complex would have more than {MAX_SIMPLICES:,} simplices; "
                 f"lower max_radius or max_dim"
             )
-    neighbors = [set(np.flatnonzero(row).tolist()) for row in adjacent]
-    entries: list[tuple[Simplex, float]] = [((i,), 0.0) for i in range(n)]
-    layer = list(entries)
+    if n == 0:
+        return []
+    layers = [(np.arange(n, dtype=np.int64)[:, None], np.zeros(n))]
+    rows = max(1, DISTANCE_BLOCK_BYTES // n)
     for _ in range(max_dim):
-        grown: list[tuple[Simplex, float]] = []
-        for s, val in layer:
-            common = neighbors[s[0]]
-            for v in s[1:]:
-                common = common & neighbors[v]
-            for w in sorted(common):
-                d2w = max(D2[v, w] for v in s)
-                grown.append((s + (w,), max(val, math.sqrt(d2w) / 2.0)))
-        if not grown:
+        verts, vals = layers[-1]
+        grown_verts, grown_vals = [], []
+        for i in range(0, len(verts), rows):
+            block = verts[i : i + rows]
+            common = adjacent[block[:, 0]]
+            for j in range(1, block.shape[1]):
+                common &= adjacent[block[:, j]]
+            face, w = np.nonzero(common)
+            d2w = D2[block[face], w[:, None]].max(axis=1)
+            grown_verts.append(np.column_stack([block[face], w]))
+            grown_vals.append(np.maximum(vals[i + face], np.sqrt(d2w) / 2.0))
+        grown = np.concatenate(grown_verts)
+        if not len(grown):
             break
-        entries.extend(grown)
-        layer = grown
-    return entries
+        layers.append((grown, np.concatenate(grown_vals)))
+    return layers
+
+
+def _layer_simplices(layers) -> list[Simplex]:
+    """The simplices of per-dimension vertex arrays, as tuples."""
+    return [tuple(s) for verts, _ in layers for s in verts.tolist()]
 
 
 def build_rips(data, r: float, max_dim: int = 2, precomputed: bool | None = None) -> SimplicialComplex:
@@ -223,8 +242,8 @@ def build_rips(data, r: float, max_dim: int = 2, precomputed: bool | None = None
 
     The underlying complex of ``rips_filtration(data, max_dim, r)``.
     """
-    entries = _rips_entries(squared_distance_matrix(data, precomputed), max_dim, r)
-    return SimplicialComplex((s for s, _ in entries), _closed=True)
+    layers = _rips_entries(squared_distance_matrix(data, precomputed), max_dim, r)
+    return SimplicialComplex(_layer_simplices(layers), _closed=True)
 
 
 def _ball_from_boundary(boundary: list[np.ndarray]):
@@ -250,7 +269,7 @@ def _welzl(pts: np.ndarray, i: int, boundary: list[np.ndarray]):
         return _ball_from_boundary(boundary)
     center, radius = _welzl(pts, i + 1, boundary)
     p = pts[i]
-    if center is not None and float(np.dot(p - center, p - center)) <= radius * radius + TOL:
+    if center is not None and math.sqrt(float(np.dot(p - center, p - center))) <= radius + TOL:
         return center, radius
     return _welzl(pts, i + 1, boundary + [p])
 
@@ -259,7 +278,8 @@ def min_enclosing_ball(points) -> tuple[np.ndarray, float]:
     """Smallest ball containing all points: (center, radius).
 
     Welzl's move-to-front recursion without shuffling, so the result is a
-    deterministic function of the input order.
+    deterministic function of the input order. A point counts as inside
+    when its distance from the center is at most radius + TOL.
     """
     pts = as_point_cloud(points)
     if len(pts) == 0:
@@ -268,9 +288,10 @@ def min_enclosing_ball(points) -> tuple[np.ndarray, float]:
     return center, radius
 
 
-def _cech_entries(points, max_dim: int, max_radius: float) -> list[tuple[Simplex, float]]:
+def _cech_entries(points, max_dim: int, max_radius: float) -> list[tuple[np.ndarray, np.ndarray]]:
     """Every simplex whose minimum enclosing ball has radius <= max_radius
-    (+TOL), valued at that radius, faces first.
+    (+TOL), valued at that radius, in ``_rips_entries``' per-dimension
+    array layout.
 
     The one Čech filter, run over the Rips candidates. The exact radius is
     never below a facet's, but rounding can put it an ulp below, so each
@@ -278,16 +299,24 @@ def _cech_entries(points, max_dim: int, max_radius: float) -> list[tuple[Simplex
     the simplex too.
     """
     pts = as_point_cloud(points)
+    layers = _rips_entries(squared_distance_matrix(pts, precomputed=False), max_dim, max_radius)
+    kept = layers[:2]  # below three vertices the radius is 0 or half the distance
     values: dict[Simplex, float] = {}
-    D2 = squared_distance_matrix(pts, precomputed=False)
-    for s, val in _rips_entries(D2, max_dim, max_radius):
-        if len(s) > 2:  # below that the radius is 0 or half the distance
+    if len(layers) > 1:
+        values.update(zip(map(tuple, layers[1][0].tolist()), layers[1][1].tolist()))
+    for verts, _ in layers[2:]:
+        rows, row_vals = [], []
+        for i, s in enumerate(map(tuple, verts.tolist())):
             _, rad = min_enclosing_ball(pts[list(s)])
             val = max(rad, *(values.get(f, math.inf) for f in faces(s)))
-            if not val <= max_radius + TOL:
-                continue
-        values[s] = val
-    return list(values.items())
+            if val <= max_radius + TOL:
+                values[s] = val
+                rows.append(i)
+                row_vals.append(val)
+        if not rows:
+            break
+        kept.append((verts[rows], np.array(row_vals)))
+    return kept
 
 
 def build_cech(points, r: float, max_dim: int = 2) -> SimplicialComplex:
@@ -296,7 +325,7 @@ def build_cech(points, r: float, max_dim: int = 2) -> SimplicialComplex:
 
     The underlying complex of ``cech_filtration(points, max_dim, r)``.
     """
-    return SimplicialComplex((s for s, _ in _cech_entries(points, max_dim, r)), _closed=True)
+    return SimplicialComplex(_layer_simplices(_cech_entries(points, max_dim, r)), _closed=True)
 
 
 @dataclass(frozen=True)

@@ -162,6 +162,15 @@ def sparse_column(coeffs, p: int):
     return {r: c % p for r, c in coeffs if c % p}
 
 
+def sparse_columns(rows: np.ndarray, coeffs: np.ndarray, bounds, p: int):
+    """The columns ``sparse_column`` makes of rows[a:b] and coeffs[a:b], one
+    per (a, b) in bounds, made as they are consumed. The coefficients must
+    be reduced to [1, p) and the rows of a column distinct."""
+    if p == 2:
+        return (set(rows[a:b].tolist()) for a, b in bounds)
+    return (dict(zip(rows[a:b].tolist(), coeffs[a:b].tolist())) for a, b in bounds)
+
+
 def as_columns(A, p: int) -> ColumnMatrix:
     """A :class:`ColumnMatrix` as given, or the columns of a dense matrix."""
     if isinstance(A, ColumnMatrix):

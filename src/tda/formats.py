@@ -191,11 +191,14 @@ _BAR_JSON = '    {\n      "birth": %s,\n      "death": %s,\n      "dim": %s\n   
 def barcode_to_json(bc: Barcode, field: int) -> str:
     """The bytes of ``json.dumps({"bars": [...], "field": field}, indent=2,
     sort_keys=True)`` plus a newline, from one template per bar. One
-    compact json.dumps spells all the numbers (floats by repr, None as
-    null); splitting it at its separators gives them back one by one."""
-    numbers = json.dumps([x for b in bc for x in (b.birth, None if b.infinite else b.death, b.degree)])
-    spelled = iter(numbers[1:-1].split(", "))
-    bars = ",\n".join(_BAR_JSON % bar for bar in zip(spelled, spelled, spelled))
+    compact json.dumps of the barcode's columns spells all the numbers
+    (floats by repr, None as null); split at its separators, they fill
+    the templates in one formatting."""
+    degrees, births, deaths = bc.columns
+    deaths = [None if d == math.inf else d for d in deaths]
+    numbers = json.dumps([x for bar in zip(births, deaths, degrees) for x in bar])
+    spelled = tuple(numbers[1:-1].split(", ")) if degrees else ()
+    bars = ",\n".join([_BAR_JSON] * len(degrees)) % spelled
     bars = f"[\n{bars}\n  ]" if bars else "[]"
     return f'{{\n  "bars": {bars},\n  "field": {json.dumps(field)}\n}}\n'
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -217,7 +218,10 @@ def sublevel_barcode(M: MappedComplex, cover: IntervalCover, field: int = 2) -> 
     )
     values = [value[tau] for _, tau in cells]
     degrees = [len(ns) + len(tau) - 2 for ns, tau in cells]
-    return _filtration_barcode(cells, values, degrees, _tot_faces, field)
+    index = {cell: i for i, cell in enumerate(cells)}
+    terms = [(index[face], i, c) for i, cell in enumerate(cells) for face, c in _tot_faces(cell)]
+    coboundary = np.fromiter(chain.from_iterable(terms), np.int64, 3 * len(terms)).reshape(-1, 3).T
+    return _filtration_barcode(values, degrees, coboundary, field)
 
 
 def sublevel_module(

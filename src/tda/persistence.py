@@ -1,5 +1,11 @@
 """Filtrations, the persistence reduction algorithm, and barcodes.
 
+A filtration is stored as arrays, one set per dimension: the simplices'
+sorted vertex ids in lexicographic row order, their values, and the
+positions of their facets one dimension down, found once by the one
+validation every filtration passes. A barcode is stored as three columns
+(degree, birth, death); ``Bar`` objects are built when first asked for.
+
 Barcodes come from one pairing routine: it reduces the anti-transposed
 coboundary (persistent cohomology) degree by degree with clearing, which
 gives the same pairs as reducing the boundary. Filtration barcodes use
@@ -16,17 +22,17 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 from . import fields
 from .complexes import (
     Simplex,
     SimplicialComplex,
     _cech_entries,
     _rips_entries,
-    simplex,
     squared_distance_matrix,
 )
-from .errors import MissingVertexValueError, TdaError
-from .homology import simplex_faces
+from .errors import MalformedSimplexError, MissingVertexValueError, TdaError
 
 
 @dataclass(frozen=True)
@@ -54,24 +60,52 @@ def _bar_key(bar: Bar):
 
 
 class Barcode:
-    """A multiset of bars, kept in canonical (degree, birth, death) order."""
+    """A multiset of bars, kept in canonical (degree, birth, death) order as
+    three columns; the ``Bar`` objects are built on first use."""
 
     def __init__(self, bars: Iterable[Bar] = ()):
-        self._bars = tuple(sorted(bars, key=_bar_key))
+        bars = tuple(sorted(bars, key=_bar_key))
+        self._bars: tuple[Bar, ...] | None = bars
+        self._columns = ([b.degree for b in bars], [b.birth for b in bars], [b.death for b in bars])
+
+    @classmethod
+    def from_columns(cls, degree, birth, death) -> "Barcode":
+        """The bars (degree[i], birth[i], death[i]) with integer degrees,
+        checked as ``Bar`` checks each bar and sorted as ``Barcode`` sorts."""
+        degree = np.asarray(degree, dtype=np.int64)
+        birth = np.asarray(birth, dtype=float)
+        death = np.asarray(death, dtype=float)
+        if not np.isfinite(birth).all():
+            raise TdaError(f"bar birth must be finite, got {birth[~np.isfinite(birth)][0]}")
+        if (death < birth).any():
+            i = int(np.flatnonzero(death < birth)[0])
+            raise TdaError(f"bar death {death[i]} precedes birth {birth[i]}")
+        order = np.lexsort((death, birth, degree))
+        bc = cls.__new__(cls)
+        bc._bars = None
+        bc._columns = (degree[order].tolist(), birth[order].tolist(), death[order].tolist())
+        return bc
+
+    @property
+    def columns(self) -> tuple[list, list, list]:
+        """The degrees, births and deaths of the bars, in canonical order."""
+        return self._columns
 
     @property
     def bars(self) -> tuple[Bar, ...]:
+        if self._bars is None:
+            self._bars = tuple(map(Bar, *self._columns))
         return self._bars
 
     def in_degree(self, degree: int | None) -> list[Bar]:
-        return [b for b in self._bars if b.degree == degree]
+        return [b for b in self.bars if b.degree == degree]
 
     def alive_at(self, t: float, degree: int | None = None) -> int:
         """Number of bars with birth <= t < death (optionally one degree)."""
         return sum(
             1
-            for b in self._bars
-            if (degree is None or b.degree == degree) and b.birth <= t < b.death
+            for d, b, e in zip(*self._columns)
+            if (degree is None or d == degree) and b <= t < e
         )
 
     def rank(self, r: float, s: float, degree: int | None = None) -> int:
@@ -80,24 +114,24 @@ class Barcode:
             raise ValueError(f"need r <= s, got {r} > {s}")
         return sum(
             1
-            for b in self._bars
-            if (degree is None or b.degree == degree) and b.birth <= r and b.death > s
+            for d, b, e in zip(*self._columns)
+            if (degree is None or d == degree) and b <= r and e > s
         )
 
     def counter(self) -> Counter:
-        return Counter((b.degree, b.birth, b.death) for b in self._bars)
+        return Counter(zip(*self._columns))
 
     def __len__(self) -> int:
-        return len(self._bars)
+        return len(self._columns[0])
 
     def __iter__(self):
-        return iter(self._bars)
+        return iter(self.bars)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Barcode) and self._bars == other._bars
+        return isinstance(other, Barcode) and self._columns == other._columns
 
     def __repr__(self) -> str:
-        return f"Barcode({len(self._bars)} bars)"
+        return f"Barcode({len(self)} bars)"
 
 
 def barcode_to_diagram(bc: Barcode) -> list[tuple[float, float]]:
@@ -105,34 +139,131 @@ def barcode_to_diagram(bc: Barcode) -> list[tuple[float, float]]:
     return sorted((b.birth, b.death) for b in bc)
 
 
+def _lookup(keys: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Index of each x in the sorted, distinct keys, or -1 if absent."""
+    if not len(keys):
+        return np.full(np.shape(x), -1)
+    i = np.minimum(np.searchsorted(keys, x), len(keys) - 1)
+    return np.where(keys[i] == x, i, -1)
+
+
 class FilteredComplex:
     """Simplices paired with monotone appearance values.
 
-    Entries are sorted by (value, dimension, lexicographic vertex order);
-    the underlying simplex set must be face-closed and every face must
-    appear no later than its cofaces.
+    Per dimension k the simplices are stored as arrays in lexicographic
+    order: their sorted vertex ids (N_k, k+1), their values, and the
+    positions of their facets among the (k-1)-simplices (column j deletes
+    vertex j). Vertices are keyed by their rank among the vertex ids and a
+    k-simplex by (position of its prefix face, rank of its last vertex),
+    so keys stay below (simplex count)^2 whatever the ids. The filtration
+    orders simplices by (value, dimension, lexicographic vertex order);
+    ``entries`` lists its (simplex, value) pairs in that order. The
+    simplex set must be face-closed and every face must appear no later
+    than its cofaces.
     """
 
     def __init__(self, entries: Iterable[tuple[Sequence[int], float]]):
-        pairs = [(simplex(s), float(v)) for s, v in entries]
-        seen = {s for s, _ in pairs}
-        if len(seen) != len(pairs):
-            raise TdaError("duplicate simplex in filtration")
-        values = dict(pairs)
-        for s, v in pairs:
-            for k in range(len(s)):
-                face = s[:k] + s[k + 1 :]
-                if not face:
-                    continue
-                if face not in values:
-                    raise TdaError(f"filtration is not face-closed: missing {face}")
-                if values[face] > v:
-                    raise TdaError(
-                        f"filtration not monotone: value({face}) > value({s})"
-                    )
-        self.entries: list[tuple[Simplex, float]] = sorted(
-            pairs, key=lambda e: (e[1], len(e[0]), e[0])
-        )
+        by_size: dict[int, tuple[list, list]] = {}
+        for s, v in entries:
+            s = tuple(s)
+            simplices, values = by_size.setdefault(len(s), ([], []))
+            simplices.append(s)
+            values.append(v)
+        if 0 in by_size:
+            raise MalformedSimplexError("a simplex needs at least one vertex")
+        layers = []
+        for size in range(1, max(by_size, default=0) + 1):
+            simplices, values = by_size.get(size, ([], []))
+            try:
+                verts = np.array(simplices, dtype=np.int64).reshape(len(simplices), size)
+            except OverflowError as exc:
+                raise MalformedSimplexError("vertex ids must fit in 64-bit integers") from exc
+            layers.append((verts, np.array(values, dtype=float)))
+        self._build(layers)
+
+    @classmethod
+    def from_layers(cls, layers: Sequence[tuple[np.ndarray, np.ndarray]]) -> "FilteredComplex":
+        """The filtration of per-dimension (vertices, values) arrays, layer k
+        holding (N_k, k+1) vertex ids, validated as the constructor validates."""
+        fc = cls.__new__(cls)
+        fc._build(layers)
+        return fc
+
+    def _build(self, layers) -> None:
+        """Check every rule of a filtration on per-dimension arrays and store
+        them in lexicographic order with their facet positions."""
+        layers = [
+            (np.sort(np.asarray(verts, dtype=np.int64), axis=1), np.asarray(vals, dtype=float))
+            for verts, vals in layers
+        ]
+        for k, (verts, vals) in enumerate(layers):
+            if verts.shape != (len(vals), k + 1):
+                raise ValueError(f"layer {k} needs {len(vals)} rows of {k + 1} vertex ids, got {verts.shape}")
+            negative, repeated = verts < 0, verts[:, 1:] == verts[:, :-1]
+            for bad, what in ((negative, "negative vertex id"), (repeated, "duplicate vertices")):
+                if bad.any():
+                    s = tuple(verts[bad.any(axis=1)][0].tolist())
+                    raise MalformedSimplexError(f"{what} in {s}")
+        self._verts: list[np.ndarray] = []
+        self._vals: list[np.ndarray] = []
+        self._faces: list[np.ndarray] = []
+        keys: list[np.ndarray] = []
+
+        def find(ranks: np.ndarray) -> np.ndarray:
+            """Position of each row of vertex ranks among the stored simplices
+            of its dimension, or -1 if absent."""
+            pos = ranks[:, 0]
+            for level in range(1, ranks.shape[1]):
+                key = np.where(pos >= 0, pos * len(keys[0]) + ranks[:, level], -1)
+                pos = _lookup(keys[level], key)
+            return pos
+
+        def require(found: np.ndarray, faces: np.ndarray) -> None:
+            if (found < 0).any():
+                face = tuple(faces[found < 0][0].tolist())
+                raise TdaError(f"filtration is not face-closed: missing {face}")
+
+        for k, (verts, vals) in enumerate(layers):
+            if k == 0:
+                key = verts[:, 0]
+            else:
+                ranks = _lookup(keys[0], verts)
+                require(ranks.ravel(), verts.reshape(-1, 1))
+                prefix = find(ranks[:, :k])
+                require(prefix, verts[:, :k])
+                key = prefix * len(keys[0]) + ranks[:, k]
+            order = np.argsort(key)
+            key, verts, vals = key[order], verts[order], vals[order]
+            if (key[1:] == key[:-1]).any():
+                raise TdaError("duplicate simplex in filtration")
+            keys.append(key)
+            if k:
+                ranks, prefix = ranks[order], prefix[order]
+                facets = [find(np.delete(ranks, j, axis=1)) for j in range(k)] + [prefix]
+                for j, found in enumerate(facets):
+                    require(found, np.delete(verts, j, axis=1))
+                facets = np.column_stack(facets)
+                late = self._vals[k - 1][facets] > vals[:, None]
+                if late.any():
+                    i, j = np.argwhere(late)[0].tolist()
+                    face, s = tuple(np.delete(verts[i], j).tolist()), tuple(verts[i].tolist())
+                    raise TdaError(f"filtration not monotone: value({face}) > value({s})")
+                self._faces.append(facets)
+            self._verts.append(verts)
+            self._vals.append(vals)
+        # Rows are grouped by dimension in lexicographic order, so a stable
+        # sort by value gives the (value, dimension, lexicographic) order.
+        self._order = np.argsort(np.concatenate(self._vals or [np.zeros(0)]), kind="stable")
+        self._entries: list[tuple[Simplex, float]] | None = None
+
+    @property
+    def entries(self) -> list[tuple[Simplex, float]]:
+        """(simplex, value) pairs in filtration order, built once."""
+        if self._entries is None:
+            simplices = [tuple(s) for verts in self._verts for s in verts.tolist()]
+            values = np.concatenate(self._vals or [np.zeros(0)]).tolist()
+            self._entries = [(simplices[i], values[i]) for i in self._order.tolist()]
+        return self._entries
 
     def values(self) -> dict[Simplex, float]:
         return dict(self.entries)
@@ -147,7 +278,7 @@ class FilteredComplex:
         return SimplicialComplex([s for s, _ in self.entries], _closed=True)
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self._order)
 
     def __iter__(self):
         return iter(self.entries)
@@ -161,7 +292,7 @@ def rips_filtration(
 ) -> FilteredComplex:
     """Rips filtration: each simplex appears at half its diameter."""
     D2 = squared_distance_matrix(data, precomputed)
-    return FilteredComplex(_rips_entries(D2, max_dim, max_radius))
+    return FilteredComplex.from_layers(_rips_entries(D2, max_dim, max_radius))
 
 
 def cech_filtration(
@@ -169,7 +300,7 @@ def cech_filtration(
 ) -> FilteredComplex:
     """Čech filtration: each simplex appears at its minimum enclosing ball
     radius, which is exactly the smallest r whose closed balls intersect."""
-    return FilteredComplex(_cech_entries(points, max_dim, max_radius))
+    return FilteredComplex.from_layers(_cech_entries(points, max_dim, max_radius))
 
 
 def lower_star_filtration(K: SimplicialComplex, vertex_values: Mapping[int, float]) -> FilteredComplex:
@@ -193,55 +324,70 @@ def superlevel_filtration(K: SimplicialComplex, vertex_values: Mapping[int, floa
     return lower_star_filtration(K, negated)
 
 
-def _coboundary(cells, faces) -> dict[int, list]:
-    """Coboundary terms of each cell that has cofaces, keyed by its index,
-    as (row, integer coefficient) pairs over rows in reverse filtration
-    order, so a column's largest row is its earliest coface."""
-    index = {cell: i for i, cell in enumerate(cells)}
-    terms: dict[int, list] = {}
-    for row, cell in enumerate(reversed(cells)):
-        for face, c in faces(cell):
-            terms.setdefault(index[face], []).append((row, c))
-    return terms
-
-
-def _filtration_barcode(cells, values, degrees, faces, field: int, include_zero_bars: bool = False) -> Barcode:
-    """Barcode of cells ordered as a filtration (``faces`` of a cell come
-    earlier), with their values and degrees. Coboundary columns are
-    reduced degree by degree from low to high, each degree in decreasing
-    filtration order, skipping the cells already paired one degree down
-    (clearing). The column of cell i with the pivot row of cell j yields
-    the bar [value_i, value_j) in degree_i; a zero column yields an
-    infinite bar."""
+def _filtration_barcode(values, degrees, coboundary, field: int, include_zero_bars: bool = False) -> Barcode:
+    """Barcode of cells in filtration order with the given values and
+    degrees. ``coboundary`` holds three integer arrays, one term each: the
+    position of a face, the position of a coface one degree up (later in
+    the order), and the incidence coefficient. Each cell's column has a row
+    per coface, rows in reverse filtration order, so a column's largest
+    row is its earliest coface. Columns are reduced degree by degree from
+    low to high, each degree in decreasing filtration order, skipping the
+    cells already paired one degree down (clearing). The column of cell i
+    with the pivot row of cell j yields the bar [value_i, value_j) in
+    degree_i; a zero column yields an infinite bar."""
     fields.check_prime(field)
-    n = len(cells)
-    terms = _coboundary(cells, faces)
-    cleared: set[int] = set()
-    bars: list[Bar] = []
-    for degree in sorted(set(degrees)):
-        unpaired = [i for i in reversed(range(n)) if degrees[i] == degree and i not in cleared]
-        # A cell without cofaces has a zero column; the others' terms are
-        # freed as they are reduced.
-        bars += [Bar(degree=degree, birth=values[i], death=math.inf) for i in unpaired if i not in terms]
-        order = [i for i in unpaired if i in terms]
-        columns = (fields.sparse_column(terms.pop(i), field) for i in order)
-        for i, (row, _, _) in zip(order, fields.reduce_columns(columns, field)):
-            if row is None:
-                bars.append(Bar(degree=degree, birth=values[i], death=math.inf))
-                continue
-            j = n - 1 - row
-            cleared.add(j)
-            if values[i] != values[j] or include_zero_bars:
-                bars.append(Bar(degree=degree, birth=values[i], death=values[j]))
-    return Barcode(bars)
+    values = np.asarray(values, dtype=float)
+    degrees = np.asarray(degrees, dtype=np.int64)
+    n = len(values)
+    face, coface, coef = (np.asarray(a, dtype=np.int64) for a in coboundary)
+    coef = coef % field
+    by_column = np.flatnonzero(coef)
+    by_column = by_column[np.argsort(face[by_column])]  # the order within a column does not matter
+    rows, coefs = n - 1 - coface[by_column], coef[by_column]
+    start = np.searchsorted(face[by_column], np.arange(n + 1))
+    del face, coface, coef, by_column
+    cleared = np.zeros(n, dtype=bool)
+    born: list[int] = []
+    dies: list[int] = []  # -1 for an infinite bar
+    for degree in np.flatnonzero(np.bincount(degrees)).tolist():
+        unpaired = np.flatnonzero((degrees == degree) & ~cleared)[::-1]
+        # A cell without nonzero coboundary terms has a zero column.
+        has_cofaces = start[unpaired + 1] > start[unpaired]
+        first = len(born)
+        born += unpaired[~has_cofaces].tolist()
+        dies += [-1] * (len(born) - first)
+        paired = unpaired[has_cofaces]
+        bounds = zip(start[paired].tolist(), start[paired + 1].tolist())
+        columns = fields.sparse_columns(rows, coefs, bounds, field)
+        for i, (piv, _, _) in zip(paired.tolist(), fields.reduce_columns(columns, field)):
+            born.append(i)
+            dies.append(-1 if piv is None else n - 1 - piv)
+        killed = np.array(dies[first:], dtype=np.int64)
+        cleared[killed[killed >= 0]] = True
+    born, dies = np.array(born, dtype=np.int64), np.array(dies, dtype=np.int64)
+    birth = values[born]
+    death = np.where(dies >= 0, values[dies], math.inf)
+    keep = (dies < 0) | (birth != death) | include_zero_bars
+    return Barcode.from_columns(degrees[born][keep], birth[keep], death[keep])
 
 
 def compute_barcode(fc: FilteredComplex, field: int = 2, include_zero_bars: bool = False) -> Barcode:
     """Barcode of a filtration, a simplex's degree being its dimension, by
-    the coboundary reduction with clearing. Zero-length bars are dropped
-    unless include_zero_bars is set.
+    the coboundary reduction with clearing. The coboundary terms come from
+    the facet positions the filtration's validation found. Zero-length
+    bars are dropped unless include_zero_bars is set.
     """
-    simplices = [s for s, _ in fc.entries]
-    degrees = [len(s) - 1 for s in simplices]
-    values = [v for _, v in fc.entries]
-    return _filtration_barcode(simplices, values, degrees, simplex_faces, field, include_zero_bars)
+    sizes = [len(v) for v in fc._vals]
+    offsets = np.cumsum([0] + sizes)
+    # The filtration position of each simplex, by (dimension, lexicographic) index.
+    position = np.empty(len(fc), dtype=np.int64)
+    position[fc._order] = np.arange(len(fc))
+    faces, cofaces, coefficients = ([np.zeros(0, dtype=np.int64)] for _ in range(3))
+    for k, facets in enumerate(fc._faces, start=1):
+        faces.append(position[offsets[k - 1] + facets].ravel())
+        cofaces.append(np.repeat(position[offsets[k] : offsets[k + 1]], k + 1))
+        coefficients.append(np.tile([(-1) ** j for j in range(k + 1)], sizes[k]))
+    coboundary = [np.concatenate(terms) for terms in (faces, cofaces, coefficients)]
+    values = np.concatenate(fc._vals or [np.zeros(0)])[fc._order]
+    degrees = np.repeat(np.arange(len(sizes)), sizes)[fc._order]
+    return _filtration_barcode(values, degrees, coboundary, field, include_zero_bars)

@@ -154,6 +154,14 @@ def test_cli_rips_circle_fixture(tmp_path, capsys):
     assert len(long_h1) == 1
 
 
+def assert_reproduces_golden(tmp_path, capsys, argv, golden):
+    out_path = tmp_path / "bars.json"
+    code, _, _ = run_cli(capsys, *argv, "--output", str(out_path))
+    assert code == 0
+    with open(os.path.join(GOLDEN, golden), "rb") as fh:
+        assert out_path.read_bytes() == fh.read()
+
+
 @pytest.mark.parametrize("field", [2, 3])
 @pytest.mark.parametrize("zero_bars", [False, True])
 def test_cli_rips_reproduces_golden_output(tmp_path, capsys, field, zero_bars):
@@ -161,13 +169,28 @@ def test_cli_rips_reproduces_golden_output(tmp_path, capsys, field, zero_bars):
     barcode and the json.dumps writer: 28 noisy circle points plus a 3x3
     grid of tied distances, `--max-dim 2 --max-radius 0.4`."""
     suffix = "_zero" if zero_bars else ""
-    out_path = tmp_path / "bars.json"
     argv = ["rips", "--input", os.path.join(GOLDEN, "cloud37.csv"), "--max-dim", "2",
-            "--max-radius", "0.4", "--field", str(field), "--output", str(out_path)]
-    code, _, _ = run_cli(capsys, *argv, *(["--include-zero-bars"] if zero_bars else []))
-    assert code == 0
-    with open(os.path.join(GOLDEN, f"rips_f{field}{suffix}.json"), "rb") as fh:
-        assert out_path.read_bytes() == fh.read()
+            "--max-radius", "0.4", "--field", str(field), *(["--include-zero-bars"] if zero_bars else [])]
+    assert_reproduces_golden(tmp_path, capsys, argv, f"rips_f{field}{suffix}.json")
+
+
+@pytest.mark.parametrize("field", [2, 3])
+@pytest.mark.parametrize("zero_bars", [False, True])
+def test_cli_cech_reproduces_golden_output(tmp_path, capsys, field, zero_bars):
+    """Byte for byte against files written by the per-simplex tuple
+    filtration, on the same cloud and arguments as the Rips golden files."""
+    suffix = "_zero" if zero_bars else ""
+    argv = ["cech", "--input", os.path.join(GOLDEN, "cloud37.csv"), "--max-dim", "2",
+            "--max-radius", "0.4", "--field", str(field), *(["--include-zero-bars"] if zero_bars else [])]
+    assert_reproduces_golden(tmp_path, capsys, argv, f"cech_f{field}{suffix}.json")
+
+
+def test_cli_rips_distances_reproduces_golden_output(tmp_path, capsys):
+    """Byte for byte against the per-simplex tuple filtration's output on
+    the golden cloud's distance matrix (math.dist, written by repr)."""
+    argv = ["rips", "--distances", os.path.join(GOLDEN, "cloud37_distances.txt"), "--max-dim", "2",
+            "--max-radius", "0.4", "--field", "3", "--include-zero-bars"]
+    assert_reproduces_golden(tmp_path, capsys, argv, "rips_distances_f3_zero.json")
 
 
 def test_cli_rips_from_distances(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import math
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -129,6 +130,65 @@ def test_squared_distances_by_row_blocks_equal_full_einsum(monkeypatch):
             assert np.array_equal(blocked, full_einsum_squared_distances(pts))
 
 
+def brute_force_rips_entries(D2, max_dim, r):
+    """Every vertex subset of at most max_dim+1 vertices whose pairwise
+    squared distances are all <= 4r^2 + TOL, valued at the largest
+    sqrt(D2)/2 over its pairs, by dimension and then lexicographically."""
+    n = len(D2)
+    out = []
+    for k in range(1, max_dim + 2):
+        for s in combinations(range(n), k):
+            pairs = list(combinations(s, 2))
+            if all(D2[a, b] <= 4.0 * r * r + complexes.TOL for a, b in pairs):
+                out.append((s, max((math.sqrt(D2[a, b]) / 2.0 for a, b in pairs), default=0.0)))
+    return out
+
+
+@st.composite
+def rips_inputs(draw):
+    """(D2, max_dim, r, block_bytes): squared distances of 0-10 points in
+    R^1..R^3 on a coarse lattice (many ties) or anywhere in the unit cube,
+    or of a random symmetric distance matrix, and a distance block size of
+    one to three rows or the module's own."""
+    n = draw(st.integers(0, 10))
+    if draw(st.booleans()):
+        d = draw(st.integers(1, 3))
+        coord = st.one_of(st.integers(0, 4).map(lambda k: k / 4), st.floats(0.0, 1.0))
+        pts = np.array(draw(st.lists(coord, min_size=n * d, max_size=n * d))).reshape(n, d)
+        D2 = squared_distance_matrix(pts, False)
+    else:
+        upper = draw(st.lists(st.floats(0.0, 2.0), min_size=n * n, max_size=n * n))
+        D = np.triu(np.array(upper).reshape(n, n), 1)
+        D2 = squared_distance_matrix(D + D.T, True)
+    block = draw(st.sampled_from([1, 2, 3, None]))
+    block_bytes = complexes.DISTANCE_BLOCK_BYTES if block is None else block * max(n, 1)
+    return D2, draw(st.integers(0, 3)), draw(st.floats(0.05, 1.0)), block_bytes
+
+
+@given(rips_inputs())
+def test_rips_entries_equal_brute_force(inputs):
+    """The array enumerator lists exactly the brute-force cliques, in
+    (dimension, lexicographic) order, with bit-identical values, whatever
+    the row-block size."""
+    D2, max_dim, r, block_bytes = inputs
+    with mock.patch.object(complexes, "DISTANCE_BLOCK_BYTES", block_bytes):
+        layers = complexes._rips_entries(D2, max_dim, r)
+    for k, (verts, vals) in enumerate(layers):
+        assert verts.dtype == np.int64 and verts.shape == (len(vals), k + 1) and len(vals) > 0
+    got = [(tuple(s), v) for verts, vals in layers for s, v in zip(verts.tolist(), vals.tolist())]
+    assert got == brute_force_rips_entries(D2, max_dim, r)
+
+
+def test_meb_radius_tolerance_at_tiny_scale():
+    """A point is inside when its distance is <= radius + TOL, not when its
+    squared distance is <= radius^2 + TOL, which accepts it at any
+    distance below about 3e-5."""
+    pts = np.array([[0.0], [1.1920929e-07]])
+    center, r = tda.min_enclosing_ball(pts)
+    assert r == pytest.approx(5.9604645e-08, rel=1e-12)
+    assert np.all(np.abs(pts[:, 0] - center[0]) <= r + complexes.TOL)
+
+
 def test_meb_single_point():
     c, r = tda.min_enclosing_ball([[2.0, 3.0]])
     assert r == 0.0
@@ -201,6 +261,7 @@ def test_meb_matches_brute_force_over_supports(pts):
     squared-distance tolerance)."""
     center, r = tda.min_enclosing_ball(pts)
     assert contains_all(center, r, pts)
+    assert (np.linalg.norm(pts - center, axis=1) <= r + complexes.TOL).all()
     enclosing = []
     for k in range(1, len(pts) + 1):
         for support in combinations(range(len(pts)), k):

@@ -7,15 +7,16 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import tda
 from conftest import grid_torus, homology_barcode, interval_complex, random_complex, small_clouds
-from tda import fields
+from tda import fields, formats
 from tda import persistence as P
 from tda import zigzag as Z
-from tda.errors import MissingVertexValueError, TdaError
+from tda.complexes import face_closure
+from tda.errors import MalformedSimplexError, MissingVertexValueError, TdaError
 
 
 def test_rips_filtration_two_points():
@@ -170,6 +171,149 @@ def test_filtration_validation():
         P.FilteredComplex([((0, 1), 0.0)])  # faces missing
     with pytest.raises(TdaError):
         P.FilteredComplex([((0,), 1.0), ((1,), 0.0), ((0, 1), 0.5)])  # not monotone
+
+
+def reference_filtration(entries):
+    """Oracle: per-simplex validation and sort by (value, dimension,
+    lexicographic), as the tuple-based filtration did it."""
+    pairs = [(tda.simplex(s), float(v)) for s, v in entries]
+    if len({s for s, _ in pairs}) != len(pairs):
+        raise TdaError("duplicate simplex")
+    values = dict(pairs)
+    for s, v in pairs:
+        for face in (s[:k] + s[k + 1 :] for k in range(len(s)) if len(s) > 1):
+            if face not in values or values[face] > v:
+                raise TdaError(f"bad face {face} of {s}")
+    return sorted(pairs, key=lambda e: (e[1], len(e[0]), e[0]))
+
+
+FAULTS = ["none", "missing face", "late face", "duplicate", "empty", "negative", "repeated vertex"]
+
+
+@st.composite
+def filtration_entries(draw):
+    """Entries of a face-closed complex on 2 to 7 vertex ids (small, near
+    2^40, or near 2^62) with simplices of up to 5 vertices and small
+    integer values that never decrease from a face to a coface (so ties
+    are common); then one fault or none; shuffled, each simplex's vertices
+    in a random order."""
+    base = draw(st.sampled_from([0, 2**40 - 3, 2**62]))
+    ids = [base + i for i in draw(st.lists(st.integers(0, 60), min_size=2, max_size=7, unique=True))]
+    tops = draw(st.lists(st.lists(st.sampled_from(ids), min_size=1, max_size=5, unique=True), max_size=4))
+    values: dict = {}
+    for s in sorted(face_closure([(v,) for v in ids] + [tuple(sorted(t)) for t in tops]), key=len):
+        faces = [values[s[:k] + s[k + 1 :]] for k in range(len(s))] if len(s) > 1 else []
+        values[s] = float(max([draw(st.integers(0, 3))] + faces))
+    entries = list(values.items())
+    fault = draw(st.one_of(st.just("none"), st.sampled_from(FAULTS)))
+    inner = [s for s in values if any(len(t) == len(s) + 1 and set(s) < set(t) for t in values)]
+    if fault == "missing face" and inner:
+        entries.remove((f := draw(st.sampled_from(inner)), values[f]))
+    elif fault == "late face" and inner:
+        f = draw(st.sampled_from(inner))
+        entries[entries.index((f, values[f]))] = (f, max(values.values()) + 1.0)
+    elif fault == "duplicate":
+        entries.append(draw(st.sampled_from(entries)))
+    elif fault == "empty":
+        entries.append(((), 0.0))
+    elif fault == "negative":
+        entries.append(((-1 - draw(st.integers(0, 3)),), 0.0))
+    elif fault == "repeated vertex":
+        entries.append(((ids[0], ids[0]), 5.0))
+    entries = draw(st.permutations(entries))
+    return [(tuple(draw(st.permutations(s))), v) for s, v in entries]
+
+
+def simplex_entries(vertices):
+    """Every face of one simplex, valued by its size, in reverse order."""
+    faces = face_closure([tuple(vertices)])
+    return [(s[::-1], float(len(s) // 2)) for s in sorted(faces, reverse=True)]
+
+
+@given(filtration_entries())
+@example(simplex_entries([2**40 + 7, 2**40 - 1, 2**40 + 2**20, 2**41, 5]))
+@example(simplex_entries([2**62 + 5, 2**62, 2**62 + 3, 2**62 + 1, 2**62 + 9]))
+def test_filtration_validates_and_orders_like_per_simplex_reference(entries):
+    """The array validation raises the reference's exception class, or
+    lists the reference's entries in its order; valid filtrations, vertex
+    ids near 2^40 and 2^62 included, reduce to the boundary reduction's
+    barcode."""
+    try:
+        expected = reference_filtration(entries)
+    except TdaError as exc:
+        with pytest.raises(TdaError) as raised:
+            P.FilteredComplex(entries)
+        assert type(raised.value) is type(exc)
+        return
+    fc = P.FilteredComplex(entries)
+    assert fc.entries == expected
+    assert len(fc) == len(expected)
+    for field in (2, 3):
+        assert P.compute_barcode(fc, field, True) == homology_barcode(fc, field, True)
+
+
+@pytest.mark.parametrize(
+    "entries, error",
+    [
+        ([((), 0.0)], MalformedSimplexError),
+        ([((-1,), 0.0)], MalformedSimplexError),
+        ([((0, 0), 0.0)], MalformedSimplexError),
+        ([((0,), 0.0), ((0,), 1.0)], TdaError),
+        ([((0,), 0.0), ((1,), 0.0), ((0, 1), 1.0), ((1, 0), 2.0)], TdaError),
+        ([((0,), 0.0), ((0, 1), 1.0)], TdaError),
+        ([((0,), 0.0), ((1,), 0.0), ((2,), 0.0), ((0, 1), 0.0), ((1, 2), 0.0), ((0, 1, 2), 1.0)], TdaError),
+        ([((0,), 2.0), ((1,), 0.0), ((0, 1), 1.0)], TdaError),
+    ],
+)
+def test_invalid_filtrations_raise_their_error_class(entries, error):
+    """User entries and library layers go through the same checks."""
+    builds = [lambda: P.FilteredComplex(entries)]
+    if all(s for s, _ in entries):  # a layer holds no empty simplex
+        size = max(len(s) for s, _ in entries)
+        layers = [
+            (np.array([s for s, _ in entries if len(s) == k], dtype=np.int64).reshape(-1, k),
+             [v for s, v in entries if len(s) == k])
+            for k in range(1, size + 1)
+        ]
+        builds.append(lambda: P.FilteredComplex.from_layers(layers))
+    for build in builds:
+        with pytest.raises(TdaError) as raised:
+            build()
+        assert type(raised.value) is error
+
+
+@st.composite
+def integer_degree_bars(draw):
+    birth = draw(st.floats(allow_nan=False, allow_infinity=False))
+    death = draw(st.one_of(st.just(math.inf), st.floats(min_value=birth, allow_nan=False)))
+    return P.Bar(draw(st.integers(0, 3)), birth, death)
+
+
+@given(st.lists(integer_degree_bars(), max_size=10), st.floats(-10, 10), st.floats(0, 5))
+@example([P.Bar(0, 0.0, 1.0), P.Bar(0, -0.0, 1.0), P.Bar(1, -0.0, math.inf), P.Bar(0, 0.0, 0.0)], 0.0, 0.5)
+def test_column_barcode_equals_bar_barcode(bars, t, width):
+    """A barcode built from three columns is the barcode built from the
+    same bars: equal, same bars, counts, ranks and JSON bytes."""
+    by_bars = P.Barcode(bars)
+    by_columns = P.Barcode.from_columns([b.degree for b in bars], [b.birth for b in bars], [b.death for b in bars])
+    assert by_columns == by_bars and len(by_columns) == len(by_bars)
+    assert by_columns.bars == by_bars.bars and list(by_columns) == list(by_bars)
+    assert by_columns.counter() == by_bars.counter()
+    for degree in (None, 0, 1):
+        assert by_columns.alive_at(t, degree) == by_bars.alive_at(t, degree)
+        assert by_columns.rank(t, t + width, degree) == by_bars.rank(t, t + width, degree)
+        assert by_columns.in_degree(degree) == by_bars.in_degree(degree)
+    text = formats.barcode_to_json(by_columns, 3)
+    assert text == formats.barcode_to_json(by_bars, 3)
+    assert formats.parse_barcode_json(text) == (3, by_columns)
+
+
+@pytest.mark.parametrize("birth, death", [(math.inf, math.inf), (-math.inf, 0.0), (math.nan, 1.0), (1.0, 0.5)])
+def test_column_barcode_checks_bars(birth, death):
+    with pytest.raises(TdaError):
+        P.Bar(0, birth, death)
+    with pytest.raises(TdaError):
+        P.Barcode.from_columns([0, 1], [0.0, birth], [1.0, death])
 
 
 def test_barcode_single_point():
