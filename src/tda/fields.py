@@ -2,9 +2,12 @@
 homology (:class:`Quotient`, on boundary columns) and the persistence
 barcode (on coboundary columns, with clearing) run on the one
 column-reduction kernel :func:`reduce_columns`. Stalk-sized matrices
-(zigzags, cosheaf maps, ranks of module maps) are dense int64 arrays with
-entries mod p, row-reduced with pivots chosen leftmost column first,
-topmost row first, so every routine is deterministic.
+(zigzags, cosheaf maps, ranks of module maps) are reduced by one
+elimination, :func:`_rref_rows`, on rows held as lists of Python ints
+mod p: at a handful of rows and columns, a numpy call per pivot costs
+more than the arithmetic. numpy int64 arrays appear only at the
+interface, as arguments and results. Pivots are chosen leftmost column
+first, topmost row first, so every routine is deterministic.
 """
 
 from __future__ import annotations
@@ -42,54 +45,72 @@ def normalize(A, p: int) -> np.ndarray:
     return M % p
 
 
-def _modp_rref(A: np.ndarray, p: int):
-    R = A.copy()
-    m, n = R.shape
+def _rref_rows(rows: list[list[int]], n_cols: int, p: int) -> list[int]:
+    """Reduce ``rows`` (lists of n_cols ints in [0, p)) in place to reduced
+    row echelon form mod p and return the pivot columns. The first
+    len(pivots) rows are then the nonzero rows of the rref, in pivot order,
+    and the rest are zero. The pivot for a column is the topmost row at or
+    below the next pivot position that is nonzero there."""
     pivots: list[int] = []
+    m = len(rows)
     r = 0
-    for c in range(n):
-        nz = np.nonzero(R[r:, c])[0]
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            R[[r, i]] = R[[i, r]]
-        inv = pow(int(R[r, c]), -1, p)
-        R[r] = (R[r] * inv) % p
-        coeffs = R[:, c].copy()
-        coeffs[r] = 0
-        rows = np.nonzero(coeffs)[0]
-        if rows.size:
-            R[rows] = (R[rows] - np.outer(coeffs[rows], R[r])) % p
-        pivots.append(c)
-        r += 1
+    for c in range(n_cols):
         if r == m:
             break
-    return R, pivots
+        for i in range(r, m):
+            if rows[i][c]:
+                break
+        else:
+            continue
+        piv = rows[i]
+        rows[i] = rows[r]
+        rows[r] = piv
+        # Rows r.. are zero left of c, so row operations start at column c;
+        # they end at the pivot row's last nonzero, which keeps the banded
+        # difference maps of long diagrams from costing a full row each.
+        if piv[c] != 1:
+            inv = pow(piv[c], -1, p)
+            piv[c:] = [x * inv % p for x in piv[c:]]
+        e = n_cols
+        while not piv[e - 1]:
+            e -= 1
+        tail = piv[c:e]
+        for row in rows:
+            f = row[c]
+            if f and row is not piv:
+                row[c:e] = [(x - f * y) % p for x, y in zip(row[c:e], tail)]
+        pivots.append(c)
+        r += 1
+    return pivots
 
 
 def rref(A, p: int):
     """Reduced row echelon form mod p. Returns (R, pivot_columns)."""
-    return _modp_rref(normalize(A, p), p)
+    M = normalize(A, p)
+    rows = M.tolist()
+    pivots = _rref_rows(rows, M.shape[1], p)
+    return np.array(rows, dtype=np.int64).reshape(M.shape), pivots
 
 
 def rank(A, p: int) -> int:
-    return len(rref(A, p)[1])
+    M = normalize(A, p)
+    return len(_rref_rows(M.tolist(), M.shape[1], p))
 
 
 def kernel_basis(A, p: int) -> np.ndarray:
     """Column basis of the null space of A, shape (n_cols, nullity)."""
     M = normalize(A, p)
     n = M.shape[1]
-    R, pivots = rref(M, p) if M.size else (M, [])
+    rows = M.tolist()
+    pivots = _rref_rows(rows, n, p)
     pivot_set = set(pivots)
     free = [c for c in range(n) if c not in pivot_set]
-    K = np.zeros((n, len(free)), dtype=np.int64)
-    if free:
-        K[np.asarray(free), np.arange(len(free))] = 1
-        if pivots:
-            K[np.asarray(pivots), :] = (-R[: len(pivots)][:, free]) % p
-    return K
+    K = [[0] * len(free) for _ in range(n)]
+    for j, c in enumerate(free):
+        K[c][j] = 1
+    for row, c in zip(rows, pivots):
+        K[c] = [-row[f] % p for f in free]
+    return np.array(K, dtype=np.int64).reshape(n, len(free))
 
 
 def solve(A, B, p: int):
@@ -99,19 +120,20 @@ def solve(A, B, p: int):
     variables are set to zero, so the solution is deterministic.
     """
     M = normalize(A, p)
-    rhs = np.asarray(B, dtype=np.int64) % p
+    rhs = np.asarray(B, dtype=np.int64)
     squeeze = rhs.ndim == 1
-    if squeeze:
-        rhs = rhs[:, None]
+    rhs = normalize(rhs[:, None] if squeeze else rhs, p)
     if rhs.shape[0] != M.shape[0]:
         raise ValueError("right-hand side has wrong number of rows")
-    na = M.shape[1]
-    R, pivots = rref(np.hstack([M, rhs]), p)
-    if any(c >= na for c in pivots):
+    na, nb = M.shape[1], rhs.shape[1]
+    rows = [a + b for a, b in zip(M.tolist(), rhs.tolist())]
+    pivots = _rref_rows(rows, na + nb, p)
+    if pivots and pivots[-1] >= na:
         return None
-    X = np.zeros((na, rhs.shape[1]), dtype=np.int64)
-    for i, c in enumerate(pivots):
-        X[c] = R[i, na:]
+    X = [[0] * nb for _ in range(na)]
+    for row, c in zip(rows, pivots):
+        X[c] = row[na:]
+    X = np.array(X, dtype=np.int64).reshape(na, nb)
     return X[:, 0] if squeeze else X
 
 

@@ -189,31 +189,33 @@ def _cross(ends, M: np.ndarray, pull: bool, field: int):
     new limit is the pullback of Ed and M: with K a kernel basis of
     [Ed | -M], Eb becomes Eb K[:L] and the new end map K[L:]. A colimit's
     inclusions, transposed, are a limit's projections for the transposed
-    arrows, so pushouts use the same step.
+    arrows, so pushouts use the same step. All operands have entries in
+    [0, field), so products are reduced once, with no re-normalizing.
     """
     Eb, Ed = ends
     if not pull:
-        return Eb, fields.matmul(M, Ed, field)
+        return Eb, (M @ Ed) % field
     L = Ed.shape[1]
     K = fields.kernel_basis(np.hstack([Ed, -M]), field)
-    return fields.matmul(Eb, K[:L], field), K[L:]
+    return (Eb @ K[:L]) % field, K[L:]
 
 
-def _left_end_ranks(z: ZigzagModule, b: int, field: int) -> list[int]:
-    """Generalized ranks of [b, d] for d = b..n-1, in one sweep.
+def _left_end_ranks(dim: int, arrows, field: int) -> list[int]:
+    """Generalized ranks of [b, d] for d = b..n-1, in one sweep, given the
+    dimension of slot b and the arrows from slot b on, reduced mod field.
 
     Keeps the limit's projections onto slots b and d and the colimit's
     inclusions of slots b and d (transposed), starting from the identity
     on slot b; rank [b, d] is the rank of (inclusion of b) (projection to b).
     """
-    eye = np.eye(z.dims[b], dtype=np.int64)
+    eye = np.eye(dim, dtype=np.int64)
     lim = col = (eye, eye)
-    ranks = [z.dims[b]]
-    for direction, M in z.arrows[b:]:
+    ranks = [dim]
+    for direction, M in arrows:
         forward = direction == FORWARD
         lim = _cross(lim, M, not forward, field)
         col = _cross(col, M.T, forward, field)
-        ranks.append(fields.rank(fields.matmul(col[0].T, lim[0], field), field))
+        ranks.append(fields.rank(col[0].T @ lim[0], field))
     return ranks
 
 
@@ -246,11 +248,11 @@ def decompose_zigzag(z: ZigzagModule, field: int = 2) -> list[IntegerBar]:
     slot's dimension, instead of a fresh limit and colimit per interval.
     """
     fields.check_prime(field)
-    n = len(z.dims)
+    arrows = [(direction, M % field) for direction, M in z.arrows]
     ranks = {
         (b, d): r
-        for b in range(n)
-        for d, r in enumerate(_left_end_ranks(z, b, field), start=b)
+        for b, dim in enumerate(z.dims)
+        for d, r in enumerate(_left_end_ranks(dim, arrows[b:], field), start=b)
     }
     return [IntegerBar(b, d, mult) for b, d, mult in interval_multiplicities(ranks)]
 

@@ -279,6 +279,36 @@ def gf2_rank_reference(A) -> int:
         rank += 1
 
 
+def rref_oracle(A, p: int):
+    """Reduced row echelon form mod p by numpy row operations, one numpy
+    call per pivot: the library's former elimination, kept as the oracle
+    for ``fields.rref``. Same pivot rule: leftmost column, then topmost
+    row. Returns (R, pivot_columns)."""
+    R = np.asarray(A, dtype=np.int64) % p
+    m, n = R.shape
+    pivots: list[int] = []
+    r = 0
+    for c in range(n):
+        nz = np.nonzero(R[r:, c])[0]
+        if nz.size == 0:
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            R[[r, i]] = R[[i, r]]
+        inv = pow(int(R[r, c]), -1, p)
+        R[r] = (R[r] * inv) % p
+        coeffs = R[:, c].copy()
+        coeffs[r] = 0
+        rows = np.nonzero(coeffs)[0]
+        if rows.size:
+            R[rows] = (R[rows] - np.outer(coeffs[rows], R[r])) % p
+        pivots.append(c)
+        r += 1
+        if r == m:
+            break
+    return R, pivots
+
+
 def homology_barcode(fc, field: int = 2, include_zero_bars: bool = False) -> Barcode:
     """Barcode of a filtration by the boundary (homology) reduction, the
     oracle for the library's coboundary route: boundary columns in

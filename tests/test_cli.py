@@ -193,6 +193,26 @@ def test_cli_rips_distances_reproduces_golden_output(tmp_path, capsys):
     assert_reproduces_golden(tmp_path, capsys, argv, "rips_distances_f3_zero.json")
 
 
+@pytest.mark.parametrize(
+    "command, source, field, golden",
+    [
+        ("zigzag", "zigzag80.txt", 2, "zigzag80_f2.txt"),
+        ("zigzag", "zigzag80.txt", 3, "zigzag80_f3.txt"),
+        ("cosheaf", "path16.cosheaf", 3, "path16_f3.txt"),
+    ],
+)
+def test_cli_zigzag_and_cosheaf_reproduce_golden_stdout(capsys, command, source, field, golden):
+    """Byte for byte against the standard output of the numpy row
+    elimination. zigzag80.txt has 80 slots of dimension 5 with random
+    directions; path16.cosheaf has 4-dimensional stalks over a 16-vertex
+    path. Both have entries 0..2 drawn by numpy's default_rng."""
+    argv = [command, "--input", os.path.join(GOLDEN, source), "--field", str(field)]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    with open(os.path.join(GOLDEN, golden), "rb") as fh:
+        assert out.encode("utf-8") == fh.read()
+
+
 def test_cli_rips_from_distances(tmp_path, capsys):
     dm = tmp_path / "d.txt"
     dm.write_text("3.0\n")

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import gf2_rank_reference
+from conftest import gf2_rank_reference, rref_oracle
 from tda import fields
 from tda.errors import InternalInconsistencyError
 
@@ -33,13 +33,87 @@ def test_check_prime():
     assert fields.check_prime(7) == 7
 
 
-def test_gf2_rank_matches_generic_and_reference():
+def test_gf2_rank_matches_rref_and_reference():
     rng = np.random.default_rng(40)
     for _ in range(30):
         A = rng.integers(0, 2, size=(rng.integers(0, 9), rng.integers(0, 9)))
-        packed = fields.rank(A, 2)
-        generic = len(fields._modp_rref(fields.normalize(A, 2), 2)[1])
-        assert packed == generic == gf2_rank_reference(A)
+        assert fields.rank(A, 2) == len(fields.rref(A, 2)[1]) == gf2_rank_reference(A)
+
+
+@st.composite
+def elimination_cases(draw):
+    """(A, B, p): A of shape 0-10 x 0-10 and B of A's height with 0-3
+    columns, or a vector, with entries that may be negative or >= p."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    m, n = draw(st.integers(0, 10)), draw(st.integers(0, 10))
+    entries = st.integers(-2 * p, 3 * p)
+    A = np.array(draw(st.lists(entries, min_size=m * n, max_size=m * n)), dtype=np.int64)
+    k = draw(st.one_of(st.none(), st.integers(0, 3)))
+    size = m * (1 if k is None else k)
+    B = np.array(draw(st.lists(entries, min_size=size, max_size=size)), dtype=np.int64)
+    return A.reshape(m, n), B if k is None else B.reshape(m, k), p
+
+
+@given(elimination_cases())
+def test_rref_kernel_and_solve_match_the_numpy_elimination(case):
+    A, B, p = case
+    R, pivots = fields.rref(A, p)
+    R_oracle, pivots_oracle = rref_oracle(A, p)
+    assert R.dtype == R_oracle.dtype == np.int64
+    assert R.shape == R_oracle.shape == A.shape
+    assert np.array_equal(R, R_oracle)
+    assert pivots == pivots_oracle
+    assert fields.rank(A, p) == len(pivots_oracle)
+
+    n = A.shape[1]
+    free = [c for c in range(n) if c not in pivots_oracle]
+    K = np.zeros((n, len(free)), dtype=np.int64)
+    K[free, range(len(free))] = 1
+    K[pivots_oracle, :] = -R_oracle[: len(pivots_oracle)][:, free] % p
+    got = fields.kernel_basis(A, p)
+    assert got.dtype == np.int64 and got.shape == K.shape
+    assert np.array_equal(got, K)
+
+    rhs = B[:, None] if B.ndim == 1 else B
+    R_aug, pivots_aug = rref_oracle(np.hstack([A, rhs]), p)
+    X = fields.solve(A, B, p)
+    if any(c >= n for c in pivots_aug):
+        assert X is None
+        return
+    want = np.zeros((n, rhs.shape[1]), dtype=np.int64)
+    for i, c in enumerate(pivots_aug):
+        want[c] = R_aug[i, n:]
+    want = want[:, 0] if B.ndim == 1 else want
+    assert X.dtype == np.int64 and X.shape == want.shape
+    assert np.array_equal(X, want)
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0), (2, 3), (3, 2)])
+@pytest.mark.parametrize("p", [2, 3])
+def test_dense_routines_on_empty_and_zero_matrices(shape, p):
+    """Zero rows or zero columns survive the round trip through row lists."""
+    m, n = shape
+    A = np.zeros(shape, dtype=np.int64)
+    R, pivots = fields.rref(A, p)
+    assert R.dtype == np.int64 and R.shape == shape and not R.any() and pivots == []
+    assert fields.rank(A, p) == 0
+    K = fields.kernel_basis(A, p)
+    assert K.dtype == np.int64
+    assert np.array_equal(K, np.eye(n, dtype=np.int64)) and K.shape == (n, n)
+    X = fields.solve(A, np.zeros(m, dtype=np.int64), p)
+    assert X.dtype == np.int64 and X.shape == (n,) and not X.any()
+    X = fields.solve(A, np.zeros((m, 2), dtype=np.int64), p)
+    assert X.dtype == np.int64 and X.shape == (n, 2) and not X.any()
+    if m:
+        assert fields.solve(A, np.ones(m, dtype=np.int64), p) is None
+
+
+def test_kernel_and_solve_on_empty_shapes():
+    assert np.array_equal(fields.kernel_basis(np.zeros((0, 3)), 2), np.eye(3, dtype=np.int64))
+    assert fields.kernel_basis(np.zeros((3, 0)), 2).shape == (0, 0)
+    assert fields.solve(np.zeros((0, 2)), np.zeros(0), 3).tolist() == [0, 0]
+    with pytest.raises(ValueError):
+        fields.solve(np.zeros((2, 2)), np.zeros((2, 1, 1)), 3)
 
 
 def test_kernel_basis_spans_the_kernel():
