@@ -208,19 +208,21 @@ def parse_barcode_json(text: str) -> tuple[int, Barcode]:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise TdaError(f"bad barcode JSON: {exc}") from exc
-    if not isinstance(obj, dict) or "bars" not in obj:
+    if not isinstance(obj, dict) or not isinstance(obj.get("bars"), list):
         raise TdaError("barcode JSON must be an object with a `bars` list")
     bars = []
-    for item in obj["bars"]:
-        death = item["death"]
-        bars.append(
-            Bar(
-                degree=item["dim"],
-                birth=float(item["birth"]),
-                death=math.inf if death is None else float(death),
-            )
-        )
-    return int(obj.get("field", 2)), Barcode(bars)
+    try:
+        for item in obj["bars"]:
+            if not isinstance(item, dict) or not {"dim", "birth", "death"} <= item.keys():
+                raise TdaError(f"bar {item!r} must be an object with `dim`, `birth` and `death`")
+            dim, death = item["dim"], item["death"]
+            if not (dim is None or isinstance(dim, int)):
+                raise TdaError(f"bar dim must be an integer or null, got {dim!r}")
+            bars.append(Bar(dim, float(item["birth"]), math.inf if death is None else float(death)))
+        field = int(obj.get("field", 2))
+    except TypeError as exc:  # a null or non-numeric birth, death or field
+        raise TdaError(f"bad barcode JSON: {exc}") from exc
+    return field, Barcode(bars)
 
 
 def read_text(path) -> str:

@@ -4,9 +4,11 @@ Boundary and coboundary matrices, homology dimensions with representative
 cycle bases, and the maps on homology induced by simplicial vertex maps.
 Orientations come from the global integer order on vertex ids; bases are
 deterministic via the leftmost-pivot elimination rule. All of it is
-sparse: :func:`chain_boundary` builds simplicial, cosheaf and Leray blowup
-boundary columns and :class:`fields.Quotient` reduces them; the dense
-matrices returned here are views of the same columns.
+sparse: :func:`chain_boundary` builds simplicial and cosheaf boundary
+columns and the inclusions between Leray pieces, and
+:class:`fields.Quotient` reduces them; the dense matrices returned here
+are views of the same columns. The Leray blowup complex's coboundary
+terms come from :func:`leray.sublevel_barcode`, not from here.
 """
 
 from __future__ import annotations

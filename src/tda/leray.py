@@ -12,8 +12,8 @@ H_i(piece) and inclusion-induced maps, and for a linear nerve N
 which :func:`leray_formula` evaluates. Sublevel persistence is one
 filtered coboundary reduction, with clearing, of the pieces' blowup
 (total) chain complex, through the pairing routine of
-``compute_barcode``; the formula, on the pieces clipped at each
-requested threshold, cross-checks its dimensions.
+``compute_barcode``; the formula, on the pieces of the sublevel complex
+at each requested threshold, cross-checks its dimensions.
 """
 
 from __future__ import annotations
@@ -53,24 +53,20 @@ class MappedComplex:
                 raise MissingVertexValueError(f"vertex {v} has no value")
 
 
-def _preimage(M: MappedComplex, lo: float, hi: float, clip: float | None = None) -> SimplicialComplex:
-    keep = [
-        v
-        for v in M.complex.vertices()
-        if lo < M.values[v] < hi and (clip is None or M.values[v] <= clip)
-    ]
-    return M.complex.full_subcomplex(keep)
-
-
 def preimage_subcomplex(M: MappedComplex, interval: Sequence[float]) -> SimplicialComplex:
     """Full subcomplex on the vertices whose value lies in the open interval."""
     lo, hi = float(interval[0]), float(interval[1])
-    return _preimage(M, lo, hi)
+    return M.complex.full_subcomplex(v for v in M.complex.vertices() if lo < M.values[v] < hi)
 
 
 def check_cover_granularity(M: MappedComplex, cover: IntervalCover) -> None:
-    """Every simplex's vertex-value range must fit inside one cover piece."""
-    for s in sorted(M.complex.simplices, key=lambda s: (len(s), s)):
+    """Every simplex's vertex-value range must fit inside one cover piece.
+
+    A simplex's range is that of its vertex or of the edge between its
+    lowest- and highest-valued vertices, a face listed before it, so the
+    vertices and edges in order name the first offending simplex.
+    """
+    for s in M.complex.p_simplices(0) + M.complex.p_simplices(1):
         vmin = min(M.values[v] for v in s)
         vmax = max(M.values[v] for v in s)
         if not any(lo < vmin and vmax < hi for lo, hi in cover.intervals):
@@ -79,32 +75,14 @@ def check_cover_granularity(M: MappedComplex, cover: IntervalCover) -> None:
             )
 
 
-def _leray_pieces(
-    M: MappedComplex, cover: IntervalCover, clip: float | None = None
-) -> dict[Simplex, SimplicialComplex]:
-    """Preimage subcomplex per nerve simplex of the (clipped) cover.
-
-    Pieces whose clipped interval is empty are dropped; the remaining
-    nerve is still a disjoint union of paths.
-    """
-    pieces: dict[Simplex, SimplicialComplex] = {}
-    kept = [
-        i
-        for i in range(len(cover))
-        if clip is None or cover.intervals[i][0] < clip
-    ]
-    for i in kept:
-        lo, hi = cover.intervals[i]
-        pieces[(i,)] = _preimage(M, lo, hi, clip)
-    for i in kept:
-        if i + 1 not in kept:
-            continue
+def _leray_pieces(M: MappedComplex, cover: IntervalCover) -> dict[Simplex, SimplicialComplex]:
+    """Preimage subcomplex per nerve simplex of the cover: each interval,
+    then each overlap of consecutive intervals."""
+    pieces = {(i,): preimage_subcomplex(M, iv) for i, iv in enumerate(cover.intervals)}
+    for i in range(len(cover) - 1):
         overlap = cover.overlap(i)
-        if overlap is None:
-            continue
-        if clip is not None and overlap[0] >= clip:
-            continue
-        pieces[(i, i + 1)] = _preimage(M, overlap[0], overlap[1], clip)
+        if overlap is not None:
+            pieces[(i, i + 1)] = preimage_subcomplex(M, overlap)
     return pieces
 
 
@@ -202,13 +180,13 @@ def _tot_faces(cell):
 def sublevel_barcode(M: MappedComplex, cover: IntervalCover, field: int = 2) -> Barcode:
     """Sublevel-set persistence of f in every degree, from level data.
 
-    Clipping the cover at t keeps the blowup cells (ns, tau) with max f
-    over tau <= t, so one filtration of the blowup complex has every
-    clipped one as a sublevel complex. Cells of total degree dim tau +
-    dim ns are ordered by (value, degree, cell), faces and inclusion
-    images first, and paired by reducing the coboundary of that order
-    with clearing, as ``compute_barcode`` does. Bars are half-open;
-    zero-length ones are dropped.
+    The blowup cells (ns, tau) with max f over tau <= t are those of the
+    pieces of the sublevel complex K<=t, so one filtration of the blowup
+    complex has each threshold's blowup as a sublevel complex. Cells of
+    total degree dim tau + dim ns are ordered by (value, degree, cell),
+    faces and inclusion images first, and paired by reducing the
+    coboundary of that order with clearing, as ``compute_barcode`` does.
+    Bars are half-open; zero-length ones are dropped.
     """
     check_cover_granularity(M, cover)
     value = {tau: max(M.values[v] for v in tau) for tau in M.complex.simplices}
@@ -236,9 +214,11 @@ def sublevel_module(
     Dims and maps are read off :func:`sublevel_barcode`, the one filtered
     blowup reduction; each map is the 0/1 matrix sending a bar alive at
     one threshold to itself at the next, if it is still alive. At every
-    threshold the cover is also clipped to (-inf, t], emptied pieces drop
-    out, and the nerve formula dim H_0(N; F_degree|) + dim H_1(N;
-    F_{degree-1}|) is asserted against the dimension.
+    threshold t the nerve formula dim H_0(N; F_degree) + dim H_1(N;
+    F_{degree-1}), on the pieces of the sublevel complex K<=t (the full
+    subcomplex on the vertices with f <= t) over the same cover, is
+    asserted against the dimension. A piece with no vertex at or below t
+    is empty and adds nothing.
     """
     _check_degree(degree, field)
     ts = [float(t) for t in thresholds]
@@ -251,7 +231,9 @@ def sublevel_module(
     bc = sublevel_barcode(M, cover, field)
     dims = [bc.alive_at(t, degree) for t in ts]
     for t, dim in zip(ts, dims):
-        formula = _formula_on_pieces(_leray_pieces(M, cover, clip=t), degree, field)
+        sublevel = M.complex.full_subcomplex(v for v in M.complex.vertices() if M.values[v] <= t)
+        pieces = _leray_pieces(MappedComplex(sublevel, M.values), cover)
+        formula = _formula_on_pieces(pieces, degree, field)
         if formula != dim:
             raise InternalInconsistencyError(
                 f"cosheaf formula gives {formula} at t={t}, blowup complex gives {dim}"

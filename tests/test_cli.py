@@ -213,6 +213,29 @@ def test_cli_zigzag_and_cosheaf_reproduce_golden_stdout(capsys, command, source,
         assert out.encode("utf-8") == fh.read()
 
 
+TORUS18_COVER = "-4.2,-1.05;-2.95,0.97;-0.97,2.95;1.05,4.2;3.3,5.5"
+
+
+@pytest.mark.parametrize("field", [2, 3])
+@pytest.mark.parametrize("degree", [0, 1, 2])
+@pytest.mark.parametrize("command", ["leray", "sublevel"])
+def test_cli_leray_and_sublevel_reproduce_golden_stdout(capsys, command, degree, field):
+    """Byte for byte against the standard output written when the
+    sublevel check clipped the cover at each threshold, on the 18x18 grid
+    torus with relabelled and shuffled lines (the levelset benchmark's
+    seed-1 input). The thresholds -5 and -3.5 lie below every value, so
+    every piece there is empty."""
+    argv = [command, "--complex", os.path.join(GOLDEN, "torus18.complex"),
+            "--values", os.path.join(GOLDEN, "torus18.values"), f"--cover={TORUS18_COVER}",
+            "--degree", str(degree), "--field", str(field)]
+    if command == "sublevel":
+        argv.append("--thresholds=-5,-3.5,-2,-1,0,1,2,3,3.5,5")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    with open(os.path.join(GOLDEN, f"torus18_{command}_f{field}_d{degree}.txt"), "rb") as fh:
+        assert out.encode("utf-8") == fh.read()
+
+
 def test_cli_rips_from_distances(tmp_path, capsys):
     dm = tmp_path / "d.txt"
     dm.write_text("3.0\n")
@@ -288,6 +311,25 @@ def test_cli_plot(tmp_path, capsys):
     code, _, _ = run_cli(capsys, "plot", "--input", str(jpath), "--output", str(spath))
     assert code == 0
     assert spath.read_text().startswith("<svg")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"bars": [{"birth": 0.0}]}',
+        '{"bars": 5}',
+        '{"bars": [5]}',
+        '{"bars": [{"dim": 0, "birth": null, "death": 1.0}]}',
+        '{"bars": [{"dim": "x", "birth": 0.0, "death": 1.0}, {"dim": 1, "birth": 0.0, "death": 1.0}]}',
+        '{"bars": [], "field": null}',
+    ],
+)
+def test_cli_plot_malformed_barcode_exits_1(tmp_path, capsys, text):
+    jpath = tmp_path / "bars.json"
+    jpath.write_text(text)
+    code, _, err = run_cli(capsys, "plot", "--input", str(jpath), "--output", str(tmp_path / "bars.svg"))
+    assert code == 1
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_cli_usage_errors_exit_2(tmp_path):

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import tda
@@ -17,7 +17,7 @@ from tda import cosheaf as C
 from tda import fields
 from tda import leray as L
 from tda import persistence as P
-from tda.complexes import IntervalCover
+from tda.complexes import IntervalCover, nerve_of_interval_cover
 from tda.errors import CoverGranularityError
 
 
@@ -53,6 +53,44 @@ def test_granularity_violation_names_a_simplex():
     with pytest.raises(CoverGranularityError) as err:
         L.build_leray_cosheaf(M, IntervalCover([(-1.5, -0.5), (-0.45, 1.5)]), 0)
     assert "(" in str(err.value)  # message carries the offending simplex
+
+
+def full_scan_granularity_message(M, cover):
+    """The first simplex, by dimension then vertices, whose value range
+    fits in no interval, as the error names it; None if there is none."""
+    for s in sorted(M.complex.simplices, key=lambda s: (len(s), s)):
+        vmin = min(M.values[v] for v in s)
+        vmax = max(M.values[v] for v in s)
+        if not any(lo < vmin and vmax < hi for lo, hi in cover.intervals):
+            return f"simplex {s} has value range [{vmin}, {vmax}] inside no cover interval"
+    return None
+
+
+def random_cover(rng, M):
+    """A random linear cover near the value range, often inadmissible:
+    up to four cuts, intervals padded past them by less than half the
+    smallest gap, so only consecutive intervals overlap."""
+    vals = [M.values[v] for v in M.complex.vertices()]
+    lo = min(vals) - float(rng.uniform(-0.5, 1.0))
+    hi = max(vals) + float(rng.uniform(-0.5, 1.0))
+    points = np.unique(np.concatenate([[lo, hi], rng.uniform(lo, hi, int(rng.integers(0, 5)))]))
+    pad = float(rng.uniform(0.0, np.diff(points).min() / 2))
+    return IntervalCover([(a - pad, b + pad) for a, b in zip(points, points[1:])])
+
+
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_granularity_names_the_full_scans_first_offender(seed, banded):
+    """Vertices and edges alone name the same first offending simplex,
+    with the same message, as a scan over every simplex."""
+    rng = np.random.default_rng(seed)
+    M = (random_banded_mapped_complex if banded else random_mapped_complex)(rng)
+    for cover in (random_cover(rng, M), admissible_random_cover(rng, M)):
+        try:
+            L.check_cover_granularity(M, cover)
+            message = None
+        except CoverGranularityError as err:
+            message = str(err)
+        assert message == full_scan_granularity_message(M, cover)
 
 
 def test_octagon_leray_cosheaf_stalks():
@@ -170,6 +208,48 @@ def test_sublevel_barcode_equals_lower_star_barcode(seed, field, banded):
     expected = homology_barcode(fc, field)
     assert P.compute_barcode(fc, field) == expected
     assert L.sublevel_barcode(M, cover, field) == expected
+
+
+def sublevel_complex(M, t):
+    """The full subcomplex on the vertices with value at most t, same values."""
+    K = M.complex.full_subcomplex(v for v in M.complex.vertices() if M.values[v] <= t)
+    return L.MappedComplex(K, M.values)
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3]), st.booleans())
+@example(1, 3, True)
+def test_sublevel_module_check_holds_at_every_threshold(seed, field, banded):
+    """The per-threshold nerve-formula check never fires, and its dims
+    agree with the lower-star barcode and with the formula on the
+    sublevel complex, at thresholds below the minimum, at vertex values,
+    at midpoints and above the maximum. The nerve is the cover's at every
+    threshold, also where pieces are empty."""
+    rng = np.random.default_rng(seed)
+    M = (random_banded_mapped_complex if banded else random_mapped_complex)(rng)
+    cover = admissible_random_cover(rng, M)
+    nerve = nerve_of_interval_cover(cover)
+    vals = sorted(set(M.values.values()))
+    picked = sorted(rng.choice(vals, size=min(len(vals), 6), replace=False).tolist())
+    mids = [(a + b) / 2 for a, b in zip(picked, picked[1:])]
+    thresholds = sorted({vals[0] - 1.0, vals[-1] + 1.0, *picked, *mids})
+    bc = P.compute_barcode(P.lower_star_filtration(M.complex, M.values), field)
+    for degree in (0, 1, 2):
+        module = L.sublevel_module(M, cover, degree, thresholds, field)
+        assert module.dims == [bc.alive_at(t, degree) for t in thresholds]
+        assert module.dims == [
+            L.global_homology(sublevel_complex(M, t), cover, degree, field) for t in thresholds
+        ]
+    assert L.build_leray_cosheaf(M, cover, 1, field).cosheaf.base == nerve
+    for t in (thresholds[0], vals[0]):
+        built = L.build_leray_cosheaf(sublevel_complex(M, t), cover, 1, field)
+        assert built.cosheaf.base == nerve
+    # below the minimum every piece is empty; at the minimum, with two or
+    # more intervals, the top interval's piece is empty and the bottom's not
+    empty = L._leray_pieces(sublevel_complex(M, thresholds[0]), cover)
+    assert not any(len(piece) for piece in empty.values())
+    if len(cover) > 1:
+        lowest = L._leray_pieces(sublevel_complex(M, vals[0]), cover)
+        assert len(lowest[(0,)]) > 0 and len(lowest[(len(cover) - 1,)]) == 0
 
 
 def test_sublevel_rejects_bad_thresholds():
