@@ -206,11 +206,8 @@ def _mapped_complex_and_cover(args: argparse.Namespace):
 def _leray_command(args: argparse.Namespace) -> int:
     M, cover = _mapped_complex_and_cover(args)
     leray.check_cover_granularity(M, cover)
-    pieces = leray._leray_pieces(M, cover)
-    cosheaves = [
-        leray._leray_cosheaf_data(pieces, i, args.field)[0]
-        for i in range(max(M.complex.dimension, args.degree) + 1)
-    ]
+    degrees = range(max(M.complex.dimension, args.degree) + 1)
+    cosheaves = [F for F, _ in leray._leray_cosheaves(leray._leray_pieces(M, cover), degrees, args.field)]
     stalks = cosheaves[args.degree].stalks
     lines = []
     for ns in sorted(stalks, key=lambda s: (len(s), s)):

@@ -10,10 +10,11 @@ transposing to a cosheaf.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
+from itertools import combinations
 import numpy as np
 
 from . import fields, zigzag
-from .complexes import Simplex, SimplicialComplex
+from .complexes import Simplex, SimplicialComplex, faces
 from .errors import InvalidCosheafError, NonlinearNerveError, NotASubcomplexError
 from .homology import HomologyResult, _check_degree, _result, chain_boundary, simplex_faces
 
@@ -23,8 +24,7 @@ def codim1_pairs(K: SimplicialComplex) -> list[tuple[Simplex, Simplex]]:
     pairs = []
     for p in range(1, K.dimension + 1):
         for tau in K.p_simplices(p):
-            for k in range(len(tau)):
-                pairs.append((tau[:k] + tau[k + 1 :], tau))
+            pairs.extend((sigma, tau) for sigma in faces(tau))
     return sorted(pairs)
 
 
@@ -118,15 +118,12 @@ def validate(F: SimplicialCosheaf, field: int = 2) -> CosheafViolation | None:
     fields.check_prime(field)
     for p in range(2, F.base.dimension + 1):
         for tau in F.base.p_simplices(p):
-            for i in range(len(tau)):
-                for j in range(i + 1, len(tau)):
-                    gamma1 = tau[:i] + tau[i + 1 :]  # drop vertex i
-                    gamma2 = tau[:j] + tau[j + 1 :]  # drop vertex j
-                    sigma = tuple(v for k, v in enumerate(tau) if k not in (i, j))
-                    via1 = fields.matmul(F.maps[(sigma, gamma1)], F.maps[(gamma1, tau)], field)
-                    via2 = fields.matmul(F.maps[(sigma, gamma2)], F.maps[(gamma2, tau)], field)
-                    if not np.array_equal(via1, via2):
-                        return CosheafViolation(sigma, tau, gamma1, gamma2)
+            for (i, gamma1), (j, gamma2) in combinations(enumerate(faces(tau)), 2):
+                sigma = faces(gamma1)[j - 1]  # drop vertices i < j
+                via1 = fields.matmul(F.maps[(sigma, gamma1)], F.maps[(gamma1, tau)], field)
+                via2 = fields.matmul(F.maps[(sigma, gamma2)], F.maps[(gamma2, tau)], field)
+                if not np.array_equal(via1, via2):
+                    return CosheafViolation(sigma, tau, gamma1, gamma2)
     return None
 
 
@@ -155,12 +152,12 @@ def _boundary(F: SimplicialCosheaf, p: int, field: int) -> fields.ColumnMatrix:
     def basis(q):
         return [(s, k) for s in F.base.p_simplices(q) for k in range(F.stalks[s])]
 
-    def faces(cell):
+    def terms(cell):
         tau, k = cell
         blocks = [(sigma, sign, F.maps[(sigma, tau)][:, k].tolist()) for sigma, sign in simplex_faces(tau)]
         return [((sigma, i), sign * x) for sigma, sign, col in blocks for i, x in enumerate(col)]
 
-    return chain_boundary(basis(p), basis(p - 1), faces, field)
+    return chain_boundary(basis(p), basis(p - 1), terms, field)
 
 
 def cosheaf_homology(F: SimplicialCosheaf, p: int, field: int = 2) -> HomologyResult:
@@ -283,8 +280,7 @@ def colimit_over_subcomplex(F: SimplicialCosheaf, L, field: int = 2) -> int:
     index = {s: i for i, s in enumerate(objects)}
     morphisms = []
     for tau in objects:
-        for k in range(len(tau)):
-            sigma = tau[:k] + tau[k + 1 :]
+        for sigma in faces(tau):
             if sigma and sigma in subset:
                 morphisms.append((index[tau], index[sigma], F.maps[(sigma, tau)]))
     diagram = zigzag.FiniteDiagram(

@@ -1,8 +1,8 @@
-"""Linear algebra over prime fields. Chain complexes are sparse: all
-homology (:class:`Quotient`, on boundary columns) and the persistence
-barcode (on coboundary columns, with clearing) run on the one
-column-reduction kernel :func:`reduce_columns`. Stalk-sized matrices
-(zigzags, cosheaf maps, ranks of module maps) are reduced by one
+"""Linear algebra over prime fields. Chain complexes are sparse: homology
+(:class:`Quotient`: d_high, then the d_low columns it does not clear)
+and the persistence barcode (coboundary columns, with clearing) run on
+the one column-reduction kernel :func:`reduce_columns`. Stalk-sized
+matrices (zigzags, cosheaf maps, ranks of module maps) are reduced by one
 elimination, :func:`_rref_rows`, on rows held as lists of Python ints
 mod p: at a handful of rows and columns, a numpy call per pivot costs
 more than the arithmetic. numpy int64 arrays appear only at the
@@ -13,7 +13,7 @@ first, topmost row first, so every routine is deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import repeat
 
 import numpy as np
 
@@ -251,14 +251,17 @@ def reduce_columns(columns, p: int, pivots: dict | None = None, tracks=None, ins
 
 
 class Quotient:
-    """The quotient ker(d_low) / im(d_high) with frozen representatives;
-    d_low and d_high are :class:`ColumnMatrix` or dense.
+    """The quotient ker(d_low) / im(d_high) with frozen representatives.
+    d_low and d_high are :class:`ColumnMatrix` or dense and must compose to
+    zero: simplicial (co)boundaries, or cosheaf boundaries once
+    :func:`cosheaf.validate` has passed, as ``cosheaf_homology`` checks.
 
-    The kernel basis is the tracks of the d_low columns that reduce to
-    zero: 1 at that free column, support on earlier pivot columns (the
-    rref kernel basis). Representatives are the kernel columns that stay
-    nonzero when reduced, in order, after the columns of d_high: the
-    leftmost-pivot extension of an image basis.
+    d_high is reduced first. A d_low column j that reduces to zero has a
+    track e_j plus earlier columns (the rref kernel vector of free column
+    j), and by the pairing lemma that track is independent of the image
+    and of the earlier tracks exactly when j is no pivot row of d_high.
+    Columns at those rows are skipped (clearing); the other tracks are the
+    representatives, the leftmost-pivot extension of an image basis.
     """
 
     def __init__(self, d_low, d_high, p: int):
@@ -269,16 +272,16 @@ class Quotient:
             raise ValueError(
                 f"chain space mismatch: d_low has {n} columns, d_high has {high.n_rows} rows"
             )
-        units = (sparse_column([(j, 1)], p) for j in range(n))
-        kernel = [t for piv, _, t in reduce_columns(low.cols, p, {}, units) if piv is None]
         self._pivots: dict = {}
-        nh = len(high.cols)
-        units = (sparse_column([(i, 1)], p) for i in range(len(kernel)))
-        reduced = reduce_columns(high.cols + kernel, p, self._pivots, chain(repeat(None, nh), units))
-        reps = [j - nh for j, (piv, _, _) in enumerate(reduced) if j >= nh and piv is not None]
-        self._rep_index = {i: k for k, i in enumerate(reps)}
+        image = {piv for piv, _, _ in reduce_columns(high.cols, p, self._pivots)}
+        free = [j for j in range(n) if j not in image]
+        units = (sparse_column([(j, 1)], p) for j in free)
+        reduced = reduce_columns((low.cols[j] for j in free), p, {}, units)
+        reps = [track for piv, _, track in reduced if piv is None]
+        for k, track in enumerate(reps):
+            self._pivots[max(track)] = (track, sparse_column([(k, 1)], p))
         self.dimension = len(reps)
-        self.representatives = ColumnMatrix(n, [kernel[i] for i in reps]).dense()
+        self.representatives = ColumnMatrix(n, reps).dense()
 
     def coordinates(self, V) -> np.ndarray:
         """Coordinates of cycle column(s) V (dense or a ColumnMatrix) in the
@@ -294,6 +297,6 @@ class Quotient:
         for j, (piv, _, track) in enumerate(reduced):
             if piv is not None:
                 raise InternalInconsistencyError("vector is not a cycle modulo boundaries of this quotient")
-            for i, c in _items(track):  # V + (stored columns combined by track) = 0
-                X[self._rep_index[i], j] = -c % p
+            for k, c in _items(track):  # V + (stored columns combined by track) = 0
+                X[k, j] = -c % p
         return X[:, 0] if squeeze else X

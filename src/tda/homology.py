@@ -14,12 +14,13 @@ terms come from :func:`leray.sublevel_barcode`, not from here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import cycle
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from . import fields
-from .complexes import Simplex, SimplicialComplex
+from .complexes import Simplex, SimplicialComplex, faces
 from .errors import InternalInconsistencyError, NonSimplicialMapError
 
 
@@ -37,7 +38,7 @@ def chain_boundary(cols: Sequence, rows: Sequence, faces, field: int) -> fields.
 
 def simplex_faces(tau: Simplex) -> list[tuple[Simplex, int]]:
     """Codimension-1 faces of tau; deleting vertex j gives sign (-1)^j."""
-    return [(tau[:j] + tau[j + 1 :], -1 if j % 2 else 1) for j in range(len(tau))] if len(tau) > 1 else []
+    return list(zip(faces(tau), cycle((1, -1)))) if len(tau) > 1 else []
 
 
 def _check_degree(p: int, field: int) -> None:

@@ -1,19 +1,19 @@
 """Leray cosheaves of a real-valued vertex function over an interval cover.
 
-One path computes everything: preimage pieces, then one cosheaf per
-degree, then the nerve formula. Pieces are full subcomplexes on the
-vertices whose value lands in a nerve simplex's interval; the
-per-simplex granularity precondition (every simplex's value range inside
-some single piece) makes them a simplexwise cover. F_i has stalks
-H_i(piece) and inclusion-induced maps, and for a linear nerve N
+One path computes everything: preimage pieces, their boundaries (built
+once), a cosheaf per degree and the nerve formula. Pieces are full
+subcomplexes on the vertices whose value lands in a nerve simplex's
+interval; the per-simplex granularity precondition (every simplex's
+value range inside one piece) makes them a simplexwise cover. F_i has
+stalks H_i(piece) and inclusion-induced maps, and for a linear nerve N
 
     dim H_i(K) = dim H_0(N; F_i) + dim H_1(N; F_{i-1}),
 
 which :func:`leray_formula` evaluates. Sublevel persistence is one
 filtered coboundary reduction, with clearing, of the pieces' blowup
 (total) chain complex, through the pairing routine of
-``compute_barcode``; the formula, on the pieces of the sublevel complex
-at each requested threshold, cross-checks its dimensions.
+``compute_barcode``; the formula, on the pieces restricted to f <= t
+(those of the sublevel complex) at each threshold t, cross-checks it.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .errors import (
     InternalInconsistencyError,
     MissingVertexValueError,
 )
-from .homology import _check_degree, chain_boundary, homology_quotient, simplex_faces
+from .homology import _boundary, _check_degree, chain_boundary, simplex_faces
 from .persistence import Barcode, _filtration_barcode
 from .zigzag import ExplicitModule
 
@@ -92,20 +92,26 @@ def _push(reps: np.ndarray, sub: Sequence, sup: Sequence, field: int) -> fields.
     return inclusion.compose(fields.as_columns(reps, field), field)
 
 
-def _leray_cosheaf_data(
-    pieces: dict[Simplex, SimplicialComplex], degree: int, field: int
-) -> tuple[SimplicialCosheaf, dict[Simplex, fields.Quotient]]:
-    """F_degree over the nerve of the pieces, with each piece's homology."""
+def _leray_cosheaves(
+    pieces: dict[Simplex, SimplicialComplex], degrees: range, field: int
+) -> list[tuple[SimplicialCosheaf, dict[Simplex, fields.Quotient]]]:
+    """(F_i over the nerve of the pieces, each piece's H_i) for each degree
+    i in ``degrees``; each piece boundary is built once."""
     nerve = SimplicialComplex(pieces.keys(), _closed=True)
-    quotients = {ns: homology_quotient(P, degree, field) for ns, P in pieces.items()}
-    stalks = {ns: quotients[ns].dimension for ns in pieces}
-    maps = {}
-    for edge in nerve.p_simplices(1):
-        for vertex in ((edge[0],), (edge[1],)):
-            sub, sup = (pieces[ns].p_simplices(degree) for ns in (edge, vertex))
-            pushed = _push(quotients[edge].representatives, sub, sup, field)
-            maps[(vertex, edge)] = quotients[vertex].coordinates(pushed)
-    return SimplicialCosheaf(base=nerve, stalks=stalks, maps=maps), quotients
+    span = range(degrees.start, degrees.stop + 1)
+    boundaries = {ns: [_boundary(P, i, field) for i in span] for ns, P in pieces.items()}
+    out = []
+    for k, degree in enumerate(degrees):
+        quotients = {ns: fields.Quotient(d[k], d[k + 1], field) for ns, d in boundaries.items()}
+        maps = {}
+        for edge in nerve.p_simplices(1):
+            for vertex in ((edge[0],), (edge[1],)):
+                sub, sup = (pieces[ns].p_simplices(degree) for ns in (edge, vertex))
+                pushed = _push(quotients[edge].representatives, sub, sup, field)
+                maps[(vertex, edge)] = quotients[vertex].coordinates(pushed)
+        stalks = {ns: q.dimension for ns, q in quotients.items()}
+        out.append((SimplicialCosheaf(base=nerve, stalks=stalks, maps=maps), quotients))
+    return out
 
 
 def leray_formula(
@@ -122,12 +128,9 @@ def leray_formula(
     return total
 
 
-def _formula_on_pieces(
-    pieces: dict[Simplex, SimplicialComplex], degree: int, field: int
-) -> int:
-    top, _ = _leray_cosheaf_data(pieces, degree, field)
-    below = _leray_cosheaf_data(pieces, degree - 1, field)[0] if degree > 0 else None
-    return leray_formula(top, below, field)
+def _formula_on_pieces(pieces: dict[Simplex, SimplicialComplex], degree: int, field: int) -> int:
+    cosheaves = [F for F, _ in _leray_cosheaves(pieces, range(max(degree - 1, 0), degree + 1), field)]
+    return leray_formula(cosheaves[-1], cosheaves[0] if degree > 0 else None, field)
 
 
 @dataclass
@@ -151,7 +154,7 @@ def build_leray_cosheaf(
     _check_degree(degree, field)
     check_cover_granularity(M, cover)
     pieces = _leray_pieces(M, cover)
-    cosheaf, quotients = _leray_cosheaf_data(pieces, degree, field)
+    [(cosheaf, quotients)] = _leray_cosheaves(pieces, range(degree, degree + 1), field)
     return LerayCosheaf(cosheaf, degree, field, cover, pieces, quotients)
 
 
@@ -215,10 +218,9 @@ def sublevel_module(
     blowup reduction; each map is the 0/1 matrix sending a bar alive at
     one threshold to itself at the next, if it is still alive. At every
     threshold t the nerve formula dim H_0(N; F_degree) + dim H_1(N;
-    F_{degree-1}), on the pieces of the sublevel complex K<=t (the full
-    subcomplex on the vertices with f <= t) over the same cover, is
-    asserted against the dimension. A piece with no vertex at or below t
-    is empty and adds nothing.
+    F_{degree-1}), on the pieces of the sublevel complex K<=t (the pieces
+    of K restricted to f <= t), is asserted against the dimension. A piece
+    with no vertex at or below t is empty and adds nothing.
     """
     _check_degree(degree, field)
     ts = [float(t) for t in thresholds]
@@ -230,10 +232,11 @@ def sublevel_module(
         raise ValueError("thresholds must be finite")
     bc = sublevel_barcode(M, cover, field)
     dims = [bc.alive_at(t, degree) for t in ts]
+    pieces = _leray_pieces(M, cover)
     for t, dim in zip(ts, dims):
-        sublevel = M.complex.full_subcomplex(v for v in M.complex.vertices() if M.values[v] <= t)
-        pieces = _leray_pieces(MappedComplex(sublevel, M.values), cover)
-        formula = _formula_on_pieces(pieces, degree, field)
+        below = {v for v, x in M.values.items() if x <= t}
+        sublevel_pieces = {ns: P.full_subcomplex(below) for ns, P in pieces.items()}
+        formula = _formula_on_pieces(sublevel_pieces, degree, field)
         if formula != dim:
             raise InternalInconsistencyError(
                 f"cosheaf formula gives {formula} at t={t}, blowup complex gives {dim}"

@@ -47,8 +47,8 @@ class Bar:
     def __post_init__(self):
         if not math.isfinite(self.birth):
             raise TdaError(f"bar birth must be finite, got {self.birth}")
-        if self.death < self.birth:
-            raise TdaError(f"bar death {self.death} precedes birth {self.birth}")
+        if not self.death >= self.birth:
+            raise TdaError(f"bar death {self.death} precedes birth {self.birth} or is not a number")
 
     @property
     def infinite(self) -> bool:
@@ -77,9 +77,9 @@ class Barcode:
         death = np.asarray(death, dtype=float)
         if not np.isfinite(birth).all():
             raise TdaError(f"bar birth must be finite, got {birth[~np.isfinite(birth)][0]}")
-        if (death < birth).any():
-            i = int(np.flatnonzero(death < birth)[0])
-            raise TdaError(f"bar death {death[i]} precedes birth {birth[i]}")
+        if (bad := ~(death >= birth)).any():
+            i = int(np.flatnonzero(bad)[0])
+            raise TdaError(f"bar death {death[i]} precedes birth {birth[i]} or is not a number")
         order = np.lexsort((death, birth, degree))
         bc = cls.__new__(cls)
         bc._bars = None

@@ -309,6 +309,20 @@ def rref_oracle(A, p: int):
     return R, pivots
 
 
+def dense_quotient(low, high, p: int, V):
+    """The rref recipe for ker(low) / im(high): kernel basis, leftmost
+    pivots of [high | Z], then the unique solution over [representatives |
+    image basis]. Returns (representatives, coordinates of the columns of
+    V), the coordinates None when some column of V is not a cycle."""
+    Z = fields.kernel_basis(low, p)
+    _, pivots = fields.rref(np.hstack([high, Z]), p)
+    nb = high.shape[1]
+    reps = Z[:, [c - nb for c in pivots if c >= nb]]
+    image = high[:, [c for c in pivots if c < nb]]
+    X = fields.solve(np.hstack([reps, image]), V, p)
+    return reps, None if X is None else X[: reps.shape[1]]
+
+
 def homology_barcode(fc, field: int = 2, include_zero_bars: bool = False) -> Barcode:
     """Barcode of a filtration by the boundary (homology) reduction, the
     oracle for the library's coboundary route: boundary columns in

@@ -322,14 +322,18 @@ def test_cli_plot(tmp_path, capsys):
         '{"bars": [{"dim": 0, "birth": null, "death": 1.0}]}',
         '{"bars": [{"dim": "x", "birth": 0.0, "death": 1.0}, {"dim": 1, "birth": 0.0, "death": 1.0}]}',
         '{"bars": [], "field": null}',
+        '{"bars": [{"dim": 1, "birth": 0.5, "death": 1.0}, {"dim": 0, "birth": 0.0, "death": NaN}]}',
     ],
 )
 def test_cli_plot_malformed_barcode_exits_1(tmp_path, capsys, text):
+    with pytest.raises(tda.TdaError):
+        formats.parse_barcode_json(text)
     jpath = tmp_path / "bars.json"
     jpath.write_text(text)
     code, _, err = run_cli(capsys, "plot", "--input", str(jpath), "--output", str(tmp_path / "bars.svg"))
     assert code == 1
     assert err.startswith("error:") and "Traceback" not in err
+    assert len(err.splitlines()) == 1 and not (tmp_path / "bars.svg").exists()
 
 
 def test_cli_usage_errors_exit_2(tmp_path):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import gf2_rank_reference, rref_oracle
+from conftest import dense_quotient, gf2_rank_reference, rref_oracle
 from tda import fields
 from tda.errors import InternalInconsistencyError
 
@@ -158,18 +158,6 @@ def test_quotient_representatives_are_independent_mod_image():
             assert np.array_equal(coords, np.eye(quotient.dimension, dtype=np.int64))
 
 
-def _dense_quotient(low, high, p, V):
-    """The rref recipe: kernel basis, leftmost pivots of [high | Z], then
-    the unique solution over [representatives | image basis]."""
-    Z = fields.kernel_basis(low, p)
-    _, pivots = fields.rref(np.hstack([high, Z]), p)
-    nb = high.shape[1]
-    reps = Z[:, [c - nb for c in pivots if c >= nb]]
-    image = high[:, [c for c in pivots if c < nb]]
-    X = fields.solve(np.hstack([reps, image]), V, p)
-    return reps, None if X is None else X[: reps.shape[1]]
-
-
 @st.composite
 def quotient_cases(draw):
     """(low, high, V, p): d_low of shape m x n (empty shapes included), its
@@ -191,7 +179,7 @@ def quotient_cases(draw):
 def test_sparse_quotient_matches_dense_rref_recipe(case):
     low, high, V, p = case
     quotient = fields.Quotient(low, high, p)
-    reps, coords = _dense_quotient(low, high, p, V)
+    reps, coords = dense_quotient(low, high, p, V)
     assert quotient.dimension == reps.shape[1]
     assert quotient.representatives.shape == reps.shape
     assert np.array_equal(quotient.representatives, reps)
@@ -200,7 +188,7 @@ def test_sparse_quotient_matches_dense_rref_recipe(case):
         if low[:, j].any():
             e = np.zeros(low.shape[1], dtype=np.int64)
             e[j] = 1
-            assert _dense_quotient(low, high, p, e[:, None])[1] is None
+            assert dense_quotient(low, high, p, e[:, None])[1] is None
             with pytest.raises(InternalInconsistencyError):
                 quotient.coordinates(e)
             break

@@ -8,7 +8,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import tda
-from conftest import hollow_triangle, interval_complex, random_complex, small_clouds, solid_triangle
+from conftest import (
+    dense_quotient,
+    hollow_triangle,
+    interval_complex,
+    random_complex,
+    small_clouds,
+    solid_triangle,
+)
 from tda import fields
 from tda.errors import NonSimplicialMapError
 from tda.homology import boundary_matrix, chain_map, coboundary_matrix, induced_map
@@ -108,6 +115,20 @@ def test_homology_equals_cohomology_dimension():
             K = random_complex(rng)
             for p in range(0, K.dimension + 2):
                 assert tda.homology(K, p, field).dimension == tda.cohomology(K, p, field).dimension
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3, 5]), st.integers(0, 3))
+def test_bases_equal_dense_recipe(seed, field, p):
+    """The homology and cohomology bases are the rref recipe's bases on
+    the dense boundary and coboundary matrices."""
+    K = random_complex(np.random.default_rng(seed))
+    for result, low, high in (
+        (tda.homology(K, p, field), boundary_matrix(K, p, field), boundary_matrix(K, p + 1, field)),
+        (tda.cohomology(K, p, field), coboundary_matrix(K, p, field), coboundary_matrix(K, p - 1, field)),
+    ):
+        reps, _ = dense_quotient(low, high, field, np.zeros((low.shape[1], 0), dtype=np.int64))
+        assert result.dimension == reps.shape[1]
+        assert [b.tolist() for b in result.cycle_basis] == reps.T.tolist()
 
 
 def test_euler_characteristic_identity():

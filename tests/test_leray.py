@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import tda
 from conftest import (
     admissible_random_cover,
+    dense_quotient,
     homology_barcode,
     octagon_circle,
     random_banded_mapped_complex,
@@ -19,6 +20,7 @@ from tda import leray as L
 from tda import persistence as P
 from tda.complexes import IntervalCover, nerve_of_interval_cover
 from tda.errors import CoverGranularityError
+from tda.homology import boundary_matrix
 
 
 def octagon_mapped():
@@ -164,6 +166,33 @@ def test_leray_cosheaf_validates_on_random_inputs():
         built = L.build_leray_cosheaf(M, cover, int(rng.integers(0, 2)))
         assert C.validate(built.cosheaf, 2) is None
     assert widest >= 2
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3]), st.integers(0, 2), st.booleans())
+def test_leray_maps_equal_dense_recipe(seed, field, degree, banded):
+    """Stalks, piece representatives and extension maps of the Leray
+    cosheaf are the rref recipe's: its coordinates, in the vertex piece,
+    of the edge piece's representatives pushed forward by inclusion."""
+    rng = np.random.default_rng(seed)
+    M = (random_banded_mapped_complex if banded else random_mapped_complex)(rng)
+    built = L.build_leray_cosheaf(M, admissible_random_cover(rng, M), degree, field)
+
+    def recipe(ns, V):
+        P = built.pieces[ns]
+        return dense_quotient(boundary_matrix(P, degree, field), boundary_matrix(P, degree + 1, field), field, V)
+
+    reps = {
+        ns: recipe(ns, np.zeros((len(P.p_simplices(degree)), 0), dtype=np.int64))[0]
+        for ns, P in built.pieces.items()
+    }
+    for ns, q in built.piece_homology.items():
+        assert built.cosheaf.stalks[ns] == reps[ns].shape[1]
+        assert np.array_equal(q.representatives, reps[ns])
+    for (vertex, edge), got in built.cosheaf.maps.items():
+        sub, sup = (built.pieces[ns].p_simplices(degree) for ns in (edge, vertex))
+        inclusion = np.zeros((len(sup), len(sub)), dtype=np.int64)
+        inclusion[[sup.index(s) for s in sub], range(len(sub))] = 1
+        assert np.array_equal(got, recipe(vertex, inclusion @ reps[edge])[1])
 
 
 def test_sublevel_constant_map_is_constant_module():

@@ -308,7 +308,9 @@ def test_column_barcode_equals_bar_barcode(bars, t, width):
     assert formats.parse_barcode_json(text) == (3, by_columns)
 
 
-@pytest.mark.parametrize("birth, death", [(math.inf, math.inf), (-math.inf, 0.0), (math.nan, 1.0), (1.0, 0.5)])
+@pytest.mark.parametrize(
+    "birth, death", [(math.inf, math.inf), (-math.inf, 0.0), (math.nan, 1.0), (1.0, 0.5), (0.0, math.nan)]
+)
 def test_column_barcode_checks_bars(birth, death):
     with pytest.raises(TdaError):
         P.Bar(0, birth, death)
