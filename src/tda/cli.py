@@ -205,7 +205,6 @@ def _mapped_complex_and_cover(args: argparse.Namespace):
 
 def _leray_command(args: argparse.Namespace) -> int:
     M, cover = _mapped_complex_and_cover(args)
-    leray.check_cover_granularity(M, cover)
     degrees = range(max(M.complex.dimension, args.degree) + 1)
     cosheaves = [F for F, _ in leray._leray_cosheaves(leray._leray_pieces(M, cover), degrees, args.field)]
     stalks = cosheaves[args.degree].stalks

@@ -1,25 +1,27 @@
-"""Simplicial complex builders.
+"""Simplicial complexes and their builders.
 
-Explicit complexes from simplex lists, Vietoris-Rips and Čech complexes of
-point clouds, nerves of interval covers, and eccentricity vertex functions.
-All constructions use closed-ball conventions (<= comparisons) with an
-absolute tolerance of 1e-9: Rips compares squared distances (d² <= 4r² +
-1e-9), Čech compares minimum-enclosing-ball radii (radius <= r + 1e-9),
-and an enclosing ball holds a point at distance <= radius + 1e-9.
+A complex has one layout: per dimension, the simplices' ascending vertex
+ids in lexicographic rows and the positions of their facets, which
+``_layout`` finds. Boundaries, subcomplexes and vertex maxima read those
+arrays. Explicit complexes come from simplex lists, Vietoris-Rips and
+Čech complexes from point clouds; also nerves of interval covers and
+eccentricity vertex functions. All constructions use closed-ball
+conventions (<= comparisons) with an absolute tolerance of 1e-9: Rips
+compares squared distances (d² <= 4r² + 1e-9), Čech compares
+minimum-enclosing-ball radii (radius <= r + 1e-9), and an enclosing ball
+holds a point at distance <= radius + 1e-9.
 
 Rips and Čech complexes and filtrations have one construction path:
 ``_rips_entries`` is the only clique enumerator and ``_cech_entries`` the
 only enclosing-ball filter. Both return numpy arrays per dimension, the
-simplices' sorted vertex ids and their values. The builders here return
-the underlying complexes of those arrays; ``persistence`` validates the
-same arrays into filtrations.
+simplices' sorted vertex ids and their values, laid out as the complexes
+here and as the filtrations of ``persistence``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -56,79 +58,176 @@ def faces(sigma: Simplex) -> list[Simplex]:
     return [sigma[:j] + sigma[j + 1 :] for j in range(len(sigma))]
 
 
-def face_closure(simplices: Iterable[Simplex]) -> set[Simplex]:
-    closed: set[Simplex] = set()
-    for s in simplices:
-        for k in range(1, len(s) + 1):
-            closed.update(combinations(s, k))
-    return closed
+def _id_rows(simplices: Sequence[Sequence[int]], size: int) -> np.ndarray:
+    """The simplices, each of ``size`` vertex ids, as an (N, size) int64 array."""
+    try:
+        return np.array(simplices, dtype=np.int64).reshape(len(simplices), size)
+    except OverflowError as exc:
+        raise MalformedSimplexError("vertex ids must fit in 64-bit integers") from exc
+
+
+def _lookup(keys: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Index of each x in the sorted, distinct keys, or -1 if absent."""
+    if not len(keys):
+        return np.full(np.shape(x), -1)
+    i = np.minimum(np.searchsorted(keys, x), len(keys) - 1)
+    return np.where(keys[i] == x, i, -1)
+
+
+def _layout(layers) -> tuple["SimplicialComplex", list[np.ndarray]]:
+    """The complex of per-dimension (N_k, k+1) arrays of ascending vertex
+    ids, and the order that sorts each layer's rows, once the rows are
+    checked to be distinct simplices closed under faces (only filtrations
+    can fail that, so the errors name them). A vertex is keyed by its rank
+    among the ids and a k-simplex by (position of its prefix face, rank of
+    its last vertex), so keys stay below (simplex count)^2 whatever the ids."""
+    laid, facets, orders, keys = [], [], [], []
+
+    def find(ranks: np.ndarray) -> np.ndarray:
+        """Position of each row of vertex ranks among the laid-out simplices
+        of its dimension, or -1 if absent."""
+        pos = ranks[:, 0]
+        for level in range(1, ranks.shape[1]):
+            key = np.where(pos >= 0, pos * len(keys[0]) + ranks[:, level], -1)
+            pos = _lookup(keys[level], key)
+        return pos
+
+    def require(found: np.ndarray, faces: np.ndarray) -> None:
+        if (found < 0).any():
+            face = tuple(faces[found < 0][0].tolist())
+            raise TdaError(f"filtration is not face-closed: missing {face}")
+
+    for k, verts in enumerate(layers):
+        if k == 0:
+            key = verts[:, 0]
+        else:
+            ranks = _lookup(keys[0], verts)
+            require(ranks.ravel(), verts.reshape(-1, 1))
+            prefix = find(ranks[:, :k])
+            require(prefix, verts[:, :k])
+            key = prefix * len(keys[0]) + ranks[:, k]
+        order = np.argsort(key)
+        key, verts = key[order], verts[order]
+        if (key[1:] == key[:-1]).any():
+            raise TdaError("duplicate simplex in filtration")
+        keys.append(key)
+        found = [np.zeros((len(verts), 0), dtype=np.int64)]
+        if k:
+            ranks, prefix = ranks[order], prefix[order]
+            found = [find(ranks[:, np.arange(k + 1) != j]) for j in range(k)] + [prefix]
+        for j, pos in enumerate(found):
+            if (pos < 0).any():  # build the faces only to name a missing one
+                require(pos, np.delete(verts, j, axis=1))
+        facets.append(np.column_stack(found))
+        laid.append(verts)
+        orders.append(order)
+    return SimplicialComplex._of(laid, facets), orders
 
 
 class SimplicialComplex:
-    """A finite, face-closed set of simplices over integer vertex ids.
+    """A finite, face-closed set of simplices over vertex ids in [0, 2^63).
 
-    The constructor normalizes each input simplex and takes the face
-    closure, so the result is always a valid complex; construction is
-    idempotent on already-closed input. Library code that already holds
-    normalized, face-closed simplices passes ``_closed=True`` to skip both.
+    Per dimension k it holds an (N_k, k+1) array of ascending vertex ids,
+    rows in lexicographic order, and an (N_k, k+1) array of facet
+    positions among the (k-1)-simplices, column j deleting vertex j (none
+    for vertices). The constructor normalizes each simplex and closes
+    under faces, so it is idempotent on closed input. The frozenset of
+    simplex tuples is built when first asked for.
     """
 
-    __slots__ = ("_simplices", "_dim", "_by_dim")
+    __slots__ = ("_verts", "_faces", "_simplices")
 
-    def __init__(self, simplices: Iterable[Sequence[int]] = (), *, _closed: bool = False):
-        if _closed:
-            self._simplices = frozenset(simplices)
-        else:
-            self._simplices = frozenset(face_closure({simplex(s) for s in simplices}))
-        self._dim = max((len(s) - 1 for s in self._simplices), default=-1)
-        self._by_dim: dict[int, list[Simplex]] | None = None
+    def __init__(self, simplices: Iterable[Sequence[int]] = ()):
+        simplices = [simplex(s) for s in simplices]
+        layers: list[np.ndarray] = []
+        for size in range(max(map(len, simplices), default=0), 0, -1):
+            rows = [_id_rows([s for s in simplices if len(s) == size], size)]
+            rows += [layers[-1][:, np.arange(size + 1) != j] for j in range(size + 1)] if layers else []
+            rows = np.concatenate(rows)
+            rows = rows[np.lexsort(rows.T[::-1])]  # lexicographic, so repeats are adjacent
+            layers.append(rows[np.concatenate([[True], (rows[1:] != rows[:-1]).any(axis=1)])])
+        K = _layout(layers[::-1])[0]
+        self._verts, self._faces, self._simplices = K._verts, K._faces, None
+
+    @classmethod
+    def _of(cls, verts: list[np.ndarray], faces: list[np.ndarray]) -> "SimplicialComplex":
+        """The complex of laid-out layers, trailing empty ones dropped."""
+        K = cls.__new__(cls)
+        while verts and not len(verts[-1]):
+            verts, faces = verts[:-1], faces[:-1]
+        K._verts, K._faces, K._simplices = verts, faces, None
+        return K
+
+    def _layer(self, p: int) -> tuple[np.ndarray, np.ndarray]:
+        """The p-simplices' vertex ids and facet positions (empty past the ends)."""
+        if 0 <= p < len(self._verts):
+            return self._verts[p], self._faces[p]
+        empty = np.zeros((0, max(p + 1, 0)), dtype=np.int64)
+        return empty, empty
+
+    def _fold(self, f: np.ndarray, ufunc: np.ufunc) -> list[np.ndarray]:
+        """Per dimension in row order, ``ufunc`` (np.maximum, np.minimum)
+        of f over each simplex's vertices; f has one entry per vertex."""
+        folded = [np.asarray(f)][: len(self._verts)]
+        for faces in self._faces[1:]:
+            folded.append(ufunc.reduce(folded[-1][faces], axis=1))
+        return folded
+
+    def _restrict(self, masks: Sequence[np.ndarray]) -> "SimplicialComplex":
+        """The face-closed subcomplex the per-dimension masks keep."""
+        below = [np.zeros(0, dtype=np.int64), *masks]
+        faces = [(np.cumsum(b) - 1)[f[keep]] for b, f, keep in zip(below, self._faces, masks)]
+        return SimplicialComplex._of([v[keep] for v, keep in zip(self._verts, masks)], faces)
+
+    def _full(self, keep: np.ndarray) -> "SimplicialComplex":
+        """The full subcomplex on the vertices the vertex mask keeps."""
+        return self._restrict(self._fold(keep, np.minimum))
 
     @property
     def simplices(self) -> frozenset[Simplex]:
+        if self._simplices is None:
+            self._simplices = frozenset(self)
         return self._simplices
 
     @property
     def dimension(self) -> int:
         """Top simplex dimension; -1 for the empty complex."""
-        return self._dim
+        return len(self._verts) - 1
 
     def p_simplices(self, p: int) -> list[Simplex]:
-        """The p-simplices in lexicographic vertex order (sorted once)."""
-        if self._by_dim is None:
-            self._by_dim = {}
-            for s in sorted(self._simplices):
-                self._by_dim.setdefault(len(s) - 1, []).append(s)
-        return list(self._by_dim.get(p, ()))
+        """The p-simplices in lexicographic vertex order."""
+        return list(map(tuple, self._layer(p)[0].tolist()))
 
     def vertices(self) -> list[int]:
-        return sorted(s[0] for s in self._simplices if len(s) == 1)
+        return self._layer(0)[0][:, 0].tolist()
 
     def full_subcomplex(self, vertex_subset: Iterable[int]) -> "SimplicialComplex":
         """Simplices all of whose vertices lie in the given set."""
         vs = set(vertex_subset)
-        kept = {s for s in self._simplices if vs.issuperset(s)}
-        return SimplicialComplex(kept, _closed=True)
+        return self._full(np.array([v in vs for v in self.vertices()], dtype=bool))
 
     def is_subcomplex_of(self, other: "SimplicialComplex") -> bool:
-        return self._simplices <= other._simplices
+        return self.simplices <= other.simplices
 
     def __contains__(self, s) -> bool:
-        return tuple(s) in self._simplices
+        return tuple(s) in self.simplices
 
     def __len__(self) -> int:
-        return len(self._simplices)
+        return sum(map(len, self._verts))
 
     def __iter__(self):
-        return iter(sorted(self._simplices, key=lambda s: (len(s), s)))
+        """Simplices by dimension, each dimension in lexicographic order."""
+        return (tuple(s) for verts in self._verts for s in verts.tolist())
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, SimplicialComplex) and self._simplices == other._simplices
+        same = isinstance(other, SimplicialComplex) and len(self._verts) == len(other._verts)
+        return same and all(np.array_equal(a, b) for a, b in zip(self._verts, other._verts))
 
     def __hash__(self) -> int:
-        return hash(self._simplices)
+        return hash(self.simplices)
 
     def __repr__(self) -> str:
-        return f"SimplicialComplex({len(self._simplices)} simplices, dim {self._dim})"
+        return f"SimplicialComplex({len(self)} simplices, dim {self.dimension})"
 
 
 def build_complex(simplices: Iterable[Sequence[int]]) -> SimplicialComplex:
@@ -232,18 +331,13 @@ def _rips_entries(D2: np.ndarray, max_dim: int, max_radius: float) -> list[tuple
     return layers
 
 
-def _layer_simplices(layers) -> list[Simplex]:
-    """The simplices of per-dimension vertex arrays, as tuples."""
-    return [tuple(s) for verts, _ in layers for s in verts.tolist()]
-
-
 def build_rips(data, r: float, max_dim: int = 2, precomputed: bool | None = None) -> SimplicialComplex:
     """Vietoris-Rips complex: a simplex iff all pairwise distances <= 2r.
 
     The underlying complex of ``rips_filtration(data, max_dim, r)``.
     """
     layers = _rips_entries(squared_distance_matrix(data, precomputed), max_dim, r)
-    return SimplicialComplex(_layer_simplices(layers), _closed=True)
+    return _layout([verts for verts, _ in layers])[0]
 
 
 def _ball_from_boundary(boundary: list[np.ndarray]):
@@ -295,28 +389,21 @@ def _cech_entries(points, max_dim: int, max_radius: float) -> list[tuple[np.ndar
 
     The one Čech filter, run over the Rips candidates. The exact radius is
     never below a facet's, but rounding can put it an ulp below, so each
-    value is clamped by its facets'; a facet dropped for its radius drops
-    the simplex too.
+    value is clamped by its facets'; a facet dropped for its radius (valued
+    inf here) drops the simplex too.
     """
     pts = as_point_cloud(points)
     layers = _rips_entries(squared_distance_matrix(pts, precomputed=False), max_dim, max_radius)
-    kept = layers[:2]  # below three vertices the radius is 0 or half the distance
-    values: dict[Simplex, float] = {}
-    if len(layers) > 1:
-        values.update(zip(map(tuple, layers[1][0].tolist()), layers[1][1].tolist()))
-    for verts, _ in layers[2:]:
-        rows, row_vals = [], []
-        for i, s in enumerate(map(tuple, verts.tolist())):
-            _, rad = min_enclosing_ball(pts[list(s)])
-            val = max(rad, *(values.get(f, math.inf) for f in faces(s)))
-            if val <= max_radius + TOL:
-                values[s] = val
-                rows.append(i)
-                row_vals.append(val)
-        if not rows:
+    K = _layout([verts for verts, _ in layers])[0]  # the Rips rows are already in lexicographic order
+    values = [vals for _, vals in layers[:2]]  # below three vertices the radius is 0 or half the distance
+    for verts, facets in zip(K._verts[2:], K._faces[2:]):
+        radii = np.array([min_enclosing_ball(pts[s])[1] for s in verts])
+        values.append(np.maximum(radii, values[-1][facets].max(axis=1)))
+        values[-1][values[-1] > max_radius + TOL] = math.inf
+        if np.isinf(values[-1]).all():
             break
-        kept.append((verts[rows], np.array(row_vals)))
-    return kept
+    kept = [(verts[vals < math.inf], vals[vals < math.inf]) for verts, vals in zip(K._verts, values)]
+    return [layer for layer in kept if len(layer[1])]
 
 
 def build_cech(points, r: float, max_dim: int = 2) -> SimplicialComplex:
@@ -325,7 +412,7 @@ def build_cech(points, r: float, max_dim: int = 2) -> SimplicialComplex:
 
     The underlying complex of ``cech_filtration(points, max_dim, r)``.
     """
-    return SimplicialComplex(_layer_simplices(_cech_entries(points, max_dim, r)), _closed=True)
+    return _layout([verts for verts, _ in _cech_entries(points, max_dim, r)])[0]
 
 
 @dataclass(frozen=True)
@@ -366,7 +453,7 @@ def nerve_of_interval_cover(cover: IntervalCover) -> SimplicialComplex:
     for i in range(len(cover) - 1):
         if cover.overlap(i) is not None:
             simplices.append((i, i + 1))
-    return SimplicialComplex(simplices, _closed=True)
+    return SimplicialComplex(simplices)
 
 
 def eccentricity_values(points, p: float = 2.0) -> np.ndarray:

@@ -4,11 +4,10 @@ Boundary and coboundary matrices, homology dimensions with representative
 cycle bases, and the maps on homology induced by simplicial vertex maps.
 Orientations come from the global integer order on vertex ids; bases are
 deterministic via the leftmost-pivot elimination rule. All of it is
-sparse: :func:`chain_boundary` builds simplicial and cosheaf boundary
-columns and the inclusions between Leray pieces, and
-:class:`fields.Quotient` reduces them; the dense matrices returned here
-are views of the same columns. The Leray blowup complex's coboundary
-terms come from :func:`leray.sublevel_barcode`, not from here.
+sparse: simplicial boundary columns are read off a complex's facet
+positions, :func:`chain_boundary` builds cosheaf boundaries and chain
+maps, and :class:`fields.Quotient` reduces them; the dense matrices
+returned here are views of the same columns.
 """
 
 from __future__ import annotations
@@ -48,7 +47,12 @@ def _check_degree(p: int, field: int) -> None:
 
 
 def _boundary(K: SimplicialComplex, p: int, field: int) -> fields.ColumnMatrix:
-    return chain_boundary(K.p_simplices(p), K.p_simplices(p - 1), simplex_faces, field)
+    """Columns of d_p read off K's facet positions: the facet deleting
+    vertex j gets sign (-1)^j."""
+    facets = K._layer(p)[1]
+    signs = [(-1) ** j for j in range(facets.shape[1])]
+    columns = [fields.sparse_column(zip(row, signs), field) for row in facets.tolist()]
+    return fields.ColumnMatrix(len(K._layer(p - 1)[0]), columns)
 
 
 def boundary_matrix(K: SimplicialComplex, p: int, field: int = 2) -> np.ndarray:

@@ -3,24 +3,25 @@
 One path computes everything: preimage pieces, their boundaries (built
 once), a cosheaf per degree and the nerve formula. Pieces are full
 subcomplexes on the vertices whose value lands in a nerve simplex's
-interval; the per-simplex granularity precondition (every simplex's
-value range inside one piece) makes them a simplexwise cover. F_i has
-stalks H_i(piece) and inclusion-induced maps, and for a linear nerve N
+interval, cut from the complex's arrays by a vertex mask; the
+per-simplex granularity precondition (every simplex's value range inside
+one piece) makes them a simplexwise cover. F_i has stalks H_i(piece) and
+maps induced by inclusions, which are masks of positions, and for a
+linear nerve N
 
     dim H_i(K) = dim H_0(N; F_i) + dim H_1(N; F_{i-1}),
 
 which :func:`leray_formula` evaluates. Sublevel persistence is one
 filtered coboundary reduction, with clearing, of the pieces' blowup
-(total) chain complex, through the pairing routine of
-``compute_barcode``; the formula, on the pieces restricted to f <= t
-(those of the sublevel complex) at each threshold t, cross-checks it.
+(total) chain complex, whose cells and terms are the pieces' arrays,
+through the pairing routine of ``compute_barcode``; the formula, on the
+same pieces restricted to f <= t at each threshold t, cross-checks it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -33,8 +34,8 @@ from .errors import (
     InternalInconsistencyError,
     MissingVertexValueError,
 )
-from .homology import _boundary, _check_degree, chain_boundary, simplex_faces
-from .persistence import Barcode, _filtration_barcode
+from .homology import _boundary, _check_degree
+from .persistence import Barcode, _boundary_terms, _filtration_barcode
 from .zigzag import ExplicitModule
 
 
@@ -53,31 +54,41 @@ class MappedComplex:
                 raise MissingVertexValueError(f"vertex {v} has no value")
 
 
+def _vertex_values(M: MappedComplex, K: SimplicialComplex) -> np.ndarray:
+    """The value of each vertex of K (a subcomplex of M's), in vertex order."""
+    return np.array([M.values[v] for v in K.vertices()], dtype=float)
+
+
 def preimage_subcomplex(M: MappedComplex, interval: Sequence[float]) -> SimplicialComplex:
     """Full subcomplex on the vertices whose value lies in the open interval."""
     lo, hi = float(interval[0]), float(interval[1])
-    return M.complex.full_subcomplex(v for v in M.complex.vertices() if lo < M.values[v] < hi)
+    f = _vertex_values(M, M.complex)
+    return M.complex._full((lo < f) & (f < hi))
 
 
 def check_cover_granularity(M: MappedComplex, cover: IntervalCover) -> None:
     """Every simplex's vertex-value range must fit inside one cover piece.
 
     A simplex's range is that of its vertex or of the edge between its
-    lowest- and highest-valued vertices, a face listed before it, so the
-    vertices and edges in order name the first offending simplex.
+    lowest- and highest-valued vertices, a face listed before it, so
+    scanning dimensions in order names a vertex or edge first.
     """
-    for s in M.complex.p_simplices(0) + M.complex.p_simplices(1):
-        vmin = min(M.values[v] for v in s)
-        vmax = max(M.values[v] for v in s)
-        if not any(lo < vmin and vmax < hi for lo, hi in cover.intervals):
+    K, (lo, hi) = M.complex, np.array(cover.intervals).reshape(-1, 2).T
+    f = _vertex_values(M, K)
+    for p, (vmin, vmax) in enumerate(zip(K._fold(f, np.minimum), K._fold(f, np.maximum))):
+        bad = np.flatnonzero(~((lo < vmin[:, None]) & (vmax[:, None] < hi)).any(axis=1))
+        if len(bad):
+            s, i = K.p_simplices(p)[bad[0]], bad[0]
             raise CoverGranularityError(
-                f"simplex {s} has value range [{vmin}, {vmax}] inside no cover interval"
+                f"simplex {s} has value range [{vmin[i]}, {vmax[i]}] inside no cover interval"
             )
 
 
 def _leray_pieces(M: MappedComplex, cover: IntervalCover) -> dict[Simplex, SimplicialComplex]:
     """Preimage subcomplex per nerve simplex of the cover: each interval,
-    then each overlap of consecutive intervals."""
+    then each overlap of consecutive intervals. The cover's granularity is
+    checked first."""
+    check_cover_granularity(M, cover)
     pieces = {(i,): preimage_subcomplex(M, iv) for i, iv in enumerate(cover.intervals)}
     for i in range(len(cover) - 1):
         overlap = cover.overlap(i)
@@ -86,10 +97,19 @@ def _leray_pieces(M: MappedComplex, cover: IntervalCover) -> dict[Simplex, Simpl
     return pieces
 
 
-def _push(reps: np.ndarray, sub: Sequence, sup: Sequence, field: int) -> fields.ColumnMatrix:
-    """Columns over the basis ``sub`` rewritten over its superset ``sup``."""
-    inclusion = chain_boundary(sub, sup, lambda key: [(key, 1)], field)
-    return inclusion.compose(fields.as_columns(reps, field), field)
+def _inclusion(sub: SimplicialComplex, sup: SimplicialComplex) -> list[np.ndarray]:
+    """Per dimension, which simplices of sup lie in sub, the full subcomplex
+    of sup on its vertices (as every smaller Leray piece is of a larger)."""
+    return sup._fold(np.isin(sup.vertices(), sub.vertices()), np.minimum)
+
+
+def _push(reps: np.ndarray, sub: SimplicialComplex, sup: SimplicialComplex, p: int) -> np.ndarray:
+    """Columns over the p-simplices of ``sub`` rewritten over those of ``sup``."""
+    masks = _inclusion(sub, sup)
+    keep = masks[p] if p < len(masks) else np.zeros(0, dtype=bool)
+    pushed = np.zeros((len(keep), reps.shape[1]), dtype=np.int64)
+    pushed[keep] = reps
+    return pushed
 
 
 def _leray_cosheaves(
@@ -97,7 +117,7 @@ def _leray_cosheaves(
 ) -> list[tuple[SimplicialCosheaf, dict[Simplex, fields.Quotient]]]:
     """(F_i over the nerve of the pieces, each piece's H_i) for each degree
     i in ``degrees``; each piece boundary is built once."""
-    nerve = SimplicialComplex(pieces.keys(), _closed=True)
+    nerve = SimplicialComplex(pieces)
     span = range(degrees.start, degrees.stop + 1)
     boundaries = {ns: [_boundary(P, i, field) for i in span] for ns, P in pieces.items()}
     out = []
@@ -106,8 +126,7 @@ def _leray_cosheaves(
         maps = {}
         for edge in nerve.p_simplices(1):
             for vertex in ((edge[0],), (edge[1],)):
-                sub, sup = (pieces[ns].p_simplices(degree) for ns in (edge, vertex))
-                pushed = _push(quotients[edge].representatives, sub, sup, field)
+                pushed = _push(quotients[edge].representatives, pieces[edge], pieces[vertex], degree)
                 maps[(vertex, edge)] = quotients[vertex].coordinates(pushed)
         stalks = {ns: q.dimension for ns, q in quotients.items()}
         out.append((SimplicialCosheaf(base=nerve, stalks=stalks, maps=maps), quotients))
@@ -152,7 +171,6 @@ def build_leray_cosheaf(
 ) -> LerayCosheaf:
     """Stalk H_degree(preimage) per nerve simplex, inclusion-induced maps."""
     _check_degree(degree, field)
-    check_cover_granularity(M, cover)
     pieces = _leray_pieces(M, cover)
     [(cosheaf, quotients)] = _leray_cosheaves(pieces, range(degree, degree + 1), field)
     return LerayCosheaf(cosheaf, degree, field, cover, pieces, quotients)
@@ -164,20 +182,7 @@ def global_homology(M: MappedComplex, cover: IntervalCover, degree: int, field: 
     For an admissible cover this equals dim H_degree of the complex.
     """
     _check_degree(degree, field)
-    check_cover_granularity(M, cover)
     return _formula_on_pieces(_leray_pieces(M, cover), degree, field)
-
-
-def _tot_faces(cell):
-    """Boundary of a cell (nerve simplex, simplex) of the cover's blowup
-    complex: the simplicial boundary within the piece, negated on edge
-    pieces, which also map by signed inclusions into their endpoint pieces."""
-    ns, tau = cell
-    sign = 1 if len(ns) == 1 else -1
-    out = [((ns, face), sign * c) for face, c in simplex_faces(tau)]
-    if len(ns) == 2:
-        out += [(((ns[1],), tau), 1), (((ns[0],), tau), -1)]
-    return out
 
 
 def sublevel_barcode(M: MappedComplex, cover: IntervalCover, field: int = 2) -> Barcode:
@@ -191,18 +196,34 @@ def sublevel_barcode(M: MappedComplex, cover: IntervalCover, field: int = 2) -> 
     coboundary of that order with clearing, as ``compute_barcode`` does.
     Bars are half-open; zero-length ones are dropped.
     """
-    check_cover_granularity(M, cover)
-    value = {tau: max(M.values[v] for v in tau) for tau in M.complex.simplices}
-    cells = sorted(
-        ((ns, tau) for ns, P in _leray_pieces(M, cover).items() for tau in P.simplices),
-        key=lambda c: (value[c[1]], len(c[0]) + len(c[1]), c),
-    )
-    values = [value[tau] for _, tau in cells]
-    degrees = [len(ns) + len(tau) - 2 for ns, tau in cells]
-    index = {cell: i for i, cell in enumerate(cells)}
-    terms = [(index[face], i, c) for i, cell in enumerate(cells) for face, c in _tot_faces(cell)]
-    coboundary = np.fromiter(chain.from_iterable(terms), np.int64, 3 * len(terms)).reshape(-1, 3).T
-    return _filtration_barcode(values, degrees, coboundary, field)
+    return _blowup_barcode(M, _leray_pieces(M, cover), field)
+
+
+def _blowup_barcode(M: MappedComplex, pieces: dict[Simplex, SimplicialComplex], field: int) -> Barcode:
+    """``sublevel_barcode`` on the given pieces, numbering cells piece by
+    piece in nerve order, then by dimension and row. A piece on a nerve
+    edge (a, b) has its boundary negated and maps into b's and a's pieces
+    with signs +1 and -1."""
+    nerve, start, n = sorted(pieces), {}, 0
+    values, degrees = [np.zeros(0)], [np.zeros(0, dtype=np.int64)]
+    for ns in nerve:
+        maxima = pieces[ns]._fold(_vertex_values(M, pieces[ns]), np.maximum)
+        start[ns] = n + np.cumsum([0] + [len(vals) for vals in maxima])
+        n = start[ns][-1]
+        values += maxima
+        degrees += [np.full(len(vals), len(ns) - 1 + k) for k, vals in enumerate(maxima)]
+    terms = [[np.zeros(0, dtype=np.int64)] * 3]
+    terms += [_boundary_terms(pieces[ns], start[ns], 1 if len(ns) == 1 else -1) for ns in nerve]
+    for ns in (ns for ns in nerve if len(ns) == 2):
+        for end, c in (((ns[1],), 1), ((ns[0],), -1)):
+            for k, keep in enumerate(_inclusion(pieces[ns], pieces[end])[: pieces[ns].dimension + 1]):
+                cofaces = start[ns][k] + np.arange(np.count_nonzero(keep))
+                terms.append([start[end][k] + np.flatnonzero(keep), cofaces, np.full(len(cofaces), c)])
+    values, degrees = np.concatenate(values), np.concatenate(degrees)
+    # lexsort is stable, so ties in (value, degree) keep the cell order.
+    order = np.lexsort((degrees, values))
+    coboundary = [np.concatenate(t) for t in zip(*terms)]
+    return _filtration_barcode(values, degrees, order, coboundary, field)
 
 
 def sublevel_module(
@@ -230,12 +251,12 @@ def sublevel_module(
         raise ValueError(f"thresholds must be strictly increasing, got {ts}")
     if not all(math.isfinite(t) for t in ts):
         raise ValueError("thresholds must be finite")
-    bc = sublevel_barcode(M, cover, field)
-    dims = [bc.alive_at(t, degree) for t in ts]
     pieces = _leray_pieces(M, cover)
+    bc = _blowup_barcode(M, pieces, field)
+    dims = [bc.alive_at(t, degree) for t in ts]
+    piece_values = {ns: _vertex_values(M, P) for ns, P in pieces.items()}
     for t, dim in zip(ts, dims):
-        below = {v for v, x in M.values.items() if x <= t}
-        sublevel_pieces = {ns: P.full_subcomplex(below) for ns, P in pieces.items()}
+        sublevel_pieces = {ns: P._full(piece_values[ns] <= t) for ns, P in pieces.items()}
         formula = _formula_on_pieces(sublevel_pieces, degree, field)
         if formula != dim:
             raise InternalInconsistencyError(

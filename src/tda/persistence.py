@@ -1,9 +1,8 @@
 """Filtrations, the persistence reduction algorithm, and barcodes.
 
-A filtration is stored as arrays, one set per dimension: the simplices'
-sorted vertex ids in lexicographic row order, their values, and the
-positions of their facets one dimension down, found once by the one
-validation every filtration passes. A barcode is stored as three columns
+A filtration is a ``SimplicialComplex`` (vertex and facet-position arrays
+per dimension) with its values in the same row order, checked once to be
+monotone, and its filtration order. A barcode is stored as three columns
 (degree, birth, death); ``Bar`` objects are built when first asked for.
 
 Barcodes come from one pairing routine: it reduces the anti-transposed
@@ -29,6 +28,8 @@ from .complexes import (
     Simplex,
     SimplicialComplex,
     _cech_entries,
+    _id_rows,
+    _layout,
     _rips_entries,
     squared_distance_matrix,
 )
@@ -139,27 +140,15 @@ def barcode_to_diagram(bc: Barcode) -> list[tuple[float, float]]:
     return sorted((b.birth, b.death) for b in bc)
 
 
-def _lookup(keys: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Index of each x in the sorted, distinct keys, or -1 if absent."""
-    if not len(keys):
-        return np.full(np.shape(x), -1)
-    i = np.minimum(np.searchsorted(keys, x), len(keys) - 1)
-    return np.where(keys[i] == x, i, -1)
-
-
 class FilteredComplex:
-    """Simplices paired with monotone appearance values.
+    """A complex with monotone appearance values.
 
-    Per dimension k the simplices are stored as arrays in lexicographic
-    order: their sorted vertex ids (N_k, k+1), their values, and the
-    positions of their facets among the (k-1)-simplices (column j deletes
-    vertex j). Vertices are keyed by their rank among the vertex ids and a
-    k-simplex by (position of its prefix face, rank of its last vertex),
-    so keys stay below (simplex count)^2 whatever the ids. The filtration
-    orders simplices by (value, dimension, lexicographic vertex order);
-    ``entries`` lists its (simplex, value) pairs in that order. The
-    simplex set must be face-closed and every face must appear no later
-    than its cofaces.
+    The complex holds the simplices as per-dimension arrays (see
+    ``SimplicialComplex``); the values are stored per dimension in the same
+    row order. The filtration orders simplices by (value, dimension,
+    lexicographic vertex order); ``entries`` lists its (simplex, value)
+    pairs in that order. The simplex set must be face-closed and every face
+    must appear no later than its cofaces.
     """
 
     def __init__(self, entries: Iterable[tuple[Sequence[int], float]]):
@@ -174,93 +163,43 @@ class FilteredComplex:
         layers = []
         for size in range(1, max(by_size, default=0) + 1):
             simplices, values = by_size.get(size, ([], []))
-            try:
-                verts = np.array(simplices, dtype=np.int64).reshape(len(simplices), size)
-            except OverflowError as exc:
-                raise MalformedSimplexError("vertex ids must fit in 64-bit integers") from exc
-            layers.append((verts, np.array(values, dtype=float)))
-        self._build(layers)
+            layers.append((_id_rows(simplices, size), values))
+        self._attach(*_checked(layers))
 
     @classmethod
     def from_layers(cls, layers: Sequence[tuple[np.ndarray, np.ndarray]]) -> "FilteredComplex":
         """The filtration of per-dimension (vertices, values) arrays, layer k
         holding (N_k, k+1) vertex ids, validated as the constructor validates."""
+        return cls._of(*_checked(layers))
+
+    @classmethod
+    def _of(cls, K: SimplicialComplex, vals: list[np.ndarray]) -> "FilteredComplex":
         fc = cls.__new__(cls)
-        fc._build(layers)
+        fc._attach(K, vals)
         return fc
 
-    def _build(self, layers) -> None:
-        """Check every rule of a filtration on per-dimension arrays and store
-        them in lexicographic order with their facet positions."""
-        layers = [
-            (np.sort(np.asarray(verts, dtype=np.int64), axis=1), np.asarray(vals, dtype=float))
-            for verts, vals in layers
-        ]
-        for k, (verts, vals) in enumerate(layers):
-            if verts.shape != (len(vals), k + 1):
-                raise ValueError(f"layer {k} needs {len(vals)} rows of {k + 1} vertex ids, got {verts.shape}")
-            negative, repeated = verts < 0, verts[:, 1:] == verts[:, :-1]
-            for bad, what in ((negative, "negative vertex id"), (repeated, "duplicate vertices")):
-                if bad.any():
-                    s = tuple(verts[bad.any(axis=1)][0].tolist())
-                    raise MalformedSimplexError(f"{what} in {s}")
-        self._verts: list[np.ndarray] = []
-        self._vals: list[np.ndarray] = []
-        self._faces: list[np.ndarray] = []
-        keys: list[np.ndarray] = []
-
-        def find(ranks: np.ndarray) -> np.ndarray:
-            """Position of each row of vertex ranks among the stored simplices
-            of its dimension, or -1 if absent."""
-            pos = ranks[:, 0]
-            for level in range(1, ranks.shape[1]):
-                key = np.where(pos >= 0, pos * len(keys[0]) + ranks[:, level], -1)
-                pos = _lookup(keys[level], key)
-            return pos
-
-        def require(found: np.ndarray, faces: np.ndarray) -> None:
-            if (found < 0).any():
-                face = tuple(faces[found < 0][0].tolist())
-                raise TdaError(f"filtration is not face-closed: missing {face}")
-
-        for k, (verts, vals) in enumerate(layers):
-            if k == 0:
-                key = verts[:, 0]
-            else:
-                ranks = _lookup(keys[0], verts)
-                require(ranks.ravel(), verts.reshape(-1, 1))
-                prefix = find(ranks[:, :k])
-                require(prefix, verts[:, :k])
-                key = prefix * len(keys[0]) + ranks[:, k]
-            order = np.argsort(key)
-            key, verts, vals = key[order], verts[order], vals[order]
-            if (key[1:] == key[:-1]).any():
-                raise TdaError("duplicate simplex in filtration")
-            keys.append(key)
-            if k:
-                ranks, prefix = ranks[order], prefix[order]
-                facets = [find(np.delete(ranks, j, axis=1)) for j in range(k)] + [prefix]
-                for j, found in enumerate(facets):
-                    require(found, np.delete(verts, j, axis=1))
-                facets = np.column_stack(facets)
-                late = self._vals[k - 1][facets] > vals[:, None]
-                if late.any():
-                    i, j = np.argwhere(late)[0].tolist()
-                    face, s = tuple(np.delete(verts[i], j).tolist()), tuple(verts[i].tolist())
-                    raise TdaError(f"filtration not monotone: value({face}) > value({s})")
-                self._faces.append(facets)
-            self._verts.append(verts)
-            self._vals.append(vals)
+    def _attach(self, K: SimplicialComplex, vals: list[np.ndarray]) -> None:
+        """Hold complex K with values per dimension in its row order, after
+        checking that no facet appears later than its simplex."""
+        vals = vals[: K.dimension + 1]
+        for k in range(1, len(vals)):
+            late = vals[k - 1][K._faces[k]] > vals[k][:, None]
+            if late.any():
+                i, j = np.argwhere(late)[0].tolist()
+                verts = K._verts[k]
+                face, s = tuple(np.delete(verts[i], j).tolist()), tuple(verts[i].tolist())
+                raise TdaError(f"filtration not monotone: value({face}) > value({s})")
+        self._complex, self._vals = K, vals
         # Rows are grouped by dimension in lexicographic order, so a stable
         # sort by value gives the (value, dimension, lexicographic) order.
-        self._order = np.argsort(np.concatenate(self._vals or [np.zeros(0)]), kind="stable")
+        self._order = np.argsort(np.concatenate(vals or [np.zeros(0)]), kind="stable")
         self._entries: list[tuple[Simplex, float]] | None = None
 
     @property
     def entries(self) -> list[tuple[Simplex, float]]:
         """(simplex, value) pairs in filtration order, built once."""
         if self._entries is None:
-            simplices = [tuple(s) for verts in self._verts for s in verts.tolist()]
+            simplices = list(self._complex)
             values = np.concatenate(self._vals or [np.zeros(0)]).tolist()
             self._entries = [(simplices[i], values[i]) for i in self._order.tolist()]
         return self._entries
@@ -272,16 +211,34 @@ class FilteredComplex:
         return sorted({v for _, v in self.entries})
 
     def complex_at(self, t: float) -> SimplicialComplex:
-        return SimplicialComplex([s for s, v in self.entries if v <= t], _closed=True)
+        return self._complex._restrict([vals <= t for vals in self._vals])
 
     def underlying_complex(self) -> SimplicialComplex:
-        return SimplicialComplex([s for s, _ in self.entries], _closed=True)
+        return self._complex
 
     def __len__(self) -> int:
         return len(self._order)
 
     def __iter__(self):
         return iter(self.entries)
+
+
+def _checked(layers) -> tuple[SimplicialComplex, list[np.ndarray]]:
+    """The complex of per-dimension (vertices, values) arrays, and its values."""
+    layers = [
+        (np.sort(np.asarray(verts, dtype=np.int64), axis=1), np.asarray(vals, dtype=float))
+        for verts, vals in layers
+    ]
+    for k, (verts, vals) in enumerate(layers):
+        if verts.shape != (len(vals), k + 1):
+            raise ValueError(f"layer {k} needs {len(vals)} rows of {k + 1} vertex ids, got {verts.shape}")
+        negative, repeated = verts < 0, verts[:, 1:] == verts[:, :-1]
+        for bad, what in ((negative, "negative vertex id"), (repeated, "duplicate vertices")):
+            if bad.any():
+                s = tuple(verts[bad.any(axis=1)][0].tolist())
+                raise MalformedSimplexError(f"{what} in {s}")
+    K, orders = _layout([verts for verts, _ in layers])
+    return K, [vals[order] for (_, vals), order in zip(layers, orders)]
 
 
 def rips_filtration(
@@ -309,9 +266,8 @@ def lower_star_filtration(K: SimplicialComplex, vertex_values: Mapping[int, floa
     for v in K.vertices():
         if v not in vertex_values:
             raise MissingVertexValueError(f"vertex {v} has no value")
-    return FilteredComplex(
-        (s, max(vertex_values[v] for v in s)) for s in K.simplices
-    )
+    f = np.array([vertex_values[v] for v in K.vertices()], dtype=float)
+    return FilteredComplex._of(K, K._fold(f, np.maximum))
 
 
 def superlevel_filtration(K: SimplicialComplex, vertex_values: Mapping[int, float]) -> FilteredComplex:
@@ -324,23 +280,27 @@ def superlevel_filtration(K: SimplicialComplex, vertex_values: Mapping[int, floa
     return lower_star_filtration(K, negated)
 
 
-def _filtration_barcode(values, degrees, coboundary, field: int, include_zero_bars: bool = False) -> Barcode:
-    """Barcode of cells in filtration order with the given values and
-    degrees. ``coboundary`` holds three integer arrays, one term each: the
-    position of a face, the position of a coface one degree up (later in
-    the order), and the incidence coefficient. Each cell's column has a row
-    per coface, rows in reverse filtration order, so a column's largest
-    row is its earliest coface. Columns are reduced degree by degree from
-    low to high, each degree in decreasing filtration order, skipping the
-    cells already paired one degree down (clearing). The column of cell i
-    with the pivot row of cell j yields the bar [value_i, value_j) in
-    degree_i; a zero column yields an infinite bar."""
+def _filtration_barcode(
+    values, degrees, order, coboundary, field: int, include_zero_bars: bool = False
+) -> Barcode:
+    """Barcode of cells with the given values and degrees, filtered in the
+    given order. ``coboundary`` holds three integer arrays, one term each:
+    a face, a coface one degree up (later in the order), and the incidence
+    coefficient. Each cell's column has a row per coface, rows in reverse
+    filtration order, so a column's largest row is its earliest coface.
+    Columns are reduced degree by degree from low to high, each degree in
+    decreasing filtration order, skipping the cells already paired one
+    degree down (clearing). The column of cell i with the pivot row of
+    cell j yields the bar [value_i, value_j) in degree_i; a zero column
+    yields an infinite bar."""
     fields.check_prime(field)
-    values = np.asarray(values, dtype=float)
-    degrees = np.asarray(degrees, dtype=np.int64)
-    n = len(values)
+    n = len(order)
+    position = np.empty(n, dtype=np.int64)
+    position[order] = np.arange(n)
+    values = np.asarray(values, dtype=float)[order]
+    degrees = np.asarray(degrees, dtype=np.int64)[order]
     face, coface, coef = (np.asarray(a, dtype=np.int64) for a in coboundary)
-    coef = coef % field
+    face, coface, coef = position[face], position[coface], coef % field
     by_column = np.flatnonzero(coef)
     by_column = by_column[np.argsort(face[by_column])]  # the order within a column does not matter
     rows, coefs = n - 1 - coface[by_column], coef[by_column]
@@ -371,23 +331,25 @@ def _filtration_barcode(values, degrees, coboundary, field: int, include_zero_ba
     return Barcode.from_columns(degrees[born][keep], birth[keep], death[keep])
 
 
+def _boundary_terms(K: SimplicialComplex, start, sign: int = 1) -> list[np.ndarray]:
+    """The (face, coface, coefficient) terms of K's boundary, row i of layer
+    k being cell start[k] + i; deleting vertex j has sign * (-1)^j."""
+    terms = [(np.zeros(0, dtype=np.int64),) * 3]
+    for k, facets in enumerate(K._faces[1:], start=1):
+        signs = np.tile([sign * (-1) ** j for j in range(k + 1)], len(facets))
+        cofaces = np.repeat(start[k] + np.arange(len(facets)), k + 1)
+        terms.append((start[k - 1] + facets.ravel(), cofaces, signs))
+    return [np.concatenate(t) for t in zip(*terms)]
+
+
 def compute_barcode(fc: FilteredComplex, field: int = 2, include_zero_bars: bool = False) -> Barcode:
     """Barcode of a filtration, a simplex's degree being its dimension, by
     the coboundary reduction with clearing. The coboundary terms come from
-    the facet positions the filtration's validation found. Zero-length
-    bars are dropped unless include_zero_bars is set.
+    the complex's facet positions. Zero-length bars are dropped unless
+    include_zero_bars is set.
     """
     sizes = [len(v) for v in fc._vals]
-    offsets = np.cumsum([0] + sizes)
-    # The filtration position of each simplex, by (dimension, lexicographic) index.
-    position = np.empty(len(fc), dtype=np.int64)
-    position[fc._order] = np.arange(len(fc))
-    faces, cofaces, coefficients = ([np.zeros(0, dtype=np.int64)] for _ in range(3))
-    for k, facets in enumerate(fc._faces, start=1):
-        faces.append(position[offsets[k - 1] + facets].ravel())
-        cofaces.append(np.repeat(position[offsets[k] : offsets[k + 1]], k + 1))
-        coefficients.append(np.tile([(-1) ** j for j in range(k + 1)], sizes[k]))
-    coboundary = [np.concatenate(terms) for terms in (faces, cofaces, coefficients)]
-    values = np.concatenate(fc._vals or [np.zeros(0)])[fc._order]
-    degrees = np.repeat(np.arange(len(sizes)), sizes)[fc._order]
-    return _filtration_barcode(values, degrees, coboundary, field, include_zero_bars)
+    values = np.concatenate(fc._vals or [np.zeros(0)])
+    degrees = np.repeat(np.arange(len(sizes)), sizes)
+    terms = _boundary_terms(fc._complex, np.cumsum([0] + sizes))
+    return _filtration_barcode(values, degrees, fc._order, terms, field, include_zero_bars)

@@ -7,6 +7,7 @@ from __future__ import annotations
 import math
 import os
 import tempfile
+from itertools import combinations
 
 import numpy as np
 from hypothesis import configuration, settings
@@ -38,6 +39,56 @@ def small_clouds(draw):
     coords = draw(st.lists(st.floats(0.0, 1.0), min_size=n * d, max_size=n * d))
     r = draw(st.floats(0.05, 1.0, exclude_min=True, exclude_max=True))
     return np.array(coords).reshape(n, d), r, draw(st.integers(0, 3))
+
+
+def face_closure(simplices) -> set[tuple[int, ...]]:
+    """Every nonempty face of the given sorted vertex tuples."""
+    closed: set[tuple[int, ...]] = set()
+    for s in simplices:
+        for k in range(1, len(s) + 1):
+            closed.update(combinations(s, k))
+    return closed
+
+
+class TupleComplex:
+    """The reference complex: the face closure of the normalized simplices
+    as a frozenset of sorted tuples, with the tuple-set semantics that
+    ``SimplicialComplex`` must reproduce on its arrays."""
+
+    def __init__(self, simplices=()):
+        self.simplices = frozenset(face_closure({tda.simplex(s) for s in simplices}))
+
+    @property
+    def dimension(self) -> int:
+        return max((len(s) - 1 for s in self.simplices), default=-1)
+
+    def p_simplices(self, p: int) -> list[tuple[int, ...]]:
+        return sorted(s for s in self.simplices if len(s) == p + 1)
+
+    def vertices(self) -> list[int]:
+        return sorted(s[0] for s in self.simplices if len(s) == 1)
+
+    def full_subcomplex(self, vertex_subset) -> "TupleComplex":
+        vs = set(vertex_subset)
+        return TupleComplex(s for s in self.simplices if vs.issuperset(s))
+
+    def is_subcomplex_of(self, other: "TupleComplex") -> bool:
+        return self.simplices <= other.simplices
+
+    def __contains__(self, s) -> bool:
+        return tuple(s) in self.simplices
+
+    def __len__(self) -> int:
+        return len(self.simplices)
+
+    def __iter__(self):
+        return iter(sorted(self.simplices, key=lambda s: (len(s), s)))
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, TupleComplex) and self.simplices == other.simplices
+
+    def __hash__(self) -> int:
+        return hash(self.simplices)
 
 
 def interval_complex() -> SimplicialComplex:

@@ -360,6 +360,14 @@ def test_cli_rips_predicted_oversize_exits_1(tmp_path, capsys):
     assert "simplices" in err
 
 
+def test_cli_homology_vertex_id_beyond_int64_exits_1(tmp_path, capsys):
+    path = tmp_path / "big_ids.txt"
+    path.write_text(f"0 1\n1 {2**63}\n")
+    code, out, err = run_cli(capsys, "homology", "--complex", str(path))
+    assert code == 1 and out == ""
+    assert err.splitlines() == ["error: vertex ids must fit in 64-bit integers"]
+
+
 def test_cli_domain_errors_exit_1(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("0 0\n")  # duplicate vertex in one simplex

@@ -10,11 +10,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import tda
-from conftest import small_clouds
+from conftest import TupleComplex, small_clouds
 from tda import complexes
 from tda import persistence as P
 from tda.complexes import IntervalCover, simplex, squared_distance_matrix
 from tda.errors import InvalidMetricError, MalformedSimplexError, NonlinearNerveError
+from tda.homology import boundary_matrix
 
 
 def brute_force_rips(points, r, max_dim):
@@ -71,6 +72,60 @@ def test_face_closure_property_random():
             for k in range(1, len(s)):
                 for sub in combinations(s, k):
                     assert sub in K
+
+
+@st.composite
+def simplex_lists(draw):
+    """(simplices, vertex subset): a few top simplices on small ids or ids
+    near 2^62, listed with their vertices shuffled, together with repeats
+    of them and some of their faces (redundant input), in shuffled order;
+    plus a vertex subset that may name ids outside the complex."""
+    id_values = st.one_of(st.integers(0, 9), st.integers(2**62 - 9, 2**62))
+    ids = draw(st.lists(id_values, min_size=1, max_size=8, unique=True))
+    tops = draw(st.lists(st.lists(st.sampled_from(ids), min_size=1, max_size=4, unique=True), max_size=6))
+    redundant = [draw(st.permutations(t))[: draw(st.integers(1, len(t)))] for t in tops]
+    listed = draw(st.permutations(tops + redundant + tops[: draw(st.integers(0, len(tops)))]))
+    subset = draw(st.lists(st.one_of(st.sampled_from(ids), st.integers(0, 2**62)), max_size=8))
+    return [draw(st.permutations(s)) for s in listed], subset
+
+
+def same_as_oracle(K, ref):
+    assert K.simplices == ref.simplices
+    assert list(K) == list(ref)
+    assert K.vertices() == ref.vertices()
+    assert (K.dimension, len(K), hash(K)) == (ref.dimension, len(ref), hash(ref))
+    for p in range(-1, ref.dimension + 2):
+        assert K.p_simplices(p) == ref.p_simplices(p)
+    for s in list(ref) + [s[::-1] for s in ref if len(s) > 1] + [(2**62 + 1,), ()]:
+        assert (s in K) == (s in ref)
+
+
+@given(simplex_lists())
+def test_complex_layout_matches_tuple_oracle(case):
+    """The array layout has the tuple-set semantics: simplices, lexicographic
+    p_simplices, iteration order, vertices, dimension, len, membership,
+    == and hash, full subcomplexes and the subcomplex relation. A full
+    subcomplex's re-indexed facets give the boundaries of the same complex
+    built from scratch."""
+    simplices, subset = case
+    K, ref = tda.build_complex(simplices), TupleComplex(simplices)
+    same_as_oracle(K, ref)
+    sub, ref_sub = K.full_subcomplex(subset), ref.full_subcomplex(subset)
+    same_as_oracle(sub, ref_sub)
+    rebuilt = tda.build_complex(list(sub))
+    assert rebuilt == sub and (sub == K) == (ref_sub == ref)
+    assert (sub.is_subcomplex_of(K), K.is_subcomplex_of(sub)) == (True, ref.is_subcomplex_of(ref_sub))
+    for p in range(sub.dimension + 2):
+        assert np.array_equal(boundary_matrix(sub, p, 3), boundary_matrix(rebuilt, p, 3))
+
+
+@pytest.mark.parametrize("vertex", [2**63, 2**64 + 5])
+def test_vertex_ids_beyond_int64_rejected(vertex):
+    for build in (tda.SimplicialComplex, tda.build_complex):
+        with pytest.raises(MalformedSimplexError, match="vertex ids must fit in 64-bit integers"):
+            build([[0, 1], [1, vertex]])
+    K = tda.build_complex([[0, 2**63 - 1]])
+    assert K.p_simplices(1) == [(0, 2**63 - 1)]
 
 
 def test_rips_equilateral_triangle_at_exact_threshold():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import tda
 from conftest import (
+    TupleComplex,
     dense_quotient,
     hollow_triangle,
     interval_complex,
@@ -18,7 +19,7 @@ from conftest import (
 )
 from tda import fields
 from tda.errors import NonSimplicialMapError
-from tda.homology import boundary_matrix, chain_map, coboundary_matrix, induced_map
+from tda.homology import boundary_matrix, chain_map, coboundary_matrix, induced_map, simplex_faces
 
 
 def test_interval_boundary_column():
@@ -32,6 +33,32 @@ def test_interval_boundary_column():
 def test_boundary_p0_has_no_rows():
     K = solid_triangle()
     assert boundary_matrix(K, 0, 2).shape == (0, 3)
+
+
+def tuple_boundary(ref: TupleComplex, p: int, field: int) -> np.ndarray:
+    """d_p of the tuple oracle, one simplex_faces call per column."""
+    rows, cols = ref.p_simplices(p - 1), ref.p_simplices(p)
+    D = np.zeros((len(rows), len(cols)), dtype=np.int64)
+    for j, tau in enumerate(cols):
+        for face, sign in simplex_faces(tau):
+            D[rows.index(face), j] = sign % field
+    return D
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3, 5]))
+def test_boundaries_equal_tuple_oracle(seed, field):
+    """Boundary and coboundary matrices in degrees 0-3, read off facet
+    positions, equal the oracle's, on a random complex and on a random
+    full subcomplex of it (re-indexed facets)."""
+    rng = np.random.default_rng(seed)
+    K = random_complex(rng)
+    sub = K.full_subcomplex(v for v in K.vertices() if rng.random() < 0.7)
+    for L in (K, sub):
+        ref = TupleComplex(L.simplices)
+        expected = [tuple_boundary(ref, p, field) for p in range(5)]
+        for p in range(4):
+            assert np.array_equal(boundary_matrix(L, p, field), expected[p])
+            assert np.array_equal(coboundary_matrix(L, p, field), expected[p + 1].T)
 
 
 def test_boundary_squares_to_zero_random():

@@ -11,11 +11,10 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import tda
-from conftest import grid_torus, homology_barcode, interval_complex, random_complex, small_clouds
+from conftest import face_closure, grid_torus, homology_barcode, interval_complex, random_complex, small_clouds
 from tda import fields, formats
 from tda import persistence as P
 from tda import zigzag as Z
-from tda.complexes import face_closure
 from tda.errors import MalformedSimplexError, MissingVertexValueError, TdaError
 
 
