@@ -237,6 +237,8 @@ def reduce_columns(columns, p: int, pivots: dict | None = None, tracks=None, ins
                 continue
             factor = col[piv]
             _subtract(col, other, factor, p)
+            if piv in col:  # would loop forever
+                raise InternalInconsistencyError(f"stored column with pivot {piv} is not scaled to 1")
             if track is not None and other_track:
                 _subtract(track, other_track, factor, p)
         else:

@@ -190,15 +190,19 @@ _BAR_JSON = '    {\n      "birth": %s,\n      "death": %s,\n      "dim": %s\n   
 
 def barcode_to_json(bc: Barcode, field: int) -> str:
     """The bytes of ``json.dumps({"bars": [...], "field": field}, indent=2,
-    sort_keys=True)`` plus a newline, from one template per bar. One
-    compact json.dumps of the barcode's columns spells all the numbers
-    (floats by repr, None as null); split at its separators, they fill
-    the templates in one formatting."""
+    sort_keys=True)`` plus a newline, from one template per bar. Each
+    distinct float is spelled once as json.dumps spells it, by repr or an
+    infinite death as null, and told apart by bit pattern: 0.0 == -0.0 but
+    their spellings differ. Each distinct degree is spelled by json.dumps.
+    The spellings fill the templates in one formatting."""
     degrees, births, deaths = bc.columns
-    deaths = [None if d == math.inf else d for d in deaths]
-    numbers = json.dumps([x for bar in zip(births, deaths, degrees) for x in bar])
-    spelled = tuple(numbers[1:-1].split(", ")) if degrees else ()
-    bars = ",\n".join([_BAR_JSON] * len(degrees)) % spelled
+    bits, which = np.unique(np.array(births + deaths, dtype=float).view(np.int64), return_inverse=True)
+    floats = bits.view(float).tolist()
+    numbers = np.array(["null" if x == math.inf else repr(x) for x in floats], dtype=object)
+    dims = {d: json.dumps(d) for d in set(degrees)}
+    spelled = np.empty((3, len(degrees)), dtype=object)
+    spelled[:2], spelled[2] = numbers[which.reshape(2, -1)], [dims[d] for d in degrees]
+    bars = ",\n".join([_BAR_JSON] * len(degrees)) % tuple(spelled.T.ravel().tolist())
     bars = f"[\n{bars}\n  ]" if bars else "[]"
     return f'{{\n  "bars": {bars},\n  "field": {json.dumps(field)}\n}}\n'
 

@@ -280,6 +280,18 @@ def superlevel_filtration(K: SimplicialComplex, vertex_values: Mapping[int, floa
     return lower_star_filtration(K, negated)
 
 
+class _ApparentPivots(dict):
+    """Pivots for ``reduce_columns`` that store ``build(row)`` on a missed row, unless None."""
+
+    def __init__(self, build):
+        self.build = build
+
+    def get(self, row):
+        if row not in self and (col := self.build(row)) is not None:
+            self[row] = (col, None)
+        return super().get(row)
+
+
 def _filtration_barcode(
     values, degrees, order, coboundary, field: int, include_zero_bars: bool = False
 ) -> Barcode:
@@ -292,7 +304,13 @@ def _filtration_barcode(
     decreasing filtration order, skipping the cells already paired one
     degree down (clearing). The column of cell i with the pivot row of
     cell j yields the bar [value_i, value_j) in degree_i; a zero column
-    yields an infinite bar."""
+    yields an infinite bar.
+
+    Cell i is apparent (Bauer 2021, §3.5) when it is the latest face of
+    its earliest coface c. No column reduced before i holds row c, as every
+    face of c is at or before i, so column i keeps pivot c: the bar [value_i,
+    value_c) needs no column. An apparent column is built, as given and
+    scaled to pivot 1, only when a later column looks up its pivot row."""
     fields.check_prime(field)
     n = len(order)
     position = np.empty(n, dtype=np.int64)
@@ -303,9 +321,20 @@ def _filtration_barcode(
     face, coface, coef = position[face], position[coface], coef % field
     by_column = np.flatnonzero(coef)
     by_column = by_column[np.argsort(face[by_column])]  # the order within a column does not matter
-    rows, coefs = n - 1 - coface[by_column], coef[by_column]
-    start = np.searchsorted(face[by_column], np.arange(n + 1))
+    face, coface, coefs = face[by_column], coface[by_column], coef[by_column]
+    start = np.searchsorted(face, np.arange(n + 1))
+    earliest = np.full(n, n, dtype=np.int64)  # n for no coface
+    latest_face = np.full(n + 1, -1, dtype=np.int64)  # the last entry stands for no coface
+    np.minimum.at(earliest, face, coface)
+    np.maximum.at(latest_face, coface, face)
+    rows = n - 1 - coface
     del face, coface, coef, by_column
+
+    def apparent_column(row):  # None unless row is the earliest coface of apparent cell i
+        if earliest[i := latest_face[n - 1 - row]] == n - 1 - row:
+            raw = fields.sparse_columns(rows, coefs, [(start[i], start[i + 1])], field)
+            return next(fields.reduce_columns(raw, field))[1]
+
     cleared = np.zeros(n, dtype=bool)
     born: list[int] = []
     dies: list[int] = []  # -1 for an infinite bar
@@ -313,13 +342,17 @@ def _filtration_barcode(
         unpaired = np.flatnonzero((degrees == degree) & ~cleared)[::-1]
         # A cell without nonzero coboundary terms has a zero column.
         has_cofaces = start[unpaired + 1] > start[unpaired]
+        apparent = latest_face[earliest[unpaired]] == unpaired
         first = len(born)
         born += unpaired[~has_cofaces].tolist()
         dies += [-1] * (len(born) - first)
-        paired = unpaired[has_cofaces]
+        born += unpaired[apparent].tolist()
+        dies += earliest[unpaired[apparent]].tolist()
+        paired = unpaired[has_cofaces & ~apparent]
         bounds = zip(start[paired].tolist(), start[paired + 1].tolist())
         columns = fields.sparse_columns(rows, coefs, bounds, field)
-        for i, (piv, _, _) in zip(paired.tolist(), fields.reduce_columns(columns, field)):
+        reduced = fields.reduce_columns(columns, field, _ApparentPivots(apparent_column))
+        for i, (piv, _, _) in zip(paired.tolist(), reduced):
             born.append(i)
             dies.append(-1 if piv is None else n - 1 - piv)
         killed = np.array(dies[first:], dtype=np.int64)

@@ -79,9 +79,22 @@ def any_bars(draw):
     return Bar(draw(st.one_of(st.none(), st.integers(0, 5))), birth, death)
 
 
-@given(st.lists(any_bars(), max_size=8), st.sampled_from([2, 3, 5, 32749]))
+@st.composite
+def pooled_bars(draw):
+    """Up to 200 bars whose births and deaths come from a pool of 0.0,
+    -0.0 and up to four other floats, so that spellings repeat."""
+    pool = st.sampled_from([0.0, -0.0] + draw(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=4)))
+    ends = st.tuples(st.one_of(st.none(), st.integers(0, 3)), pool, st.one_of(pool, st.just(math.inf)))
+    return [Bar(d, min(a, b), max(a, b)) for d, a, b in draw(st.lists(ends, max_size=200))]
+
+
+@given(st.one_of(st.lists(any_bars(), max_size=8), pooled_bars()), st.sampled_from([2, 3, 5, 32749]))
 @example([], 2)
 @example([Bar(None, -0.0, math.inf), Bar(0, -1e308, 1e308), Bar(2, 5e-324, 2.5e-308)], 3)
+@example([Bar(0, 0.0, 1.0), Bar(0, -0.0, 1.0), Bar(1, -0.0, 0.0)], 2)
+@example([Bar(1, 0.25, 0.5)] * 50 + [Bar(0, 0.25, 0.5)] * 3, 2)
+@example([Bar(0, 0.0, math.inf), Bar(0, 0.0, 0.5), Bar(1, 0.5, math.inf), Bar(1, 0.5, 0.75)], 3)
+@example([Bar(None, 0.0, 1.0), Bar(0, 0.0, 1.0), Bar(2, 1.0, 2.0), Bar(None, 1.0, 2.0)], 5)
 def test_barcode_json_equals_json_dumps(bars, field):
     bc = Barcode(bars)
     obj = {
