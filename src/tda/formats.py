@@ -27,7 +27,7 @@ from .complexes import IntervalCover, SimplicialComplex, build_complex, simplex
 from .cosheaf import SimplicialCosheaf, codim1_pairs
 from .errors import TdaError
 from .persistence import Bar, Barcode, FilteredComplex
-from .zigzag import BACKWARD, FORWARD, ZigzagModule
+from .zigzag import BACKWARD, FORWARD, ZigzagModule, _check_dims
 
 
 def _nonblank_lines(text: str) -> list[str]:
@@ -165,6 +165,7 @@ def parse_zigzag(text: str) -> ZigzagModule:
     if not lines or not lines[0].startswith("dims"):
         raise TdaError("zigzag file must start with a `dims d0 d1 ...` header")
     dims = [int(x) for x in lines[0].split()[1:]]
+    _check_dims(dims)
     arrows = []
     for i, line in enumerate(lines[1:]):
         parts = line.split()

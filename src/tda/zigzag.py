@@ -1,34 +1,35 @@
 """Finite zigzag modules and finite diagrams of vector spaces.
 
-Limits and colimits are computed from the difference map of a diagram;
-the generalized rank of a zigzag over a slot interval is the rank of the
-canonical map from the limit to the colimit of the restriction, and
-interval multiplicities follow by inclusion-exclusion.
-
-``decompose_zigzag`` gets every generalized rank from one left-to-right
-sweep per left end b. Extending [b, d] to [b, d+1] changes the limit by
-a pullback over slot d when the new arrow points back into d, and the
-colimit by a pushout when it points out of d; the other side only
-composes with the arrow. So each step costs one kernel of a slot-sized
-matrix, and a zigzag of n slots takes O(n²) of them. ``generalized_rank``
-is the single-interval definition, kept as the reference the sweep is
-tested against. An ordinary persistence module (:class:`ExplicitModule`)
-is decomposed as the all-forward zigzag.
+Limits and colimits are computed from the difference map of a diagram.
+The generalized rank of a zigzag over [b, d], the rank of the canonical
+map from the limit to the colimit of the restriction, counts the interval
+summands that contain [b, d]; it is the definition ``decompose_zigzag``
+is tested against. ``decompose_zigzag`` finds the summands in one
+left-to-right sweep (Carlsson–de Silva 2010, right filtrations), one or
+two eliminations of slot-sized matrices per arrow, so a zigzag of n slots
+takes O(n) of them. An ordinary persistence module
+(:class:`ExplicitModule`) is decomposed as the all-forward zigzag.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field as dataclass_field
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import fields
-from .errors import InternalInconsistencyError, TdaError
+from .errors import TdaError
 from .persistence import Bar, Barcode
 
 FORWARD = "fwd"
 BACKWARD = "bwd"
+
+
+def _check_dims(dims: Sequence[int]) -> None:
+    if any(d < 0 for d in dims):
+        raise TdaError(f"dimensions must be non-negative, got {list(dims)}")
 
 
 @dataclass
@@ -39,6 +40,7 @@ class FiniteDiagram:
     morphisms: list[tuple[int, int, np.ndarray]]
 
     def __post_init__(self):
+        _check_dims(self.dims)
         checked = []
         for s, t, M in self.morphisms:
             M = np.asarray(M, dtype=np.int64)
@@ -113,6 +115,7 @@ class ZigzagModule:
     arrows: list[tuple[str, np.ndarray]]
 
     def __post_init__(self):
+        _check_dims(self.dims)
         if len(self.arrows) != max(len(self.dims) - 1, 0):
             raise TdaError(
                 f"need {max(len(self.dims) - 1, 0)} arrows for {len(self.dims)} slots, "
@@ -169,8 +172,8 @@ def generalized_rank(z: ZigzagModule, b: int, d: int, field: int = 2) -> int:
     Equals the ordinary composite rank when every arrow in the range is
     forward, and counts the interval summands containing [b, d] in general.
     This is the definition for one interval, built from scratch with
-    ``limit`` and ``colimit``; ``decompose_zigzag`` computes the same ranks
-    incrementally and is tested against it.
+    ``limit`` and ``colimit``; the bars of ``decompose_zigzag`` are tested
+    against it.
     """
     if not 0 <= b <= d < len(z.dims):
         raise ValueError(f"slot range [{b}, {d}] out of bounds for {len(z.dims)} slots")
@@ -181,80 +184,80 @@ def generalized_rank(z: ZigzagModule, b: int, d: int, field: int = 2) -> int:
     return fields.rank(canonical, field)
 
 
-def _cross(ends, M: np.ndarray, pull: bool, field: int):
-    """Carry the end maps (Eb, Ed) of a limit over [b, d] across M.
-
-    With ``pull`` false, M leaves slot d and the limit is unchanged, so
-    only Ed becomes M Ed. With ``pull`` true, M points into slot d and the
-    new limit is the pullback of Ed and M: with K a kernel basis of
-    [Ed | -M], Eb becomes Eb K[:L] and the new end map K[L:]. A colimit's
-    inclusions, transposed, are a limit's projections for the transposed
-    arrows, so pushouts use the same step. All operands have entries in
-    [0, field), so products are reduced once, with no re-normalizing.
-    """
-    Eb, Ed = ends
-    if not pull:
-        return Eb, (M @ Ed) % field
-    L = Ed.shape[1]
-    K = fields.kernel_basis(np.hstack([Ed, -M]), field)
-    return (Eb @ K[:L]) % field, K[L:]
+def _unit(j: int, n: int) -> list[int]:
+    return [int(i == j) for i in range(n)]
 
 
-def _left_end_ranks(dim: int, arrows, field: int) -> list[int]:
-    """Generalized ranks of [b, d] for d = b..n-1, in one sweep, given the
-    dimension of slot b and the arrows from slot b on, reduced mod field.
+def _forward_step(alive, f, m: int, birth: int, p: int):
+    """Carry the alive bars across f: V_k -> V_{k+1} = k^m (rows of f).
+    Returns (alive bars at k+1, births of the bars that end at k)."""
+    leads: dict[int, list[int]] = {}
+    kept, dead = [], []
+    for b, v in alive:
+        w = [sum(a * x for a, x in zip(row, v)) % p for row in f]
+        for c in range(m):
+            if w[c]:
+                if c not in leads:
+                    break
+                x = w[c]
+                w = [(a - x * y) % p for a, y in zip(w, leads[c])]
+        else:
+            dead.append(b)
+            continue
+        inv = pow(w[c], -1, p)
+        leads[c] = w = [a * inv % p for a in w]
+        kept.append((b, w))
+    return kept + [(birth, _unit(c, m)) for c in range(m) if c not in leads], dead
 
-    Keeps the limit's projections onto slots b and d and the colimit's
-    inclusions of slots b and d (transposed), starting from the identity
-    on slot b; rank [b, d] is the rank of (inclusion of b) (projection to b).
-    """
-    eye = np.eye(dim, dtype=np.int64)
-    lim = col = (eye, eye)
-    ranks = [dim]
-    for direction, M in arrows:
-        forward = direction == FORWARD
-        lim = _cross(lim, M, not forward, field)
-        col = _cross(col, M.T, forward, field)
-        ranks.append(fields.rank(col[0].T @ lim[0], field))
-    return ranks
 
-
-def interval_multiplicities(ranks: Mapping[tuple[int, int], int]) -> list[tuple[int, int, int]]:
-    """Closed intervals [b, d] with positive multiplicity
-    r(b,d) - r(b-1,d) - r(b,d+1) + r(b-1,d+1), from interval ranks given
-    for every 0 <= b <= d < n (ranks outside the table count as 0)."""
-
-    def rk(b: int, d: int) -> int:
-        return ranks.get((b, d), 0)
-
-    out: list[tuple[int, int, int]] = []
-    for b, d in sorted(ranks):
-        mult = rk(b, d) - rk(b - 1, d) - rk(b, d + 1) + rk(b - 1, d + 1)
-        if mult < 0:
-            raise InternalInconsistencyError(
-                f"negative multiplicity {mult} for interval [{b}, {d}]"
-            )
-        if mult:
-            out.append((b, d, mult))
-    return out
+def _backward_step(alive, g, m: int, birth: int, p: int):
+    """Carry the alive bars across g: k^m = V_{k+1} -> V_k (rows of g).
+    Returns (alive bars at k+1, births of the bars that end at k)."""
+    a = len(alive)
+    rows = [[v[i] for _, v in alive] + g[i] for i in range(a)]
+    fields._rref_rows(rows, a + m, p)  # [alive basis | g] -> [I | coordinates]
+    rows = [[rows[i][a + j] for i in reversed(range(a))] + _unit(j, m) for j in range(m)]
+    pivots = fields._rref_rows(rows, a + m, p)
+    preimage = {a - 1 - c: row[a:] for row, c in zip(rows, pivots) if c < a}
+    born = [(birth, row[a:]) for row, c in zip(rows, pivots) if c >= a]
+    kept = [(b, preimage[i]) for i, (b, _) in enumerate(alive) if i in preimage]
+    return born + kept, [b for i, (b, _) in enumerate(alive) if i not in preimage]
 
 
 def decompose_zigzag(z: ZigzagModule, field: int = 2) -> list[IntegerBar]:
-    """Interval multiplicities of a zigzag via generalized-rank
-    inclusion-exclusion; negative multiplicities signal an internal bug.
+    """The interval summands of a zigzag as bars sorted by (lo, hi), equal
+    bars merged into one with their multiplicity.
 
-    The ranks come from one incremental sweep per left end (see the module
-    docstring): O(n²) kernel computations on matrices whose height is one
-    slot's dimension, instead of a fresh limit and colimit per interval.
+    At slot k the sweep holds a basis of V_k: one vector and birth per bar
+    of the prefix [0, k] alive at k, oldest first in the age order. Adding
+    bar y's vector to bar x's is an automorphism of the prefix's
+    decomposition when a module map from x's interval [a, k] to y's [b, k]
+    is nonzero at k: for b < a the arrow into a must point forward, for
+    b > a the arrow into b must point backward. So the age order puts the
+    bars born at the head of a backward arrow first, by decreasing birth,
+    then the rest (born at slot 0 or at the head of a forward arrow) by
+    increasing birth, and the sweep only ever adds older bars to younger.
+
+    Forward arrow: each image, oldest first, is reduced by the leading
+    entries of the older surviving images only. One that reduces to zero
+    ends its bar; the unit vectors at rows no survivor leads are born.
+    Backward arrow: the rref of [coordinates of g's columns in the basis,
+    youngest bar first | I] pairs each bar with the row, if any, whose
+    pivot is its youngest term; that row's I part maps to the bar's vector
+    plus older ones and becomes its vector. Rows pivoting in the I part
+    are a kernel basis of g and are born; unpaired bars end.
     """
-    fields.check_prime(field)
-    arrows = [(direction, M % field) for direction, M in z.arrows]
-    ranks = {
-        (b, d): r
-        for b, dim in enumerate(z.dims)
-        for d, r in enumerate(_left_end_ranks(dim, arrows[b:], field), start=b)
-    }
-    return [IntegerBar(b, d, mult) for b, d, mult in interval_multiplicities(ranks)]
+    p = fields.check_prime(field)
+    if not z.dims:
+        return []
+    alive = [(0, _unit(j, z.dims[0])) for j in range(z.dims[0])]
+    ends: Counter = Counter()
+    for k, (direction, M) in enumerate(z.arrows):
+        step = _forward_step if direction == FORWARD else _backward_step
+        alive, dead = step(alive, (M % p).tolist(), z.dims[k + 1], k + 1, p)
+        ends.update((b, k) for b in dead)
+    ends.update((b, len(z.dims) - 1) for b, _ in alive)
+    return [IntegerBar(lo, hi, mult) for (lo, hi), mult in sorted(ends.items())]
 
 
 @dataclass
@@ -265,6 +268,7 @@ class ExplicitModule:
     maps: list[np.ndarray] = dataclass_field(default_factory=list)
 
     def __post_init__(self):
+        _check_dims(self.dims)
         if len(self.maps) != max(len(self.dims) - 1, 0):
             raise TdaError(
                 f"need {max(len(self.dims) - 1, 0)} maps for {len(self.dims)} grades, "

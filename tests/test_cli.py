@@ -316,6 +316,22 @@ def test_cli_zigzag(tmp_path, capsys):
     assert out.strip() == "bar [0,1] multiplicity 1"
 
 
+def test_cli_zigzag_bare_dims_prints_nothing(tmp_path, capsys):
+    path = tmp_path / "z.txt"
+    path.write_text("dims\n")
+    assert run_cli(capsys, "zigzag", "--input", str(path)) == (0, "", "")
+
+
+@pytest.mark.parametrize("text", ["dims -1\n", "dims 2 -1\nfwd\n"])
+def test_cli_zigzag_negative_dim_exits_1(tmp_path, capsys, text):
+    path = tmp_path / "z.txt"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "zigzag", "--input", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err and len(err.splitlines()) == 1
+    assert "non-negative" in err
+
+
 def test_cli_plot(tmp_path, capsys):
     bars = Barcode([Bar(0, 0.0, math.inf), Bar(1, 0.5, 1.0)])
     jpath = tmp_path / "bars.json"

@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import given
 
-from conftest import gf2_rank_reference, random_zigzag, small_zigzags, torus_leray_zigzag
+from conftest import (
+    gf2_rank_reference,
+    long_zigzags,
+    random_zigzag,
+    small_zigzags,
+    torus_leray_zigzag,
+    zigzag_bars_oracle,
+)
 from tda import fields
 from tda import zigzag as Z
 
@@ -239,6 +246,12 @@ def test_shape_validation_errors():
         Z.ZigzagModule(dims=[1, 2], arrows=[(Z.FORWARD, np.zeros((1, 1), int))])
     with pytest.raises(TdaError):
         Z.ZigzagModule(dims=[1, 2], arrows=[("sideways", np.zeros((2, 1), int))])
+    with pytest.raises(TdaError):
+        Z.FiniteDiagram(dims=[1, -1], morphisms=[])
+    with pytest.raises(TdaError):
+        Z.ZigzagModule(dims=[-1], arrows=[])
+    with pytest.raises(TdaError):
+        Z.ExplicitModule(dims=[2, -1], maps=[np.zeros((0, 2), int)])
 
 
 def test_forward_module_agrees_with_decompose_explicit():
@@ -300,3 +313,41 @@ def test_decompose_zigzag_rejects_non_prime_field():
     for z in (one_slot, three_slots):
         with pytest.raises(ValueError):
             Z.decompose_zigzag(z, 4)
+
+
+def _zeros(rows, cols):
+    return np.zeros((rows, cols), dtype=np.int64)
+
+
+@pytest.mark.parametrize(
+    "dims, arrows, expected",
+    [
+        ([], [], []),
+        ([0], [], []),
+        ([0, 0, 0], [(Z.FORWARD, _zeros(0, 0)), (Z.BACKWARD, _zeros(0, 0))], []),
+        (
+            [2, 3, 1],
+            [(Z.FORWARD, _zeros(3, 2)), (Z.BACKWARD, _zeros(3, 1))],
+            [(0, 0, 2), (1, 1, 3), (2, 2, 1)],
+        ),
+        (
+            [3, 3, 3, 3],
+            [(Z.BACKWARD, np.eye(3, dtype=np.int64))] * 2 + [(Z.FORWARD, np.eye(3, dtype=np.int64))],
+            [(0, 3, 3)],
+        ),
+        ([2, 0, 2], [(Z.FORWARD, _zeros(0, 2)), (Z.BACKWARD, _zeros(0, 2))], [(0, 0, 2), (2, 2, 2)]),
+        ([1, 0, 1], [(Z.BACKWARD, _zeros(1, 0)), (Z.FORWARD, _zeros(1, 0))], [(0, 0, 1), (2, 2, 1)]),
+    ],
+)
+def test_decompose_zigzag_degenerate(dims, arrows, expected):
+    z = Z.ZigzagModule(dims=dims, arrows=arrows)
+    for field in (2, 3):
+        bars = Z.decompose_zigzag(z, field)
+        assert [(b.lo, b.hi, b.multiplicity) for b in bars] == expected
+        assert bars == zigzag_bars_oracle(z, field)
+
+
+@given(long_zigzags())
+def test_decompose_zigzag_matches_rank_oracle(case):
+    z, field = case
+    assert Z.decompose_zigzag(z, field) == zigzag_bars_oracle(z, field)
