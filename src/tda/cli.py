@@ -16,7 +16,7 @@ from . import cosheaf as cosheaf_mod
 from . import fields, formats, leray, persistence, svg, zigzag
 from .errors import NonlinearNerveError
 from .fields import is_prime
-from .homology import homology
+from .homology import _quotients
 
 _FORMATS_HELP = """\
 file formats:
@@ -174,10 +174,8 @@ def _barcode_command(args: argparse.Namespace) -> int:
 
 def _homology_command(args: argparse.Namespace) -> int:
     K = formats.parse_complex(formats.read_text(args.complex))
-    lines = []
-    for p in range(max(K.dimension, 0) + 1):
-        lines.append(f"H_{p}={homology(K, p, args.field).dimension}")
-    _emit("\n".join(lines) + "\n", None)
+    quotients = _quotients(K, range(max(K.dimension, 0) + 1), args.field)
+    _emit("".join(f"H_{p}={q.dimension}\n" for p, q in enumerate(quotients)), None)
     return 0
 
 

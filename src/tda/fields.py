@@ -1,7 +1,8 @@
 """Linear algebra over prime fields. Chain complexes are sparse: homology
-(:class:`Quotient`: d_high, then the d_low columns it does not clear)
-and the persistence barcode (coboundary columns, with clearing) run on
-the one column-reduction kernel :func:`reduce_columns`. Stalk-sized
+(:func:`quotients`: one sweep down the degrees, each boundary reduced
+once, a d_k column at a pivot row of d_{k+1} skipped) and the
+persistence barcode (coboundary columns, with clearing) run on the one
+column-reduction kernel :func:`reduce_columns`. Stalk-sized
 matrices (zigzags, cosheaf maps, ranks of module maps) are reduced by one
 elimination, :func:`_rref_rows`, on rows held as lists of Python ints
 mod p: at a handful of rows and columns, a numpy call per pivot costs
@@ -252,38 +253,49 @@ def reduce_columns(columns, p: int, pivots: dict | None = None, tracks=None, ins
         yield piv, col, track
 
 
-class Quotient:
-    """The quotient ker(d_low) / im(d_high) with frozen representatives.
-    d_low and d_high are :class:`ColumnMatrix` or dense and must compose to
-    zero: simplicial (co)boundaries, or cosheaf boundaries once
-    :func:`cosheaf.validate` has passed, as ``cosheaf_homology`` checks.
+def quotients(boundaries, p: int) -> list["Quotient"]:
+    """[Quotient(d_k, d_{k+1}, p) for k < m] of boundaries d_0..d_m, each
+    reduced once: d_m without tracks, then from the top down the columns
+    of d_k at no pivot row of d_{k+1} with unit tracks; the others would
+    reduce to zero (clearing). The nonzero columns, tracks dropped, are the
+    image of degree k - 1, as reducing all of d_k stores it. A column j
+    reducing to zero has a track e_j plus earlier columns (the rref kernel
+    vector of free column j), independent of the image and the earlier
+    tracks by the pairing lemma: the representatives, the leftmost-pivot
+    extension of an image basis. ``_paired``: image pivot row -> column."""
+    ds = [as_columns(d, p) for d in boundaries]
+    for low, high in zip(ds, ds[1:]):
+        if len(low.cols) != high.n_rows:
+            raise ValueError(
+                f"chain space mismatch: d_low has {len(low.cols)} columns, d_high has {high.n_rows} rows"
+            )
+    stored: dict = {}
+    reduced = enumerate(reduce_columns(ds[-1].cols, p, stored))
+    out = []
+    for low in ds[-2::-1]:
+        q = Quotient.__new__(Quotient)
+        q.field, q._paired = p, {piv: j for j, (piv, _, _) in reduced if piv is not None}
+        q._pivots = {piv: (col, None) for piv, (col, _) in stored.items()}
+        free = [j for j in range(len(low.cols)) if j not in q._pivots]
+        stored, units = {}, (sparse_column([(j, 1)], p) for j in free)
+        reduced = list(zip(free, reduce_columns((low.cols[j] for j in free), p, stored, units)))
+        reps = [track for _, (piv, _, track) in reduced if piv is None]
+        for k, track in enumerate(reps):
+            q._pivots[max(track)] = (track, sparse_column([(k, 1)], p))
+        q.dimension, q.representatives = len(reps), ColumnMatrix(len(low.cols), reps).dense()
+        out.append(q)
+    return out[::-1]
 
-    d_high is reduced first. A d_low column j that reduces to zero has a
-    track e_j plus earlier columns (the rref kernel vector of free column
-    j), and by the pairing lemma that track is independent of the image
-    and of the earlier tracks exactly when j is no pivot row of d_high.
-    Columns at those rows are skipped (clearing); the other tracks are the
-    representatives, the leftmost-pivot extension of an image basis.
-    """
+
+class Quotient:
+    """The quotient ker(d_low) / im(d_high) with frozen representatives,
+    the two-boundary case of :func:`quotients`. d_low and d_high are
+    :class:`ColumnMatrix` or dense and must compose to zero: simplicial
+    (co)boundaries, or cosheaf boundaries once :func:`cosheaf.validate`
+    has passed, as ``cosheaf_homology`` checks."""
 
     def __init__(self, d_low, d_high, p: int):
-        self.field = p
-        low, high = as_columns(d_low, p), as_columns(d_high, p)
-        n = len(low.cols)
-        if n != high.n_rows:
-            raise ValueError(
-                f"chain space mismatch: d_low has {n} columns, d_high has {high.n_rows} rows"
-            )
-        self._pivots: dict = {}
-        image = {piv for piv, _, _ in reduce_columns(high.cols, p, self._pivots)}
-        free = [j for j in range(n) if j not in image]
-        units = (sparse_column([(j, 1)], p) for j in free)
-        reduced = reduce_columns((low.cols[j] for j in free), p, {}, units)
-        reps = [track for piv, _, track in reduced if piv is None]
-        for k, track in enumerate(reps):
-            self._pivots[max(track)] = (track, sparse_column([(k, 1)], p))
-        self.dimension = len(reps)
-        self.representatives = ColumnMatrix(n, reps).dense()
+        vars(self).update(vars(quotients([d_low, d_high], p)[0]))
 
     def coordinates(self, V) -> np.ndarray:
         """Coordinates of cycle column(s) V (dense or a ColumnMatrix) in the
@@ -293,12 +305,18 @@ class Quotient:
         cols = as_columns(np.asarray(V)[:, None] if squeeze else V, p)
         if cols.n_rows != self.representatives.shape[0]:
             raise ValueError("right-hand side has wrong number of rows")
-        X = np.zeros((self.dimension, len(cols.cols)), dtype=np.int64)
-        tracks = (sparse_column((), p) for _ in cols.cols)
-        reduced = reduce_columns(cols.cols, p, self._pivots, tracks, insert=False)
-        for j, (piv, _, track) in enumerate(reduced):
-            if piv is not None:
-                raise InternalInconsistencyError("vector is not a cycle modulo boundaries of this quotient")
-            for k, c in _items(track):  # V + (stored columns combined by track) = 0
-                X[k, j] = -c % p
+        X = _coordinates(cols.cols, self._pivots, self.dimension, p)
         return X[:, 0] if squeeze else X
+
+
+def _coordinates(columns: list, pivots: dict, n: int, p: int) -> np.ndarray:
+    """The n x len(columns) coefficients, on the n stored columns of
+    ``pivots`` whose tracks are units, that sum to each (cycle) column."""
+    X = np.zeros((n, len(columns)), dtype=np.int64)
+    tracks = (sparse_column((), p) for _ in columns)
+    for j, (piv, _, track) in enumerate(reduce_columns(columns, p, pivots, tracks, insert=False)):
+        if piv is not None:
+            raise InternalInconsistencyError("vector is not a cycle modulo boundaries of this quotient")
+        for k, c in _items(track):  # column + (stored columns combined by track) = 0
+            X[k, j] = -c % p
+    return X

@@ -6,8 +6,8 @@ Orientations come from the global integer order on vertex ids; bases are
 deterministic via the leftmost-pivot elimination rule. All of it is
 sparse: simplicial boundary columns are read off a complex's facet
 positions, :func:`chain_boundary` builds cosheaf boundaries and chain
-maps, and :class:`fields.Quotient` reduces them; the dense matrices
-returned here are views of the same columns.
+maps, and :func:`fields.quotients` reduces them in one sweep down the
+degrees; the dense matrices returned here are views of the same columns.
 """
 
 from __future__ import annotations
@@ -47,12 +47,15 @@ def _check_degree(p: int, field: int) -> None:
 
 
 def _boundary(K: SimplicialComplex, p: int, field: int) -> fields.ColumnMatrix:
-    """Columns of d_p read off K's facet positions: the facet deleting
-    vertex j gets sign (-1)^j."""
-    facets = K._layer(p)[1]
+    """Columns of d_p read off K's facet positions."""
+    return _facet_boundary(K._layer(p)[1], len(K._layer(p - 1)[0]), field)
+
+
+def _facet_boundary(facets: np.ndarray, n_rows: int, field: int) -> fields.ColumnMatrix:
+    """One column per row of facet positions: the facet deleting vertex j
+    gets sign (-1)^j."""
     signs = [(-1) ** j for j in range(facets.shape[1])]
-    columns = [fields.sparse_column(zip(row, signs), field) for row in facets.tolist()]
-    return fields.ColumnMatrix(len(K._layer(p - 1)[0]), columns)
+    return fields.ColumnMatrix(n_rows, [fields.sparse_column(zip(row, signs), field) for row in facets.tolist()])
 
 
 def boundary_matrix(K: SimplicialComplex, p: int, field: int = 2) -> np.ndarray:
@@ -90,8 +93,13 @@ def _result(degree: int, quotient: fields.Quotient) -> HomologyResult:
 
 
 def homology_quotient(K: SimplicialComplex, p: int, field: int = 2) -> fields.Quotient:
-    _check_degree(p, field)
-    return fields.Quotient(_boundary(K, p, field), _boundary(K, p + 1, field), field)
+    return _quotients(K, range(p, p + 1), field)[0]
+
+
+def _quotients(K: SimplicialComplex, degrees: range, field: int) -> list[fields.Quotient]:
+    """The homology quotient of each degree in ``degrees``, from one sweep."""
+    _check_degree(degrees.start, field)
+    return fields.quotients([_boundary(K, p, field) for p in range(degrees.start, degrees.stop + 1)], field)
 
 
 def homology(K: SimplicialComplex, p: int, field: int = 2) -> HomologyResult:

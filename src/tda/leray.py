@@ -1,7 +1,7 @@
 """Leray cosheaves of a real-valued vertex function over an interval cover.
 
-One path computes everything: preimage pieces, their boundaries (built
-once), a cosheaf per degree and the nerve formula. Pieces are full
+One path computes everything: preimage pieces, their boundaries (each
+reduced once), a cosheaf per degree and the nerve formula. Pieces are full
 subcomplexes on the vertices whose value lands in a nerve simplex's
 interval, cut from the complex's arrays by a vertex mask; the
 per-simplex granularity precondition (every simplex's value range inside
@@ -14,14 +14,16 @@ linear nerve N
 which :func:`leray_formula` evaluates. Sublevel persistence is one
 filtered coboundary reduction, with clearing, of the pieces' blowup
 (total) chain complex, whose cells and terms are the pieces' arrays,
-through the pairing routine of ``compute_barcode``; the formula, on the
-same pieces restricted to f <= t at each threshold t, cross-checks it.
+through the pairing routine of ``compute_barcode``. The formula on the
+pieces of K<=t cross-checks it at every threshold t, from one
+value-ordered reduction of each piece.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -29,12 +31,9 @@ import numpy as np
 from . import fields
 from .complexes import IntervalCover, Simplex, SimplicialComplex
 from .cosheaf import SimplicialCosheaf, cosheaf_homology
-from .errors import (
-    CoverGranularityError,
-    InternalInconsistencyError,
-    MissingVertexValueError,
-)
-from .homology import _boundary, _check_degree
+from .errors import CoverGranularityError, InternalInconsistencyError, MissingVertexValueError
+from .fields import _coordinates, _items, sparse_column
+from .homology import _check_degree, _facet_boundary, _quotients
 from .persistence import Barcode, _boundary_terms, _filtration_barcode
 from .zigzag import ExplicitModule
 
@@ -116,13 +115,12 @@ def _leray_cosheaves(
     pieces: dict[Simplex, SimplicialComplex], degrees: range, field: int
 ) -> list[tuple[SimplicialCosheaf, dict[Simplex, fields.Quotient]]]:
     """(F_i over the nerve of the pieces, each piece's H_i) for each degree
-    i in ``degrees``; each piece boundary is built once."""
+    i in ``degrees``; each piece's boundaries are reduced in one sweep."""
     nerve = SimplicialComplex(pieces)
-    span = range(degrees.start, degrees.stop + 1)
-    boundaries = {ns: [_boundary(P, i, field) for i in span] for ns, P in pieces.items()}
+    homology = {ns: _quotients(P, degrees, field) for ns, P in pieces.items()}
     out = []
     for k, degree in enumerate(degrees):
-        quotients = {ns: fields.Quotient(d[k], d[k + 1], field) for ns, d in boundaries.items()}
+        quotients = {ns: qs[k] for ns, qs in homology.items()}
         maps = {}
         for edge in nerve.p_simplices(1):
             for vertex in ((edge[0],), (edge[1],)):
@@ -147,9 +145,50 @@ def leray_formula(
     return total
 
 
-def _formula_on_pieces(pieces: dict[Simplex, SimplicialComplex], degree: int, field: int) -> int:
-    cosheaves = [F for F, _ in _leray_cosheaves(pieces, range(max(degree - 1, 0), degree + 1), field)]
-    return leray_formula(cosheaves[-1], cosheaves[0] if degree > 0 else None, field)
+def _value_ordered(M: MappedComplex, P: SimplicialComplex, degrees: range, ts: np.ndarray, field: int):
+    """Per degree, the stored columns, births and deaths of the bars of P in
+    value order alive at some t in ts, and the pivot table, each such bar's
+    entry tracked by its index; then the value orders and their inverses."""
+    values = P._fold(_vertex_values(M, P), np.maximum)
+    order = [np.argsort(v, kind="stable") for v in values]  # ties stay lexicographic
+    rank = [np.argsort(o) for o in order]
+    span = range(degrees.start, degrees.stop + 1)
+    facets = [rank[k - 1][P._layer(k)[1][order[k]]] if 0 < k <= P.dimension else P._layer(k)[1] for k in span]
+    boundaries = [_facet_boundary(x, len(P._layer(k - 1)[0]), field) for k, x in zip(span, facets)]
+    ordered = [v[o].tolist() for v, o in zip(values, order)] + [[]] * span.stop
+    bars = []
+    for k, q in zip(degrees, fields.quotients(boundaries, field)):
+        rows = sorted(q._pivots)
+        births = np.array([ordered[k][j] for j in rows])
+        deaths = np.array([ordered[k + 1][q._paired[j]] if j in q._paired else np.inf for j in rows])
+        live = np.searchsorted(ts, births) < np.searchsorted(ts, deaths)
+        units = {j: sparse_column([(i, 1)], field) for i, j in enumerate(compress(rows, live))}
+        table = {j: (col, units.get(j)) for j, (col, _) in q._pivots.items()}
+        bars.append(([table[j][0] for j in units], births[live], deaths[live], table))
+    return bars, order, rank
+
+
+def _sublevel_formulas(M: MappedComplex, pieces: dict, degree: int, ts: list[float], field: int) -> list[int]:
+    """The nerve formula on the pieces of K<=t at each t of ts (see :func:`sublevel_module`)."""
+    nerve, ts = SimplicialComplex(pieces), np.array(ts)
+    degrees = range(max(degree - 1, 0), degree + 1)
+    data = {ns: _value_ordered(M, P, degrees, ts, field) for ns, P in pieces.items()}
+    coords: list[dict] = [{} for _ in degrees]
+    for edge in nerve.p_simplices(1):
+        for vertex in ((edge[0],), (edge[1],)):
+            keep = _inclusion(pieces[edge], pieces[vertex])
+            (sub, order, _), (sup, _, rank) = data[edge], data[vertex]
+            for k, i in enumerate(degrees):
+                to_sup = rank[i][np.flatnonzero(keep[i])[order[i]]].tolist() if sub[k][0] else []
+                pushed = [sparse_column(((to_sup[r], c) for r, c in _items(x)), field) for x in sub[k][0]]
+                coords[k][(vertex, edge)] = _coordinates(pushed, sup[k][3], len(sup[k][0]), field)
+
+    def cosheaf(k: int, t: float) -> SimplicialCosheaf:  # F_{degrees[k]} on the pieces of K<=t
+        alive = {ns: (bars[k][1] <= t) & (t < bars[k][2]) for ns, (bars, _, _) in data.items()}
+        maps = {(v, e): C[np.ix_(alive[v], alive[e])] for (v, e), C in coords[k].items()}
+        return SimplicialCosheaf(nerve, {ns: int(a.sum()) for ns, a in alive.items()}, maps)
+
+    return [leray_formula(cosheaf(-1, t), cosheaf(0, t) if degree > 0 else None, field) for t in ts]
 
 
 @dataclass
@@ -182,7 +221,9 @@ def global_homology(M: MappedComplex, cover: IntervalCover, degree: int, field: 
     For an admissible cover this equals dim H_degree of the complex.
     """
     _check_degree(degree, field)
-    return _formula_on_pieces(_leray_pieces(M, cover), degree, field)
+    degrees = range(max(degree - 1, 0), degree + 1)
+    cosheaves = [F for F, _ in _leray_cosheaves(_leray_pieces(M, cover), degrees, field)]
+    return leray_formula(cosheaves[-1], cosheaves[0] if degree > 0 else None, field)
 
 
 def sublevel_barcode(M: MappedComplex, cover: IntervalCover, field: int = 2) -> Barcode:
@@ -239,25 +280,29 @@ def sublevel_module(
     blowup reduction; each map is the 0/1 matrix sending a bar alive at
     one threshold to itself at the next, if it is still alive. At every
     threshold t the nerve formula dim H_0(N; F_degree) + dim H_1(N;
-    F_{degree-1}), on the pieces of the sublevel complex K<=t (the pieces
-    of K restricted to f <= t), is asserted against the dimension. A piece
-    with no vertex at or below t is empty and adds nothing.
+    F_{degree-1}) on the pieces of K<=t is asserted against the dimension.
+    Each piece P, its simplices in value order so that P<=t is a prefix,
+    is swept once. Its stored row j of degree k is the bar [v_k(j),
+    v_{k+1}(c)) if column c of d_{k+1} has pivot j, else [v_k(j), inf);
+    the stored column, on rows up to j, is a cycle of P<=v_k(j). So the
+    bars born by t span Z_k(P<=t) and those dead by t span B_k(P<=t), and
+    a cycle of P<=t reduced against the whole table (rows of value <= t
+    only) has its class's coordinates on the bars alive at t: F_k at t is
+    those bars and the submatrices of the edge-piece bars' coordinates in
+    the vertex pieces.
     """
     _check_degree(degree, field)
     ts = [float(t) for t in thresholds]
     if not ts:
         raise ValueError("need at least one threshold")
-    if any(not a < b for a, b in zip(ts, ts[1:])):
-        raise ValueError(f"thresholds must be strictly increasing, got {ts}")
     if not all(math.isfinite(t) for t in ts):
         raise ValueError("thresholds must be finite")
+    if any(not a < b for a, b in zip(ts, ts[1:])):
+        raise ValueError(f"thresholds must be strictly increasing, got {ts}")
     pieces = _leray_pieces(M, cover)
     bc = _blowup_barcode(M, pieces, field)
     dims = [bc.alive_at(t, degree) for t in ts]
-    piece_values = {ns: _vertex_values(M, P) for ns, P in pieces.items()}
-    for t, dim in zip(ts, dims):
-        sublevel_pieces = {ns: P._full(piece_values[ns] <= t) for ns, P in pieces.items()}
-        formula = _formula_on_pieces(sublevel_pieces, degree, field)
+    for t, dim, formula in zip(ts, dims, _sublevel_formulas(M, pieces, degree, ts, field)):
         if formula != dim:
             raise InternalInconsistencyError(
                 f"cosheaf formula gives {formula} at t={t}, blowup complex gives {dim}"

@@ -308,6 +308,19 @@ def test_cli_sublevel_json(tmp_path, capsys):
     assert payload["ranks"] == [1, 1]
 
 
+def test_cli_sublevel_nan_threshold_is_not_finite(tmp_path, capsys):
+    K, values = octagon_circle()
+    cpath = tmp_path / "octagon.txt"
+    cpath.write_text("\n".join(" ".join(map(str, s)) for s in K.p_simplices(1)))
+    vpath = tmp_path / "values.txt"
+    vpath.write_text("\n".join(f"{v} {values[v]!r}" for v in sorted(values)))
+    code, out, err = run_cli(
+        capsys, "sublevel", "--complex", str(cpath), "--values", str(vpath),
+        "--cover=-1.5,-0.3;-0.8,0.8;0.3,1.5", "--degree", "0", "--thresholds=0,nan",
+    )
+    assert (code, out, err) == (1, "", "error: thresholds must be finite\n")
+
+
 def test_cli_zigzag(tmp_path, capsys):
     path = tmp_path / "z.txt"
     path.write_text("dims 1 1\nfwd 1\n")

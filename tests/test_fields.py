@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import dense_quotient, gf2_rank_reference, rref_oracle
+from conftest import dense_quotient, gf2_rank_reference, random_complex, rref_oracle
 from tda import fields
 from tda.errors import InternalInconsistencyError
+from tda.homology import boundary_matrix
 
 
 def test_field_axioms_exhaustive_for_small_primes():
@@ -192,3 +193,30 @@ def test_sparse_quotient_matches_dense_rref_recipe(case):
             with pytest.raises(InternalInconsistencyError):
                 quotient.coordinates(e)
             break
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3, 5]))
+def test_quotients_sweep_matches_dense_recipe_in_every_degree(seed, p):
+    """One sweep over d_0..d_m gives, in every degree k, the dense recipe's
+    representatives of ker d_k / im d_{k+1} and its coordinates of random
+    cycles."""
+    rng = np.random.default_rng(seed)
+    K = random_complex(rng)
+    ds = [boundary_matrix(K, k, p) for k in range(K.dimension + 2)]
+    swept = fields.quotients(ds, p)
+    assert len(swept) == len(ds) - 1
+    for low, high, quotient in zip(ds, ds[1:], swept):
+        Z = fields.kernel_basis(low, p)
+        V = fields.matmul(Z, rng.integers(0, p, size=(Z.shape[1], 3)), p)
+        reps, coords = dense_quotient(low, high, p, V)
+        assert quotient.dimension == reps.shape[1]
+        assert np.array_equal(quotient.representatives, reps)
+        assert np.array_equal(quotient.coordinates(V), coords)
+
+
+def test_quotients_rejects_a_mismatched_middle_pair():
+    ds = [np.zeros((0, 3)), np.zeros((3, 2)), np.zeros((3, 1)), np.zeros((1, 0))]
+    with pytest.raises(ValueError, match="chain space mismatch: d_low has 2 columns, d_high has 3 rows"):
+        fields.quotients(ds, 2)
+    ds[2] = np.zeros((2, 1))
+    assert [q.dimension for q in fields.quotients(ds, 2)] == [3, 2, 1]

@@ -19,7 +19,7 @@ from tda import fields
 from tda import leray as L
 from tda import persistence as P
 from tda.complexes import IntervalCover, nerve_of_interval_cover
-from tda.errors import CoverGranularityError
+from tda.errors import CoverGranularityError, InternalInconsistencyError
 from tda.homology import boundary_matrix
 
 
@@ -250,24 +250,28 @@ def sublevel_complex(M, t):
 def test_sublevel_module_check_holds_at_every_threshold(seed, field, banded):
     """The per-threshold nerve-formula check never fires, and its dims
     agree with the lower-star barcode and with the formula on the
-    sublevel complex, at thresholds below the minimum, at vertex values,
-    at midpoints and above the maximum. The nerve is the cover's at every
-    threshold, also where pieces are empty."""
+    sublevel complex, at a threshold below the minimum, at every vertex
+    value, at every midpoint between consecutive values and above the
+    maximum. The nerve is the cover's at every threshold, also where
+    pieces are empty. Vertex ids are shuffled, so that lexicographic order
+    does not follow value order."""
     rng = np.random.default_rng(seed)
     M = (random_banded_mapped_complex if banded else random_mapped_complex)(rng)
+    label = dict(zip(M.complex.vertices(), rng.permutation(M.complex.vertices()).tolist()))
+    K = tda.build_complex([label[v] for v in s] for s in M.complex.simplices)
+    M = L.MappedComplex(K, {label[v]: x for v, x in M.values.items()})
     cover = admissible_random_cover(rng, M)
     nerve = nerve_of_interval_cover(cover)
     vals = sorted(set(M.values.values()))
-    picked = sorted(rng.choice(vals, size=min(len(vals), 6), replace=False).tolist())
-    mids = [(a + b) / 2 for a, b in zip(picked, picked[1:])]
-    thresholds = sorted({vals[0] - 1.0, vals[-1] + 1.0, *picked, *mids})
+    mids = [(a + b) / 2 for a, b in zip(vals, vals[1:])]
+    thresholds = sorted({vals[0] - 1.0, vals[-1] + 1.0, *vals, *mids})
     bc = P.compute_barcode(P.lower_star_filtration(M.complex, M.values), field)
     for degree in (0, 1, 2):
         module = L.sublevel_module(M, cover, degree, thresholds, field)
         assert module.dims == [bc.alive_at(t, degree) for t in thresholds]
-        assert module.dims == [
-            L.global_homology(sublevel_complex(M, t), cover, degree, field) for t in thresholds
-        ]
+        # a midpoint's sublevel complex, and the top threshold's, is that of the value below it
+        direct = {t: L.global_homology(sublevel_complex(M, t), cover, degree, field) for t in [thresholds[0], *vals]}
+        assert module.dims == [direct[max(s for s in direct if s <= t)] for t in thresholds]
     assert L.build_leray_cosheaf(M, cover, 1, field).cosheaf.base == nerve
     for t in (thresholds[0], vals[0]):
         built = L.build_leray_cosheaf(sublevel_complex(M, t), cover, 1, field)
@@ -279,6 +283,22 @@ def test_sublevel_module_check_holds_at_every_threshold(seed, field, banded):
     if len(cover) > 1:
         lowest = L._leray_pieces(sublevel_complex(M, vals[0]), cover)
         assert len(lowest[(0,)]) > 0 and len(lowest[(len(cover) - 1,)]) == 0
+
+
+@pytest.mark.parametrize("field", [2, 3])
+def test_sublevel_check_fires_when_the_blowup_loses_a_bar(monkeypatch, field):
+    """The nerve formula is evaluated apart from the blowup reduction, so a
+    blowup barcode missing the octagon's degree-1 bar fails the check."""
+    blowup = L._blowup_barcode
+
+    def dropped(*args):
+        bars = list(blowup(*args).bars)
+        bars.remove(next(b for b in bars if b.degree == 1))
+        return P.Barcode(bars)
+
+    monkeypatch.setattr(L, "_blowup_barcode", dropped)
+    with pytest.raises(InternalInconsistencyError, match=r"^cosheaf formula gives 1 at t=1\.2, blowup complex gives 0$"):
+        L.sublevel_module(octagon_mapped(), OCTAGON_COVER, 1, [-0.9, -0.2, 0.5, 1.2], field)
 
 
 def test_sublevel_rejects_bad_thresholds():
