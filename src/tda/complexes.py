@@ -66,6 +66,25 @@ def _id_rows(simplices: Sequence[Sequence[int]], size: int) -> np.ndarray:
         raise MalformedSimplexError("vertex ids must fit in 64-bit integers") from exc
 
 
+def _size_groups(simplices: Iterable[Sequence[int]]) -> dict[int, np.ndarray]:
+    """Per size, the simplices' ascending vertex ids as an (N, size) int64
+    array, each size sorted and checked at once. Only if some row is bad
+    does ``simplex`` run over the input, naming the first bad simplex."""
+    simplices, groups = list(simplices), {}
+    try:
+        for s in simplices:
+            groups.setdefault(len(s), []).append(s)
+        # A stable sort: the default one pages in SIMD sort code, ~0.1 MB of peak RSS.
+        rows = {size: np.sort(np.array(group), axis=1, kind="stable") for size, group in groups.items()}
+        if all(r.dtype == np.int64 and r.ndim == 2 and r.size for r in rows.values()):
+            if all(r[:, 0].min() >= 0 and (r[:, 1:] > r[:, :-1]).all() for r in rows.values()):
+                return rows
+    except (TypeError, ValueError, OverflowError):
+        pass
+    simplices = [simplex(s) for s in simplices]
+    return {n: _id_rows([s for s in simplices if len(s) == n], n) for n in set(map(len, simplices))}
+
+
 def _lookup(keys: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Index of each x in the sorted, distinct keys, or -1 if absent."""
     if not len(keys):
@@ -138,10 +157,10 @@ class SimplicialComplex:
     __slots__ = ("_verts", "_faces", "_simplices")
 
     def __init__(self, simplices: Iterable[Sequence[int]] = ()):
-        simplices = [simplex(s) for s in simplices]
+        groups = _size_groups(simplices)
         layers: list[np.ndarray] = []
-        for size in range(max(map(len, simplices), default=0), 0, -1):
-            rows = [_id_rows([s for s in simplices if len(s) == size], size)]
+        for size in range(max(groups, default=0), 0, -1):
+            rows = [groups.get(size, np.zeros((0, size), dtype=np.int64))]
             rows += [layers[-1][:, np.arange(size + 1) != j] for j in range(size + 1)] if layers else []
             rows = np.concatenate(rows)
             rows = rows[np.lexsort(rows.T[::-1])]  # lexicographic, so repeats are adjacent

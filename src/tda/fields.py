@@ -1,14 +1,15 @@
-"""Linear algebra over prime fields. Chain complexes are sparse: homology
-(:func:`quotients`: one sweep down the degrees, each boundary reduced
-once, a d_k column at a pivot row of d_{k+1} skipped) and the
-persistence barcode (coboundary columns, with clearing) run on the one
-column-reduction kernel :func:`reduce_columns`. Stalk-sized
-matrices (zigzags, cosheaf maps, ranks of module maps) are reduced by one
-elimination, :func:`_rref_rows`, on rows held as lists of Python ints
-mod p: at a handful of rows and columns, a numpy call per pivot costs
-more than the arithmetic. numpy int64 arrays appear only at the
-interface, as arguments and results. Pivots are chosen leftmost column
-first, topmost row first, so every routine is deterministic.
+"""Linear algebra over prime fields. Chain complexes are sparse, their
+columns built in bulk from arrays (:func:`uniform_columns`,
+:func:`sparse_columns`): homology (:func:`quotients`: one sweep down the
+degrees, each boundary reduced once, a d_k column at a pivot row of
+d_{k+1} skipped) and the persistence barcode (coboundary columns, with
+clearing) run on the one column-reduction kernel :func:`reduce_columns`.
+Stalk-sized matrices (zigzags, cosheaf maps, ranks of module maps) are
+reduced by one elimination, :func:`_rref_rows`, on rows held as lists of
+Python ints mod p: at a handful of rows and columns, a numpy call per
+pivot costs more than the arithmetic. numpy int64 arrays appear only at
+the interface, as arguments and results. Pivots are chosen leftmost
+column first, topmost row first, so every routine is deterministic.
 """
 
 from __future__ import annotations
@@ -185,6 +186,13 @@ def sparse_column(coeffs, p: int):
     return {r: c % p for r, c in coeffs if c % p}
 
 
+def uniform_columns(rows: np.ndarray, coeffs, p: int) -> list:
+    """The column of each row r of an (N, w) array: row r[j] with coefficient
+    coeffs[j] mod p, which must be nonzero. The entries of r must be distinct."""
+    coeffs = [c % p for c in coeffs]
+    return list(map(set, rows.tolist())) if p == 2 else [dict(zip(r, coeffs)) for r in rows.tolist()]
+
+
 def sparse_columns(rows: np.ndarray, coeffs: np.ndarray, bounds, p: int):
     """The columns ``sparse_column`` makes of rows[a:b] and coeffs[a:b], one
     per (a, b) in bounds, made as they are consumed. The coefficients must
@@ -277,11 +285,11 @@ def quotients(boundaries, p: int) -> list["Quotient"]:
         q.field, q._paired = p, {piv: j for j, (piv, _, _) in reduced if piv is not None}
         q._pivots = {piv: (col, None) for piv, (col, _) in stored.items()}
         free = [j for j in range(len(low.cols)) if j not in q._pivots]
-        stored, units = {}, (sparse_column([(j, 1)], p) for j in free)
+        stored, units = {}, ({j} if p == 2 else {j: 1} for j in free)
         reduced = list(zip(free, reduce_columns((low.cols[j] for j in free), p, stored, units)))
         reps = [track for _, (piv, _, track) in reduced if piv is None]
         for k, track in enumerate(reps):
-            q._pivots[max(track)] = (track, sparse_column([(k, 1)], p))
+            q._pivots[max(track)] = (track, {k} if p == 2 else {k: 1})
         q.dimension, q.representatives = len(reps), ColumnMatrix(len(low.cols), reps).dense()
         out.append(q)
     return out[::-1]

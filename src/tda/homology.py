@@ -4,10 +4,10 @@ Boundary and coboundary matrices, homology dimensions with representative
 cycle bases, and the maps on homology induced by simplicial vertex maps.
 Orientations come from the global integer order on vertex ids; bases are
 deterministic via the leftmost-pivot elimination rule. All of it is
-sparse: simplicial boundary columns are read off a complex's facet
-positions, :func:`chain_boundary` builds cosheaf boundaries and chain
-maps, and :func:`fields.quotients` reduces them in one sweep down the
-degrees; the dense matrices returned here are views of the same columns.
+sparse: :func:`fields.uniform_columns` builds a simplicial boundary whole
+from facet positions, :func:`chain_boundary` cosheaf boundaries and chain
+maps cell by cell, :func:`fields.quotients` reduces them in one sweep
+down the degrees; dense matrices returned here are views of the columns.
 """
 
 from __future__ import annotations
@@ -46,16 +46,12 @@ def _check_degree(p: int, field: int) -> None:
     fields.check_prime(field)
 
 
-def _boundary(K: SimplicialComplex, p: int, field: int) -> fields.ColumnMatrix:
-    """Columns of d_p read off K's facet positions."""
-    return _facet_boundary(K._layer(p)[1], len(K._layer(p - 1)[0]), field)
-
-
-def _facet_boundary(facets: np.ndarray, n_rows: int, field: int) -> fields.ColumnMatrix:
-    """One column per row of facet positions: the facet deleting vertex j
-    gets sign (-1)^j."""
+def _boundary(K: SimplicialComplex, p: int, field: int, facets=None) -> fields.ColumnMatrix:
+    """Columns of d_p, one per row of K's facet positions or of ``facets``
+    (those rows permuted, and their entries): facet j gets sign (-1)^j."""
+    facets = K._layer(p)[1] if facets is None else facets
     signs = [(-1) ** j for j in range(facets.shape[1])]
-    return fields.ColumnMatrix(n_rows, [fields.sparse_column(zip(row, signs), field) for row in facets.tolist()])
+    return fields.ColumnMatrix(len(K._layer(p - 1)[0]), fields.uniform_columns(facets, signs, field))
 
 
 def boundary_matrix(K: SimplicialComplex, p: int, field: int = 2) -> np.ndarray:

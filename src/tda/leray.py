@@ -29,11 +29,11 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import fields
-from .complexes import IntervalCover, Simplex, SimplicialComplex
+from .complexes import IntervalCover, Simplex, SimplicialComplex, _lookup
 from .cosheaf import SimplicialCosheaf, cosheaf_homology
 from .errors import CoverGranularityError, InternalInconsistencyError, MissingVertexValueError
 from .fields import _coordinates, _items, sparse_column
-from .homology import _check_degree, _facet_boundary, _quotients
+from .homology import _boundary, _check_degree, _quotients
 from .persistence import Barcode, _boundary_terms, _filtration_barcode
 from .zigzag import ExplicitModule
 
@@ -99,7 +99,7 @@ def _leray_pieces(M: MappedComplex, cover: IntervalCover) -> dict[Simplex, Simpl
 def _inclusion(sub: SimplicialComplex, sup: SimplicialComplex) -> list[np.ndarray]:
     """Per dimension, which simplices of sup lie in sub, the full subcomplex
     of sup on its vertices (as every smaller Leray piece is of a larger)."""
-    return sup._fold(np.isin(sup.vertices(), sub.vertices()), np.minimum)
+    return sup._fold(_lookup(sub._layer(0)[0][:, 0], sup._layer(0)[0][:, 0]) >= 0, np.minimum)
 
 
 def _push(reps: np.ndarray, sub: SimplicialComplex, sup: SimplicialComplex, p: int) -> np.ndarray:
@@ -153,8 +153,8 @@ def _value_ordered(M: MappedComplex, P: SimplicialComplex, degrees: range, ts: n
     order = [np.argsort(v, kind="stable") for v in values]  # ties stay lexicographic
     rank = [np.argsort(o) for o in order]
     span = range(degrees.start, degrees.stop + 1)
-    facets = [rank[k - 1][P._layer(k)[1][order[k]]] if 0 < k <= P.dimension else P._layer(k)[1] for k in span]
-    boundaries = [_facet_boundary(x, len(P._layer(k - 1)[0]), field) for k, x in zip(span, facets)]
+    facets = [rank[k - 1][P._layer(k)[1][order[k]]] if 0 < k <= P.dimension else None for k in span]
+    boundaries = [_boundary(P, k, field, x) for k, x in zip(span, facets)]
     ordered = [v[o].tolist() for v, o in zip(values, order)] + [[]] * span.stop
     bars = []
     for k, q in zip(degrees, fields.quotients(boundaries, field)):
@@ -162,7 +162,7 @@ def _value_ordered(M: MappedComplex, P: SimplicialComplex, degrees: range, ts: n
         births = np.array([ordered[k][j] for j in rows])
         deaths = np.array([ordered[k + 1][q._paired[j]] if j in q._paired else np.inf for j in rows])
         live = np.searchsorted(ts, births) < np.searchsorted(ts, deaths)
-        units = {j: sparse_column([(i, 1)], field) for i, j in enumerate(compress(rows, live))}
+        units = {j: {i} if field == 2 else {i: 1} for i, j in enumerate(compress(rows, live))}
         table = {j: (col, units.get(j)) for j, (col, _) in q._pivots.items()}
         bars.append(([table[j][0] for j in units], births[live], deaths[live], table))
     return bars, order, rank

@@ -332,8 +332,9 @@ def _filtration_barcode(
 
     def apparent_column(row):  # None unless row is the earliest coface of apparent cell i
         if earliest[i := latest_face[n - 1 - row]] == n - 1 - row:
-            raw = fields.sparse_columns(rows, coefs, [(start[i], start[i + 1])], field)
-            return next(fields.reduce_columns(raw, field))[1]
+            [col] = fields.sparse_columns(rows, coefs, [(start[i], start[i + 1])], field)
+            inv = 1 if field == 2 else pow(col[row], -1, field)
+            return col if inv == 1 else {r: c * inv % field for r, c in col.items()}
 
     cleared = np.zeros(n, dtype=bool)
     born: list[int] = []

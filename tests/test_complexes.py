@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import tda
 from conftest import TupleComplex, small_clouds
-from tda import complexes
+from tda import complexes, formats
 from tda import persistence as P
 from tda.complexes import IntervalCover, simplex, squared_distance_matrix
 from tda.errors import InvalidMetricError, MalformedSimplexError, NonlinearNerveError
@@ -126,6 +126,109 @@ def test_vertex_ids_beyond_int64_rejected(vertex):
             build([[0, 1], [1, vertex]])
     K = tda.build_complex([[0, 2**63 - 1]])
     assert K.p_simplices(1) == [(0, 2**63 - 1)]
+
+
+ERROR_CASES = [
+    ([[0, 1], [1, 1, 2]], "duplicate vertices in (1, 1, 2)"),
+    ([[0, 1], [-3, 2]], "negative vertex id in (-3, 2)"),
+    ([[0, 1], [1, 2**63]], "vertex ids must fit in 64-bit integers"),
+    ([[0, 1], []], "a simplex needs at least one vertex"),
+    # Bad simplices of two sizes: the first in input order is named.
+    ([[0, 1, 2], [5, 5], [-1, 2, 3]], "duplicate vertices in (5, 5)"),
+    ([[4, -1, 2, 3], [0, 1], [7, 7]], "negative vertex id in (4, -1, 2, 3)"),
+    ([[1, 2], [3, 3, 4], [], [-1]], "duplicate vertices in (3, 3, 4)"),
+    ([[0, 1], [], [2, 2]], "a simplex needs at least one vertex"),
+    ([[2**63, 1], [0, 0]], "duplicate vertices in (0, 0)"),
+]
+
+
+@pytest.mark.parametrize("simplices, message", ERROR_CASES)
+def test_constructor_and_parser_keep_their_error_messages(simplices, message):
+    for build in (tda.SimplicialComplex, tda.build_complex):
+        with pytest.raises(MalformedSimplexError) as err:
+            build(simplices)
+        assert str(err.value) == message
+    if all(simplices):  # the parser skips blank lines, so it has no empty simplex
+        text = "".join(" ".join(map(str, s)) + "\n" for s in simplices)
+        with pytest.raises(MalformedSimplexError) as err:
+            formats.parse_complex(text)
+        assert str(err.value) == message
+
+
+def test_parser_keeps_int_error_message():
+    with pytest.raises(ValueError) as err:
+        formats.parse_complex("0 1\nx 2\n")
+    assert str(err.value) == "invalid literal for int() with base 10: 'x'"
+
+
+def test_constructor_calls_simplex_only_for_bad_rows():
+    """Rows of distinct nonnegative ints, in any vertex order, are sorted
+    and checked in numpy; ``simplex`` runs only to name a bad one."""
+    with mock.patch.object(complexes, "simplex", side_effect=AssertionError("simplex called")):
+        K = tda.SimplicialComplex([[2, 1, 0], (5, 3), np.array([7, 4]), [6]])
+    assert K.simplices == TupleComplex([[0, 1, 2], [3, 5], [4, 7], [6]]).simplices
+
+
+def simplex_semantics(simplices):
+    """The constructor's contract as ``simplex`` per simplex in input
+    order, then the 64-bit check: the error's type and message, or the
+    complex."""
+    try:
+        normalized = [simplex(s) for s in simplices]
+    except Exception as exc:
+        return type(exc), str(exc)
+    if any(v >= 2**63 for s in normalized for v in s):
+        return MalformedSimplexError, "vertex ids must fit in 64-bit integers"
+    return TupleComplex(normalized).simplices
+
+
+def built(simplices):
+    try:
+        return tda.SimplicialComplex(simplices).simplices
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: [[0, 1], [[1], [2]]],
+        lambda: [[[1], [2]], [[3], [4]]],  # nested rows that numpy reads as int64
+        lambda: [[0, 1], np.array([], dtype=np.int64)],  # an empty simplex that numpy reads as int64
+        lambda: [[0, 1], [1, [2]]],
+        lambda: [[None, 1]],
+        lambda: [["3", 1], [2]],
+        lambda: [["x", 1]],
+        lambda: [[1.5, 2], [0, 1]],
+        lambda: [[True, False]],
+        lambda: [5],
+        lambda: ["ab"],
+        lambda: [{1, 2}, (2, 3)],
+        lambda: [(v for v in (2, 1)), [0, 1]],
+        lambda: [np.array([3, 1], dtype=np.int32), np.array([], dtype=np.int64)],
+        lambda: {(0,): "a", (0, 1): "b"},
+    ],
+)
+def test_constructor_on_unusual_input_equals_simplex_semantics(make):
+    """Input that is not rows of plain integers goes through ``simplex``,
+    which raises, or converts with ``int``, as it always did."""
+    assert built(make()) == simplex_semantics(make())
+
+
+@given(
+    st.lists(
+        st.lists(st.one_of(st.integers(-2, 6), st.sampled_from([2**62, 2**63 - 1, 2**63, 2**64])), max_size=4),
+        max_size=8,
+    ),
+    st.sampled_from([list, tuple, np.array, lambda s: np.array(s, dtype=np.int32 if max(s, default=0) < 7 else None)]),
+)
+def test_constructor_equals_simplex_semantics(simplices, row):
+    """Grouped by size and checked in numpy, the constructor names the same
+    bad simplex as ``simplex`` over the input in order, or builds the same
+    complex, whether each simplex is a list, a tuple or a numpy row (int64,
+    int32, uint64, float or object)."""
+    simplices = [row(s) for s in simplices]
+    assert built(simplices) == simplex_semantics(simplices)
 
 
 def test_rips_equilateral_triangle_at_exact_threshold():

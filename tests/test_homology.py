@@ -19,7 +19,7 @@ from conftest import (
 )
 from tda import fields
 from tda.errors import NonSimplicialMapError
-from tda.homology import boundary_matrix, chain_map, coboundary_matrix, induced_map, simplex_faces
+from tda.homology import _boundary, boundary_matrix, chain_map, coboundary_matrix, induced_map, simplex_faces
 
 
 def test_interval_boundary_column():
@@ -49,7 +49,11 @@ def tuple_boundary(ref: TupleComplex, p: int, field: int) -> np.ndarray:
 def test_boundaries_equal_tuple_oracle(seed, field):
     """Boundary and coboundary matrices in degrees 0-3, read off facet
     positions, equal the oracle's, on a random complex and on a random
-    full subcomplex of it (re-indexed facets)."""
+    full subcomplex of it (re-indexed facets). The columns, built in bulk,
+    are the oracle's as sets over F2 and {row: coefficient} dicts over F3
+    and F5, also with the facet positions permuted into the value order of
+    a random lower-star function with ties, as ``leray._value_ordered``
+    permutes them."""
     rng = np.random.default_rng(seed)
     K = random_complex(rng)
     sub = K.full_subcomplex(v for v in K.vertices() if rng.random() < 0.7)
@@ -59,6 +63,14 @@ def test_boundaries_equal_tuple_oracle(seed, field):
         for p in range(4):
             assert np.array_equal(boundary_matrix(L, p, field), expected[p])
             assert np.array_equal(coboundary_matrix(L, p, field), expected[p + 1].T)
+        order = [np.argsort(v, kind="stable") for v in L._fold(rng.integers(0, 4, len(L.vertices())), np.maximum)]
+        rank = [np.argsort(o) for o in order]
+        for p in range(L.dimension + 2):
+            assert _boundary(L, p, field).cols == fields.as_columns(expected[p], field).cols
+            if 0 < p <= L.dimension:
+                facets = rank[p - 1][L._layer(p)[1][order[p]]]
+                permuted = expected[p][np.ix_(order[p - 1], order[p])]
+                assert _boundary(L, p, field, facets).cols == fields.as_columns(permuted, field).cols
 
 
 def test_boundary_squares_to_zero_random():

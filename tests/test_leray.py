@@ -1,5 +1,9 @@
 """Leray cosheaves: preimages, reconstruction, and sublevel recovery."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -7,11 +11,14 @@ from hypothesis import strategies as st
 
 import tda
 from conftest import (
+    FIXTURES,
+    TupleComplex,
     admissible_random_cover,
     dense_quotient,
     homology_barcode,
     octagon_circle,
     random_banded_mapped_complex,
+    random_complex,
     random_mapped_complex,
 )
 from tda import cosheaf as C
@@ -28,6 +35,8 @@ def octagon_mapped():
     return L.MappedComplex(K, values)
 
 
+GOLDEN = os.path.join(FIXTURES, "golden")
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 OCTAGON_COVER = IntervalCover([(-1.5, -0.3), (-0.8, 0.8), (0.3, 1.5)])
 
 
@@ -193,6 +202,50 @@ def test_leray_maps_equal_dense_recipe(seed, field, degree, banded):
         inclusion = np.zeros((len(sup), len(sub)), dtype=np.int64)
         inclusion[[sup.index(s) for s in sub], range(len(sub))] = 1
         assert np.array_equal(got, recipe(vertex, inclusion @ reps[edge])[1])
+
+
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_inclusion_equals_tuple_membership(seed, relabel):
+    """Per dimension, ``_inclusion(sub, sup)`` marks exactly the simplices
+    of sup that the tuple oracle of sub holds, for sub a full subcomplex of
+    sup on no vertex, on every vertex, or on a random subset, and sup the
+    complex or a full subcomplex of it; ids are relabelled to large, spread
+    values when ``relabel`` is set."""
+    rng = np.random.default_rng(seed)
+    K = random_complex(rng)
+    if relabel:
+        ids = rng.choice(2**62, size=len(K.vertices()), replace=False).tolist()
+        K = tda.build_complex([[ids[v] for v in s] for s in K.simplices])
+    vertices = K.vertices()
+    for sup in (K, K.full_subcomplex(v for v in vertices if rng.random() < 0.8)):
+        kept = sup.vertices()
+        for subset in ([], kept, [v for v in kept if rng.random() < 0.5]):
+            sub = sup.full_subcomplex(subset)
+            ref = TupleComplex(sub.simplices)
+            masks = L._inclusion(sub, sup)
+            assert len(masks) == sup.dimension + 1
+            for p, mask in enumerate(masks):
+                assert mask.tolist() == [s in ref for s in sup.p_simplices(p)]
+
+
+def test_levelset_commands_do_not_import_numpy_ma():
+    """``tda leray`` and ``tda sublevel`` on the torus fixture leave
+    ``numpy.ma`` unimported (``np.unique`` and ``np.isin`` import it)."""
+    cover = "-4.2,-1.05;-2.95,0.97;-0.97,2.95;1.05,4.2;3.3,5.5"
+    files = ["--complex", os.path.join(GOLDEN, "torus18.complex"), "--values", os.path.join(GOLDEN, "torus18.values")]
+    script = "\n".join([
+        "import io, sys",
+        "from contextlib import redirect_stdout",
+        "from tda import cli",
+        "with redirect_stdout(io.StringIO()):",
+        f"    codes = [cli.main(['leray', *{files!r}, '--cover={cover}', '--degree', '1']),",
+        f"             cli.main(['sublevel', *{files!r}, '--cover={cover}', '--degree', '1', '--thresholds=-2,0,2'])]",
+        "print(codes, 'numpy.ma' in sys.modules)",
+    ])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[0, 0] False\n"
 
 
 def test_sublevel_constant_map_is_constant_module():

@@ -397,6 +397,21 @@ def test_rips_barcode_equals_homology_reduction(cloud, field, include_zero_bars)
     assert P.compute_barcode(fc, field, include_zero_bars) == homology_barcode(fc, field, include_zero_bars)
 
 
+@pytest.mark.parametrize("field", [2, 3, 5, 7])
+def test_apparent_column_with_pivot_coefficient_2_is_scaled(field):
+    """A cell complex: vertex v, loops e1 and e2 (zero boundary), and a
+    2-cell f attached along e1 + 2 e2, at values 0, 1, 2, 3. e2 is the
+    latest face of its earliest coface f, so it is apparent with pivot
+    coefficient 2; e1's column looks it up and subtracts it scaled to
+    pivot 1 (over F5 and F7 the inverse of 2 is not 2). Over F2 the
+    attaching map is e1, so f kills e1 instead."""
+    coboundary = ([1, 2], [3, 3], [1, 2])  # (face, coface, coefficient) for e1 and e2 in f
+    bc = P._filtration_barcode([0.0, 1.0, 2.0, 3.0], [0, 1, 1, 2], np.arange(4), coboundary, field)
+    killed = (1.0, 3.0) if field == 2 else (2.0, 3.0)
+    survives = 2.0 if field == 2 else 1.0
+    assert bc.counter() == {(0, 0.0, math.inf): 1, (1, *killed): 1, (1, survives, math.inf): 1}
+
+
 def test_pointwise_dimension_matches_homology():
     rng = np.random.default_rng(13)
     pts = rng.uniform(0, 1, size=(7, 2))
