@@ -8,6 +8,7 @@ non-prime field).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -134,9 +135,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of :func:`parse_args`, built on first use and then reused:
+    building it costs more than a small command's work, and doing so at
+    import would charge every importer."""
+    return build_parser()
+
+
 def parse_args(argv) -> argparse.Namespace:
     """Parse and validate a command line; usage errors exit with code 2."""
-    parser = build_parser()
+    parser = _parser()
     ns = parser.parse_args(argv)
     for attr in ("input", "distances", "complex", "values"):
         path = getattr(ns, attr, None)
@@ -181,9 +190,8 @@ def _homology_command(args: argparse.Namespace) -> int:
 
 def _cosheaf_command(args: argparse.Namespace) -> int:
     F = formats.parse_cosheaf(formats.read_text(args.input))
-    lines = []
-    for p in range(max(F.base.dimension, 0) + 1):
-        lines.append(f"H_{p}={cosheaf_mod.cosheaf_homology(F, p, args.field).dimension}")
+    quotients = cosheaf_mod._quotients(F, range(max(F.base.dimension, 0) + 1), args.field)
+    lines = [f"H_{p}={q.dimension}" for p, q in enumerate(quotients)]
     try:
         census = cosheaf_mod.bar_census(F, args.field)
         lines.append(f"census={census}")
@@ -204,7 +212,7 @@ def _mapped_complex_and_cover(args: argparse.Namespace):
 def _leray_command(args: argparse.Namespace) -> int:
     M, cover = _mapped_complex_and_cover(args)
     degrees = range(max(M.complex.dimension, args.degree) + 1)
-    cosheaves = [F for F, _ in leray._leray_cosheaves(leray._leray_pieces(M, cover), degrees, args.field)]
+    cosheaves = [F for F, _ in leray._leray_cosheaves(cover, leray._leray_pieces(M, cover), degrees, args.field)]
     stalks = cosheaves[args.degree].stalks
     lines = []
     for ns in sorted(stalks, key=lambda s: (len(s), s)):

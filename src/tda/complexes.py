@@ -466,13 +466,14 @@ def nerve_of_interval_cover(cover: IntervalCover) -> SimplicialComplex:
     """One vertex per interval, one edge per overlapping consecutive pair.
 
     The cover invariants force the result to be linear: every vertex has
-    degree at most two and there are no cycles.
+    degree at most two and there are no cycles. The path is laid out
+    directly, without sorting or checking: vertex i is at position i, so
+    edge (i, i + 1) has facets i + 1, i.
     """
-    simplices: list[Simplex] = [(i,) for i in range(len(cover))]
-    for i in range(len(cover) - 1):
-        if cover.overlap(i) is not None:
-            simplices.append((i, i + 1))
-    return SimplicialComplex(simplices)
+    m = len(cover)
+    left = np.array([i for i in range(m - 1) if cover.overlap(i) is not None], dtype=np.int64)
+    verts = [np.arange(m, dtype=np.int64)[:, None], np.column_stack([left, left + 1])]
+    return SimplicialComplex._of(verts, [np.zeros((m, 0), dtype=np.int64), np.column_stack([left + 1, left])])
 
 
 def eccentricity_values(points, p: float = 2.0) -> np.ndarray:

@@ -3,8 +3,12 @@
 A cosheaf assigns a vector-space dimension to each simplex and an
 extension matrix toward each codimension-1 face; longer compositions are
 derived, and path independence across codimension-2 pairs is what makes
-the signed block boundary square to zero. Sheaf cohomology is computed by
-transposing to a cosheaf.
+the signed block boundary square to zero. Homology in a range of degrees
+is one sweep: the cosheaf is validated once, each block boundary is built
+once, and :func:`fields.quotients` reduces them from the top degree down,
+clearing the columns that would reduce to zero; ``cosheaf_homology`` is
+its one-degree case. Sheaf cohomology is computed by transposing to a
+cosheaf.
 """
 
 from __future__ import annotations
@@ -160,13 +164,20 @@ def _boundary(F: SimplicialCosheaf, p: int, field: int) -> fields.ColumnMatrix:
     return chain_boundary(basis(p), basis(p - 1), terms, field)
 
 
-def cosheaf_homology(F: SimplicialCosheaf, p: int, field: int = 2) -> HomologyResult:
-    """H_p(K; F) from the cosheaf boundary ranks; validates first."""
+def _quotients(F: SimplicialCosheaf, degrees: range, field: int) -> list[fields.Quotient]:
+    """The quotient of H_p(K; F) for each p in ``degrees``: F is validated
+    once, each boundary d_start..d_stop built once, and all of them
+    reduced in one sweep."""
     violation = validate(F, field)
     if violation is not None:
         raise InvalidCosheafError(str(violation))
-    _check_degree(p, field)
-    return _result(p, fields.Quotient(_boundary(F, p, field), _boundary(F, p + 1, field), field))
+    _check_degree(degrees.start, field)
+    return fields.quotients([_boundary(F, p, field) for p in range(degrees.start, degrees.stop + 1)], field)
+
+
+def cosheaf_homology(F: SimplicialCosheaf, p: int, field: int = 2) -> HomologyResult:
+    """H_p(K; F) from the cosheaf boundary ranks; validates first."""
+    return _result(p, _quotients(F, range(p, p + 1), field)[0])
 
 
 def sheaf_to_cosheaf(F: SimplicialSheaf) -> SimplicialCosheaf:

@@ -29,7 +29,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import fields
-from .complexes import IntervalCover, Simplex, SimplicialComplex, _lookup
+from .complexes import IntervalCover, Simplex, SimplicialComplex, _lookup, nerve_of_interval_cover
 from .cosheaf import SimplicialCosheaf, cosheaf_homology
 from .errors import CoverGranularityError, InternalInconsistencyError, MissingVertexValueError
 from .fields import _coordinates, _items, sparse_column
@@ -112,11 +112,11 @@ def _push(reps: np.ndarray, sub: SimplicialComplex, sup: SimplicialComplex, p: i
 
 
 def _leray_cosheaves(
-    pieces: dict[Simplex, SimplicialComplex], degrees: range, field: int
+    cover: IntervalCover, pieces: dict[Simplex, SimplicialComplex], degrees: range, field: int
 ) -> list[tuple[SimplicialCosheaf, dict[Simplex, fields.Quotient]]]:
-    """(F_i over the nerve of the pieces, each piece's H_i) for each degree
-    i in ``degrees``; each piece's boundaries are reduced in one sweep."""
-    nerve = SimplicialComplex(pieces)
+    """(F_i over the cover's nerve, each piece's H_i) for each degree i in
+    ``degrees``; each piece's boundaries are reduced in one sweep."""
+    nerve = nerve_of_interval_cover(cover)
     homology = {ns: _quotients(P, degrees, field) for ns, P in pieces.items()}
     out = []
     for k, degree in enumerate(degrees):
@@ -168,9 +168,11 @@ def _value_ordered(M: MappedComplex, P: SimplicialComplex, degrees: range, ts: n
     return bars, order, rank
 
 
-def _sublevel_formulas(M: MappedComplex, pieces: dict, degree: int, ts: list[float], field: int) -> list[int]:
+def _sublevel_formulas(
+    M: MappedComplex, cover: IntervalCover, pieces: dict, degree: int, ts: list[float], field: int
+) -> list[int]:
     """The nerve formula on the pieces of K<=t at each t of ts (see :func:`sublevel_module`)."""
-    nerve, ts = SimplicialComplex(pieces), np.array(ts)
+    nerve, ts = nerve_of_interval_cover(cover), np.array(ts)
     degrees = range(max(degree - 1, 0), degree + 1)
     data = {ns: _value_ordered(M, P, degrees, ts, field) for ns, P in pieces.items()}
     coords: list[dict] = [{} for _ in degrees]
@@ -211,7 +213,7 @@ def build_leray_cosheaf(
     """Stalk H_degree(preimage) per nerve simplex, inclusion-induced maps."""
     _check_degree(degree, field)
     pieces = _leray_pieces(M, cover)
-    [(cosheaf, quotients)] = _leray_cosheaves(pieces, range(degree, degree + 1), field)
+    [(cosheaf, quotients)] = _leray_cosheaves(cover, pieces, range(degree, degree + 1), field)
     return LerayCosheaf(cosheaf, degree, field, cover, pieces, quotients)
 
 
@@ -222,7 +224,7 @@ def global_homology(M: MappedComplex, cover: IntervalCover, degree: int, field: 
     """
     _check_degree(degree, field)
     degrees = range(max(degree - 1, 0), degree + 1)
-    cosheaves = [F for F, _ in _leray_cosheaves(_leray_pieces(M, cover), degrees, field)]
+    cosheaves = [F for F, _ in _leray_cosheaves(cover, _leray_pieces(M, cover), degrees, field)]
     return leray_formula(cosheaves[-1], cosheaves[0] if degree > 0 else None, field)
 
 
@@ -302,7 +304,7 @@ def sublevel_module(
     pieces = _leray_pieces(M, cover)
     bc = _blowup_barcode(M, pieces, field)
     dims = [bc.alive_at(t, degree) for t in ts]
-    for t, dim, formula in zip(ts, dims, _sublevel_formulas(M, pieces, degree, ts, field)):
+    for t, dim, formula in zip(ts, dims, _sublevel_formulas(M, cover, pieces, degree, ts, field)):
         if formula != dim:
             raise InternalInconsistencyError(
                 f"cosheaf formula gives {formula} at t={t}, blowup complex gives {dim}"

@@ -3,6 +3,9 @@
 import json
 import math
 import os
+import subprocess
+import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,6 +20,8 @@ from tda.svg import svg_document
 
 CIRCLE = os.path.join(FIXTURES, "circle60.csv")
 GOLDEN = os.path.join(FIXTURES, "golden")
+PATH16 = os.path.join(GOLDEN, "path16.cosheaf")
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def test_parse_point_cloud_separators_and_header():
@@ -224,6 +229,79 @@ def test_cli_zigzag_and_cosheaf_reproduce_golden_stdout(capsys, command, source,
     assert code == 0
     with open(os.path.join(GOLDEN, golden), "rb") as fh:
         assert out.encode("utf-8") == fh.read()
+
+
+def golden_bytes(name: str) -> bytes:
+    with open(os.path.join(GOLDEN, name), "rb") as fh:
+        return fh.read()
+
+
+SURFACE = [  # argv, exit code, golden standard output, golden standard error
+    (["--help"], 0, "help_tda.txt", None),
+    (["rips", "--help"], 0, "help_rips.txt", None),
+    (["cosheaf", "--help"], 0, "help_cosheaf.txt", None),
+    (["cosheaf", "--input", PATH16, "--field", "4"], 2, None, "usage_field4.txt"),
+    (["cosheaf", "--input", PATH16, "--no-such-flag"], 2, None, "usage_unknown_flag.txt"),
+]
+
+
+def assert_surface(capsys, argv, code, out, err):
+    """``cli.main(argv)`` exits with ``code`` and writes the golden streams
+    (empty where None), byte for byte."""
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(argv)
+    assert exit_.value.code == code
+    written = capsys.readouterr()
+    assert written.out.encode("utf-8") == (golden_bytes(out) if out else b"")
+    assert written.err.encode("utf-8") == (golden_bytes(err) if err else b"")
+
+
+@pytest.mark.parametrize("argv, code, out, err", SURFACE)
+def test_cli_help_and_usage_errors_reproduce_golden(monkeypatch, capsys, argv, code, out, err):
+    """Byte for byte against the help texts and usage errors of the parser
+    as built afresh on every call, at an 80-column terminal."""
+    monkeypatch.setenv("COLUMNS", "80")
+    assert_surface(capsys, argv, code, out, err)
+
+
+def test_cli_main_reuses_one_parser_in_process(monkeypatch, capsys):
+    """One process: a usage error, two commands and a help text each
+    reproduce their golden output, and the parser is built only once."""
+    monkeypatch.setenv("COLUMNS", "80")
+    cli._parser.cache_clear()
+    with mock.patch.object(cli, "build_parser", wraps=cli.build_parser) as build:
+        assert_surface(capsys, *SURFACE[3])
+        for argv, golden in [
+            (["cosheaf", "--input", PATH16, "--field", "3"], "path16_f3.txt"),
+            (["zigzag", "--input", os.path.join(GOLDEN, "zigzag80.txt"), "--field", "2"], "zigzag80_f2.txt"),
+        ]:
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out.encode("utf-8"), err) == (0, golden_bytes(golden), "")
+        assert_surface(capsys, *SURFACE[0])
+    assert build.call_count == 1
+
+
+def test_importing_the_cli_builds_no_parser():
+    """``import tda.cli`` constructs no ArgumentParser (a worker's import
+    time stays free of it); the first parse builds the parser and later
+    parses construct none."""
+    script = "\n".join([
+        "import argparse",
+        "built = []",
+        "init = argparse.ArgumentParser.__init__",
+        "argparse.ArgumentParser.__init__ = lambda self, *a, **k: built.append(1) or init(self, *a, **k)",
+        "import tda.cli",
+        "counts = [len(built)]",
+        "for _ in range(2):",
+        f"    tda.cli.parse_args(['cosheaf', '--input', {PATH16!r}])",
+        "    counts.append(len(built))",
+        "print(*counts)",
+    ])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    at_import, first, second = map(int, done.stdout.split())
+    assert at_import == 0 and first > 0 and second == first
 
 
 TORUS18_COVER = "-4.2,-1.05;-2.95,0.97;-0.97,2.95;1.05,4.2;3.3,5.5"

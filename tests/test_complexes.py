@@ -502,6 +502,22 @@ def test_nerve_three_interval_path_matches_pairwise_check():
     assert len(N.p_simplices(1)) == 2
 
 
+@given(st.lists(st.sampled_from(["gap", "touch", "overlap"]), max_size=12))
+def test_nerve_of_interval_cover_lays_out_the_constructors_arrays(links):
+    """The nerve laid out directly equals the constructor's complex of the
+    same simplices, array for array, on covers whose consecutive intervals
+    overlap, touch (open intervals: no edge) or leave a gap."""
+    reach = {"gap": 1.0, "touch": 2.0, "overlap": 3.0}
+    cover = IntervalCover([(2.0 * i, 2.0 * i + reach[link]) for i, link in enumerate(links + ["gap"])])
+    keys = [(i,) for i in range(len(cover))]
+    keys += [(i, i + 1) for i, link in enumerate(links) if link == "overlap"]
+    K, ref = tda.nerve_of_interval_cover(cover), complexes.SimplicialComplex(keys)
+    assert len(K._verts) == len(K._faces) == len(ref._verts) == 1 + ("overlap" in links)
+    for got, want in zip(K._verts + K._faces, ref._verts + ref._faces):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+
+
 def test_nonconsecutive_overlap_rejected():
     with pytest.raises(NonlinearNerveError):
         IntervalCover([(0, 10), (1, 3), (2, 4)])

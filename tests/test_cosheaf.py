@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import tda
 from conftest import (
@@ -196,6 +198,36 @@ def test_constant_cosheaf_agreement_with_simplicial_homology():
                 C.cosheaf_homology(F, p, 3).dimension
                 == n * tda.homology(K, p, 3).dimension
             )
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3, 5]), st.integers(1, 2))
+def test_one_sweep_equals_per_degree_homology(seed, field, n):
+    """Every degree of one ``_quotients`` sweep has the dimension and the
+    representatives of ``cosheaf_homology`` in that degree, and of the
+    quotient of that degree's two dense boundaries alone; the transposed
+    sheaf's cohomology is the latter too."""
+    rng = np.random.default_rng(seed)
+    K = random_complex(rng, max_vertices=7)
+    F = twisted_constant_cosheaf(rng, K, n, field)
+    sheaf = C.SimplicialSheaf(K, dict(F.stalks), {pair: M.T.copy() for pair, M in F.maps.items()})
+    sweep = C._quotients(F, range(0, K.dimension + 1), field)
+    assert len(sweep) == K.dimension + 1
+    for p, q in enumerate(sweep):
+        alone = fields.Quotient(C.cosheaf_boundary(F, p, field), C.cosheaf_boundary(F, p + 1, field), field)
+        assert q.representatives.shape == alone.representatives.shape == (len(K.p_simplices(p)) * n, q.dimension)
+        assert np.array_equal(q.representatives, alone.representatives)
+        for result in (C.cosheaf_homology(F, p, field), C.sheaf_cohomology(sheaf, p, field)):
+            assert result.dimension == q.dimension
+            assert [v.tolist() for v in result.cycle_basis] == q.representatives.T.tolist()
+
+
+def test_invalid_cosheaf_message_is_the_same_on_every_route():
+    F = C.constant_cosheaf(solid_triangle(), 1)
+    F.maps[((0,), (0, 1))] = np.array([[2]], dtype=np.int64)
+    message = r"^extension maps \(0, 1, 2\) -> \(0,\) disagree via \(0, 2\) and \(0, 1\)$"
+    for compute in (lambda: C._quotients(F, range(0, 3), 5), lambda: C.cosheaf_homology(F, 1, 5)):
+        with pytest.raises(InvalidCosheafError, match=message):
+            compute()
 
 
 def test_sheaf_cohomology_examples():
