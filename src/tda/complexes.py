@@ -58,6 +58,13 @@ def faces(sigma: Simplex) -> list[Simplex]:
     return [sigma[:j] + sigma[j + 1 :] for j in range(len(sigma))]
 
 
+def _facet_terms(facets: np.ndarray, first: int = 0, sign: int = 1) -> tuple[np.ndarray, ...]:
+    """The (row, column, coefficient) terms of the boundary whose column first + i
+    has the facet positions facets[i]: the facet deleting vertex j has sign * (-1)^j."""
+    n, w = facets.shape
+    return facets.ravel(), np.repeat(np.arange(first, first + n), w), np.tile(sign * (-1) ** np.arange(w), n)
+
+
 def _id_rows(simplices: Sequence[Sequence[int]], size: int) -> np.ndarray:
     """The simplices, each of ``size`` vertex ids, as an (N, size) int64 array."""
     try:

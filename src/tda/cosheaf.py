@@ -14,13 +14,13 @@ cosheaf.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
-from itertools import combinations
+from itertools import accumulate, combinations
 import numpy as np
 
 from . import fields, zigzag
 from .complexes import Simplex, SimplicialComplex, faces
 from .errors import InvalidCosheafError, NonlinearNerveError, NotASubcomplexError
-from .homology import HomologyResult, _check_degree, _result, chain_boundary, simplex_faces
+from .homology import HomologyResult, _check_degree, _result
 
 
 def codim1_pairs(K: SimplicialComplex) -> list[tuple[Simplex, Simplex]]:
@@ -134,10 +134,7 @@ def validate(F: SimplicialCosheaf, field: int = 2) -> CosheafViolation | None:
 def chain_offsets(F: SimplicialCosheaf, p: int) -> tuple[list[Simplex], list[int]]:
     """p-simplices in lex order with block offsets into C_p(K; F)."""
     simplices = F.base.p_simplices(p)
-    offsets = [0]
-    for s in simplices:
-        offsets.append(offsets[-1] + F.stalks[s])
-    return simplices, offsets
+    return simplices, list(accumulate((F.stalks[s] for s in simplices), initial=0))
 
 
 def cosheaf_boundary(F: SimplicialCosheaf, p: int, field: int = 2) -> np.ndarray:
@@ -151,17 +148,19 @@ def cosheaf_boundary(F: SimplicialCosheaf, p: int, field: int = 2) -> np.ndarray
 
 
 def _boundary(F: SimplicialCosheaf, p: int, field: int) -> fields.ColumnMatrix:
-    """Columns of the block boundary over the basis (simplex, stalk index)."""
-
-    def basis(q):
-        return [(s, k) for s in F.base.p_simplices(q) for k in range(F.stalks[s])]
-
-    def terms(cell):
-        tau, k = cell
-        blocks = [(sigma, sign, F.maps[(sigma, tau)][:, k].tolist()) for sigma, sign in simplex_faces(tau)]
-        return [((sigma, i), sign * x) for sigma, sign, col in blocks for i, x in enumerate(col)]
-
-    return chain_boundary(basis(p), basis(p - 1), terms, field)
+    """Columns of the block boundary over the basis (simplex, stalk index): the
+    nonzero entries of each block (-1)^j r_{sigma,tau}, sigma facet j of tau."""
+    taus, col_offsets = chain_offsets(F, p)
+    sigmas, row_offsets = chain_offsets(F, p - 1)
+    terms = []
+    for tau, start, facets in zip(taus, col_offsets, F.base._layer(p)[1].tolist()):
+        for j, f in enumerate(facets):
+            for i, entries in enumerate(F.maps[(sigmas[f], tau)].tolist(), start=row_offsets[f]):
+                for k, x in enumerate(entries, start=start):
+                    if x:
+                        terms.append((i, k, (-1) ** j * x))
+    rows, cols, coeffs = np.array(terms, dtype=np.int64).reshape(-1, 3).T
+    return fields.term_columns(row_offsets[-1], col_offsets[-1], rows, cols, coeffs, field)
 
 
 def _quotients(F: SimplicialCosheaf, degrees: range, field: int) -> list[fields.Quotient]:

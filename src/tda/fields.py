@@ -1,9 +1,10 @@
-"""Linear algebra over prime fields. Chain complexes are sparse, their
-columns built in bulk from arrays (:func:`uniform_columns`,
-:func:`sparse_columns`): homology (:func:`quotients`: one sweep down the
-degrees, each boundary reduced once, a d_k column at a pivot row of
-d_{k+1} skipped) and the persistence barcode (coboundary columns, with
-clearing) run on the one column-reduction kernel :func:`reduce_columns`.
+"""Linear algebra over prime fields. Chain complexes are sparse, each
+matrix built from its (row, column, coefficient) terms (:func:`term_columns`;
+the barcode slices :func:`sparse_columns` as it goes): homology
+(:func:`quotients`: one sweep down the degrees, each boundary reduced
+once, a d_k column at a pivot row of d_{k+1} skipped) and the persistence
+barcode (coboundary columns, with clearing) run on the one
+column-reduction kernel :func:`reduce_columns`.
 Stalk-sized matrices (zigzags, cosheaf maps, ranks of module maps) are
 reduced by one elimination, :func:`_rref_rows`, on rows held as lists of
 Python ints mod p: at a handful of rows and columns, a numpy call per
@@ -156,13 +157,6 @@ class ColumnMatrix:
             D[list(col), j] = list(col.values()) if isinstance(col, dict) else 1
         return D
 
-    def transpose(self, p: int) -> "ColumnMatrix":
-        rows: list[list] = [[] for _ in range(self.n_rows)]
-        for j, col in enumerate(self.cols):
-            for r, c in _items(col):
-                rows[r].append((j, c))
-        return ColumnMatrix(len(self.cols), [sparse_column(row, p) for row in rows])
-
     def compose(self, other: "ColumnMatrix", p: int) -> "ColumnMatrix":
         """The product self @ other."""
         out = []
@@ -186,11 +180,21 @@ def sparse_column(coeffs, p: int):
     return {r: c % p for r, c in coeffs if c % p}
 
 
-def uniform_columns(rows: np.ndarray, coeffs, p: int) -> list:
-    """The column of each row r of an (N, w) array: row r[j] with coefficient
-    coeffs[j] mod p, which must be nonzero. The entries of r must be distinct."""
-    coeffs = [c % p for c in coeffs]
-    return list(map(set, rows.tolist())) if p == 2 else [dict(zip(r, coeffs)) for r in rows.tolist()]
+def term_columns(n_rows: int, n_cols: int, rows, cols, coeffs, p: int) -> ColumnMatrix:
+    """The n_rows x n_cols matrix with coeffs[t] mod p at (rows[t], cols[t]) for each
+    term t of three integer arrays; zero terms are dropped, and no pair may repeat."""
+    terms = zip(rows.tolist(), cols.tolist(), (coeffs % p).tolist())
+    if p == 2:
+        columns = [set() for _ in range(n_cols)]
+        for r, c, x in terms:
+            if x:
+                columns[c].add(r)
+    else:
+        columns = [{} for _ in range(n_cols)]
+        for r, c, x in terms:
+            if x:
+                columns[c][r] = x
+    return ColumnMatrix(n_rows, columns)
 
 
 def sparse_columns(rows: np.ndarray, coeffs: np.ndarray, bounds, p: int):
@@ -207,8 +211,8 @@ def as_columns(A, p: int) -> ColumnMatrix:
     if isinstance(A, ColumnMatrix):
         return A
     M = normalize(A, p)
-    cols = [sparse_column(zip(np.flatnonzero(c).tolist(), c[c != 0].tolist()), p) for c in M.T]
-    return ColumnMatrix(M.shape[0], cols)
+    rows, cols = np.nonzero(M)
+    return term_columns(*M.shape, rows, cols, M[rows, cols], p)
 
 
 def _subtract(vec: dict, other: dict, factor: int, p: int) -> None:

@@ -4,40 +4,23 @@ Boundary and coboundary matrices, homology dimensions with representative
 cycle bases, and the maps on homology induced by simplicial vertex maps.
 Orientations come from the global integer order on vertex ids; bases are
 deterministic via the leftmost-pivot elimination rule. All of it is
-sparse: :func:`fields.uniform_columns` builds a simplicial boundary whole
-from facet positions, :func:`chain_boundary` cosheaf boundaries and chain
-maps cell by cell, :func:`fields.quotients` reduces them in one sweep
-down the degrees; dense matrices returned here are views of the columns.
+sparse: boundary terms are read off facet positions, a chain map has a
+term per simplex, :func:`fields.term_columns` makes columns of them and
+:func:`fields.quotients` reduces those in one sweep down the degrees;
+dense matrices returned here are views of the columns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import cycle
-from typing import Mapping, Sequence
+from itertools import combinations
+from typing import Mapping
 
 import numpy as np
 
 from . import fields
-from .complexes import Simplex, SimplicialComplex, faces
+from .complexes import SimplicialComplex, _facet_terms
 from .errors import InternalInconsistencyError, NonSimplicialMapError
-
-
-def chain_boundary(cols: Sequence, rows: Sequence, faces, field: int) -> fields.ColumnMatrix:
-    """Sparse columns of a map between chain groups, one per cell of
-    ``cols``, over one row per cell of ``rows``. ``faces(cell)`` yields
-    each (row cell, integer coefficient) term of a column once."""
-    index = {cell: i for i, cell in enumerate(rows)}
-    if field == 2:
-        return fields.ColumnMatrix(len(rows), [{index[f] for f, c in faces(x) if c % 2} for x in cols])
-    return fields.ColumnMatrix(
-        len(rows), [{index[f]: c % field for f, c in faces(x) if c % field} for x in cols]
-    )
-
-
-def simplex_faces(tau: Simplex) -> list[tuple[Simplex, int]]:
-    """Codimension-1 faces of tau; deleting vertex j gives sign (-1)^j."""
-    return list(zip(faces(tau), cycle((1, -1)))) if len(tau) > 1 else []
 
 
 def _check_degree(p: int, field: int) -> None:
@@ -50,8 +33,7 @@ def _boundary(K: SimplicialComplex, p: int, field: int, facets=None) -> fields.C
     """Columns of d_p, one per row of K's facet positions or of ``facets``
     (those rows permuted, and their entries): facet j gets sign (-1)^j."""
     facets = K._layer(p)[1] if facets is None else facets
-    signs = [(-1) ** j for j in range(facets.shape[1])]
-    return fields.ColumnMatrix(len(K._layer(p - 1)[0]), fields.uniform_columns(facets, signs, field))
+    return fields.term_columns(len(K._layer(p - 1)[0]), len(facets), *_facet_terms(facets), field)
 
 
 def boundary_matrix(K: SimplicialComplex, p: int, field: int = 2) -> np.ndarray:
@@ -106,8 +88,14 @@ def homology(K: SimplicialComplex, p: int, field: int = 2) -> HomologyResult:
 def cohomology(K: SimplicialComplex, p: int, field: int = 2) -> HomologyResult:
     """H^p(K) from coboundary ranks; its dimension equals dim H_p(K)."""
     _check_degree(p, field)
-    low, high = (_boundary(K, q, field).transpose(field) for q in (p + 1, p))
+    low, high = (_coboundary(K, q, field) for q in (p + 1, p))
     return _result(p, fields.Quotient(low, high, field))
+
+
+def _coboundary(K: SimplicialComplex, p: int, field: int) -> fields.ColumnMatrix:
+    """Columns of d_p transposed: its terms with rows and columns swapped."""
+    rows, cols, signs = _facet_terms(K._layer(p)[1])
+    return fields.term_columns(len(K._layer(p)[0]), len(K._layer(p - 1)[0]), cols, rows, signs, field)
 
 
 def _check_simplicial(f: Mapping[int, int], source: SimplicialComplex, target: SimplicialComplex) -> None:
@@ -122,13 +110,6 @@ def _check_simplicial(f: Mapping[int, int], source: SimplicialComplex, target: S
             )
 
 
-def _permutation_sign(seq) -> int:
-    inversions = sum(
-        1 for i in range(len(seq)) for j in range(i + 1, len(seq)) if seq[i] > seq[j]
-    )
-    return -1 if inversions % 2 else 1
-
-
 def chain_map(
     f: Mapping[int, int],
     source: SimplicialComplex,
@@ -141,17 +122,23 @@ def chain_map(
     A p-simplex whose image has repeated vertices maps to zero; otherwise
     to the sorted image simplex with the sign of the sorting permutation.
     """
-    fields.check_prime(field)
+    _check_degree(p, field)
     _check_simplicial(f, source, target)
     return _chain_columns(f, source, target, p, field).dense()
 
 
 def _chain_columns(f, source, target, p: int, field: int) -> fields.ColumnMatrix:
-    def image(s):
-        img = [f[v] for v in s]
-        return [] if len(set(img)) != len(img) else [(tuple(sorted(img)), _permutation_sign(img))]
-
-    return chain_boundary(source.p_simplices(p), target.p_simplices(p), image, field)
+    """Columns of C_p(f): a signed term per p-simplex whose image repeats no vertex."""
+    index = {s: i for i, s in enumerate(target.p_simplices(p))}
+    sources = source.p_simplices(p)
+    terms = []
+    for j, s in enumerate(sources):
+        image = [f[v] for v in s]
+        if len(set(image)) == len(image):
+            inversions = sum(a > b for a, b in combinations(image, 2))
+            terms.append((index[tuple(sorted(image))], j, (-1) ** inversions))
+    rows, cols, signs = np.array(terms, dtype=np.int64).reshape(-1, 3).T
+    return fields.term_columns(len(index), len(sources), rows, cols, signs, field)
 
 
 def induced_map(
@@ -166,7 +153,7 @@ def induced_map(
     The chain-level map is verified to commute with the boundary operators
     before being projected to homology.
     """
-    fields.check_prime(field)
+    _check_degree(p, field)
     _check_simplicial(f, source, target)
     Cp = _chain_columns(f, source, target, p, field)
     if p > 0:

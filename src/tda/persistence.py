@@ -28,6 +28,7 @@ from .complexes import (
     Simplex,
     SimplicialComplex,
     _cech_entries,
+    _facet_terms,
     _id_rows,
     _layout,
     _rips_entries,
@@ -370,9 +371,8 @@ def _boundary_terms(K: SimplicialComplex, start, sign: int = 1) -> list[np.ndarr
     k being cell start[k] + i; deleting vertex j has sign * (-1)^j."""
     terms = [(np.zeros(0, dtype=np.int64),) * 3]
     for k, facets in enumerate(K._faces[1:], start=1):
-        signs = np.tile([sign * (-1) ** j for j in range(k + 1)], len(facets))
-        cofaces = np.repeat(start[k] + np.arange(len(facets)), k + 1)
-        terms.append((start[k - 1] + facets.ravel(), cofaces, signs))
+        faces, cofaces, signs = _facet_terms(facets, start[k], sign)
+        terms.append((start[k - 1] + faces, cofaces, signs))
     return [np.concatenate(t) for t in zip(*terms)]
 
 

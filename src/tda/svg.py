@@ -26,6 +26,8 @@ def _fmt(x: float) -> str:
 
 def svg_document(bc: Barcode, width: int = 720) -> str:
     """Deterministic SVG text for a barcode."""
+    if width <= _MARGIN_LEFT + _MARGIN_RIGHT:  # no room to plot between the margins
+        raise ValueError(f"width must be at least {_MARGIN_LEFT + _MARGIN_RIGHT + 1:.0f}, got {width}")
     degrees = sorted({b.degree for b in bc if b.degree is not None})
     finite = [b.death for b in bc if not b.infinite] + [b.birth for b in bc]
     xmax = max([x for x in finite if math.isfinite(x)] + [1.0])

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 import tda
 from tda import fields, leray
 from tda.complexes import IntervalCover, SimplicialComplex
-from tda.homology import chain_boundary, simplex_faces
 from tda.persistence import Bar, Barcode
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -475,6 +474,48 @@ def dense_quotient(low, high, p: int, V):
     return reps, None if X is None else X[: reps.shape[1]]
 
 
+def tuple_faces(tau: tuple[int, ...]) -> list[tuple[tuple[int, ...], int]]:
+    """The codimension-1 faces of a sorted vertex tuple with their signs:
+    deleting vertex j gives sign (-1)^j; a vertex has none."""
+    return [(tau[:j] + tau[j + 1 :], (-1) ** j) for j in range(len(tau))] if len(tau) > 1 else []
+
+
+def tuple_cosheaf_boundary(stalks, maps, p: int, field: int) -> np.ndarray:
+    """d_p of a cosheaf given by stalk dimensions and extension maps (face
+    stalk <- coface stalk), as one dense block per (face, coface) pair:
+    (-1)^j maps[(face, coface)] mod field when the face deletes vertex j.
+    Rows and columns run over the simplices in lexicographic order, each
+    spanning its stalk."""
+
+    def blocks(q):
+        simplices = sorted(s for s in stalks if len(s) == q + 1)
+        offsets = np.cumsum([0] + [stalks[s] for s in simplices]).tolist()
+        return {s: slice(a, b) for s, a, b in zip(simplices, offsets, offsets[1:])}, offsets[-1]
+
+    (rows, n_rows), (cols, n_cols) = blocks(p - 1), blocks(p)
+    D = np.zeros((n_rows, n_cols), dtype=np.int64)
+    for tau, where in cols.items():
+        for face, sign in tuple_faces(tau):
+            D[rows[face], where] = sign * np.asarray(maps[(face, tau)])
+    return D % field
+
+
+def tuple_chain_map(f, source_simplices, target_simplices, p: int, field: int) -> np.ndarray:
+    """C_p(f) over the lexicographic p-simplices of two complexes given as
+    sets of sorted tuples: a p-simplex whose image repeats a vertex maps to
+    zero, any other to its sorted image with the sign of the sorting
+    permutation (the determinant of its permutation matrix)."""
+    rows = sorted(s for s in target_simplices if len(s) == p + 1)
+    cols = sorted(s for s in source_simplices if len(s) == p + 1)
+    D = np.zeros((len(rows), len(cols)), dtype=np.int64)
+    for j, s in enumerate(cols):
+        image = [f[v] for v in s]
+        if len(set(image)) == len(image):
+            sign = round(np.linalg.det(np.eye(len(image))[np.argsort(image)]))
+            D[rows.index(tuple(sorted(image))), j] = sign % field
+    return D
+
+
 def homology_barcode(fc, field: int = 2, include_zero_bars: bool = False) -> Barcode:
     """Barcode of a filtration by the boundary (homology) reduction, the
     oracle for the library's coboundary route: boundary columns in
@@ -483,7 +524,10 @@ def homology_barcode(fc, field: int = 2, include_zero_bars: bool = False) -> Bar
     reduces to zero and is no pivot gives an infinite bar."""
     cells = [s for s, _ in fc.entries]
     values = [v for _, v in fc.entries]
-    columns = chain_boundary(cells, cells, simplex_faces, field).cols
+    index = {s: i for i, s in enumerate(cells)}
+    columns = [{index[f]: c % field for f, c in tuple_faces(s)} for s in cells]
+    if field == 2:
+        columns = [set(col) for col in columns]
     pivots = [i for i, _, _ in fields.reduce_columns(columns, field)]
     paired = set(pivots)
     bars = []

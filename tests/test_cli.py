@@ -433,6 +433,18 @@ def test_cli_plot(tmp_path, capsys):
     assert spath.read_text().startswith("<svg")
 
 
+def test_cli_plot_width_must_exceed_the_margins(tmp_path, capsys):
+    jpath = tmp_path / "bars.json"
+    jpath.write_text(formats.barcode_to_json(Barcode([Bar(0, 0.0, math.inf), Bar(1, 0.5, 1.0)]), 2))
+    spath = tmp_path / "bars.svg"
+    for width in (-5, 0, 80):
+        code, _, err = run_cli(capsys, "plot", "--input", str(jpath), "--output", str(spath), "--width", str(width))
+        assert code == 1 and err == f"error: width must be at least 81, got {width}\n"
+        assert not spath.exists()
+    code, _, _ = run_cli(capsys, "plot", "--input", str(jpath), "--output", str(spath), "--width", "81")
+    assert code == 0 and spath.read_text().startswith('<svg xmlns="http://www.w3.org/2000/svg" width="81" ')
+
+
 @pytest.mark.parametrize(
     "text",
     [

@@ -11,6 +11,7 @@ from conftest import (
     interval_complex,
     random_complex,
     solid_triangle,
+    tuple_cosheaf_boundary,
     twisted_constant_cosheaf,
 )
 from tda import cosheaf as C
@@ -122,6 +123,26 @@ def test_boundary_squares_to_zero_on_twisted_cosheaves():
                     field,
                 )
                 assert not prod.any()
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3, 5]))
+def test_cosheaf_boundary_equals_dense_block_recipe(seed, field):
+    """The block boundary of a random cosheaf (stalks of dimension 0-3,
+    random maps with entries outside [0, p) too, not necessarily valid)
+    equals the dense block recipe in degrees 0-3, both as a matrix and as
+    sparse columns holding no zero coefficient."""
+    rng = np.random.default_rng(seed)
+    K = random_complex(rng, max_vertices=8)
+    stalks = {s: int(rng.integers(0, 4)) for s in K.simplices}
+    maps = {
+        (face, coface): rng.integers(-field, 2 * field, (stalks[face], stalks[coface]))
+        for face, coface in C.codim1_pairs(K)
+    }
+    F = C.SimplicialCosheaf(K, dict(stalks), dict(maps))
+    for p in range(4):
+        expected = tuple_cosheaf_boundary(stalks, maps, p, field)
+        assert np.array_equal(C.cosheaf_boundary(F, p, field), expected)
+        assert C._boundary(F, p, field).cols == fields.as_columns(expected, field).cols
 
 
 def test_four_interval_cosheaf_homologies():

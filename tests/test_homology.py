@@ -16,10 +16,12 @@ from conftest import (
     random_complex,
     small_clouds,
     solid_triangle,
+    tuple_chain_map,
+    tuple_faces,
 )
 from tda import fields
 from tda.errors import NonSimplicialMapError
-from tda.homology import _boundary, boundary_matrix, chain_map, coboundary_matrix, induced_map, simplex_faces
+from tda.homology import _boundary, _chain_columns, boundary_matrix, chain_map, coboundary_matrix, induced_map
 
 
 def test_interval_boundary_column():
@@ -36,11 +38,11 @@ def test_boundary_p0_has_no_rows():
 
 
 def tuple_boundary(ref: TupleComplex, p: int, field: int) -> np.ndarray:
-    """d_p of the tuple oracle, one simplex_faces call per column."""
+    """d_p of the tuple oracle, one tuple_faces call per column."""
     rows, cols = ref.p_simplices(p - 1), ref.p_simplices(p)
     D = np.zeros((len(rows), len(cols)), dtype=np.int64)
     for j, tau in enumerate(cols):
-        for face, sign in simplex_faces(tau):
+        for face, sign in tuple_faces(tau):
             D[rows.index(face), j] = sign % field
     return D
 
@@ -211,6 +213,9 @@ def test_non_simplicial_map_rejected():
     L = tda.build_complex([[0], [1]])
     with pytest.raises(NonSimplicialMapError):
         induced_map({0: 0, 1: 1}, K, L, 0, 2)
+    for build in (chain_map, induced_map):
+        with pytest.raises(ValueError, match="degree must be nonnegative, got -1"):
+            build({0: 0, 1: 1}, K, K, -1, 2)
 
 
 def test_degenerate_images_vanish_at_chain_level():
@@ -218,6 +223,28 @@ def test_degenerate_images_vanish_at_chain_level():
     L = tda.build_complex([[0]])
     M = chain_map({0: 0, 1: 0}, K, L, 1, 3)
     assert M.shape == (0, 1)
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3, 5]))
+def test_chain_maps_equal_tuple_recipe(seed, field):
+    """C_p(f) in degrees 0-3, for random vertex maps that are injective
+    (relabellings that reorder vertices) or collapse vertices, into a target
+    holding the image and more, equals the tuple recipe (sorted image,
+    permutation sign, zero on collapse) as a matrix and as sparse columns."""
+    rng = np.random.default_rng(seed)
+    K = random_complex(rng, max_vertices=8)
+    vertices = K.vertices()
+    if rng.random() < 0.5:
+        labels = rng.choice(2 * len(vertices), len(vertices), replace=False)
+    else:
+        labels = rng.integers(0, rng.integers(1, len(vertices) + 1), len(vertices))
+    f = dict(zip(vertices, labels.tolist()))
+    extra = random_complex(rng, max_vertices=6)
+    L = tda.build_complex([sorted({f[v] for v in s}) for s in K.simplices] + list(extra.simplices))
+    for p in range(4):
+        expected = tuple_chain_map(f, K.simplices, L.simplices, p, field)
+        assert np.array_equal(chain_map(f, K, L, p, field), expected)
+        assert _chain_columns(f, K, L, p, field).cols == fields.as_columns(expected, field).cols
 
 
 def test_chain_map_commutes_with_boundary():
