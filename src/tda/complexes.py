@@ -265,6 +265,9 @@ def as_point_cloud(points) -> np.ndarray:
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] < 1:
         raise ValueError(f"a point cloud must be a 2-D array of coordinates, got shape {pts.shape}")
+    bad = np.flatnonzero(~np.isfinite(pts).all(axis=1))
+    if len(bad):
+        raise TdaError(f"point {bad[0]} (counting from 0) has a non-finite coordinate {pts[bad[0]].tolist()}")
     return pts
 
 
@@ -289,6 +292,9 @@ def squared_distance_matrix(data, precomputed: bool | None = None) -> np.ndarray
     if precomputed:
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise InvalidMetricError(f"distance matrix must be square, got shape {arr.shape}")
+        if np.isnan(arr).any():
+            i, j = np.argwhere(np.isnan(arr))[0].tolist()
+            raise InvalidMetricError(f"distance matrix has a NaN entry at ({i}, {j})")
         if not np.allclose(arr, arr.T, atol=TOL):
             raise InvalidMetricError("distance matrix must be symmetric")
         if np.any(arr < -TOL):

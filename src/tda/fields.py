@@ -1,6 +1,7 @@
 """Linear algebra over prime fields. Chain complexes are sparse, each
 matrix built from its (row, column, coefficient) terms (:func:`term_columns`;
-the barcode slices :func:`sparse_columns` as it goes): homology
+the barcode slices :func:`sparse_columns` as it goes) as columns of one
+type for every prime, F2 included: a dict {row: coeff in [1, p)}. Homology
 (:func:`quotients`: one sweep down the degrees, each boundary reduced
 once, a d_k column at a pivot row of d_{k+1} skipped) and the persistence
 barcode (coboundary columns, with clearing) run on the one
@@ -146,7 +147,8 @@ def matmul(A, B, p: int) -> np.ndarray:
 
 @dataclass
 class ColumnMatrix:
-    """A sparse GF(p) matrix by columns: row sets for p = 2, else {row: coeff in [1, p)}."""
+    """A sparse GF(p) matrix by columns, each a dict {row: coeff in [1, p)}
+    for every prime p, F2 included."""
 
     n_rows: int
     cols: list
@@ -154,7 +156,7 @@ class ColumnMatrix:
     def dense(self) -> np.ndarray:
         D = np.zeros((self.n_rows, len(self.cols)), dtype=np.int64)
         for j, col in enumerate(self.cols):
-            D[list(col), j] = list(col.values()) if isinstance(col, dict) else 1
+            D[list(col), j] = list(col.values())
         return D
 
     def compose(self, other: "ColumnMatrix", p: int) -> "ColumnMatrix":
@@ -162,47 +164,27 @@ class ColumnMatrix:
         out = []
         for col in other.cols:
             acc: dict[int, int] = {}
-            for k, c in _items(col):
-                for r, a in _items(self.cols[k]):
+            for k, c in col.items():
+                for r, a in self.cols[k].items():
                     acc[r] = acc.get(r, 0) + a * c
-            out.append(sparse_column(acc.items(), p))
+            out.append({r: c % p for r, c in acc.items() if c % p})
         return ColumnMatrix(self.n_rows, out)
-
-
-def _items(col):
-    return col.items() if isinstance(col, dict) else ((r, 1) for r in col)
-
-
-def sparse_column(coeffs, p: int):
-    """The column with the given (row, coeff) pairs, rows distinct."""
-    if p == 2:
-        return {r for r, c in coeffs if c % 2}
-    return {r: c % p for r, c in coeffs if c % p}
 
 
 def term_columns(n_rows: int, n_cols: int, rows, cols, coeffs, p: int) -> ColumnMatrix:
     """The n_rows x n_cols matrix with coeffs[t] mod p at (rows[t], cols[t]) for each
     term t of three integer arrays; zero terms are dropped, and no pair may repeat."""
-    terms = zip(rows.tolist(), cols.tolist(), (coeffs % p).tolist())
-    if p == 2:
-        columns = [set() for _ in range(n_cols)]
-        for r, c, x in terms:
-            if x:
-                columns[c].add(r)
-    else:
-        columns = [{} for _ in range(n_cols)]
-        for r, c, x in terms:
-            if x:
-                columns[c][r] = x
+    columns: list[dict] = [{} for _ in range(n_cols)]
+    for r, c, x in zip(rows.tolist(), cols.tolist(), (coeffs % p).tolist()):
+        if x:
+            columns[c][r] = x
     return ColumnMatrix(n_rows, columns)
 
 
-def sparse_columns(rows: np.ndarray, coeffs: np.ndarray, bounds, p: int):
-    """The columns ``sparse_column`` makes of rows[a:b] and coeffs[a:b], one
-    per (a, b) in bounds, made as they are consumed. The coefficients must
-    be reduced to [1, p) and the rows of a column distinct."""
-    if p == 2:
-        return (set(rows[a:b].tolist()) for a, b in bounds)
+def sparse_columns(rows: np.ndarray, coeffs: np.ndarray, bounds):
+    """The columns {rows[t]: coeffs[t] for a <= t < b}, one per (a, b) in
+    bounds, made as they are consumed. The coefficients must be reduced to
+    [1, p) and the rows of a column distinct."""
     return (dict(zip(rows[a:b].tolist(), coeffs[a:b].tolist())) for a, b in bounds)
 
 
@@ -243,11 +225,6 @@ def reduce_columns(columns, p: int, pivots: dict | None = None, tracks=None, ins
             if stored is None:
                 break
             other, other_track = stored
-            if p == 2:
-                col ^= other
-                if track is not None and other_track:
-                    track ^= other_track
-                continue
             factor = col[piv]
             _subtract(col, other, factor, p)
             if piv in col:  # would loop forever
@@ -257,7 +234,7 @@ def reduce_columns(columns, p: int, pivots: dict | None = None, tracks=None, ins
         else:
             piv = None
         if insert and piv is not None:
-            if p != 2 and col[piv] != 1:
+            if col[piv] != 1:
                 inv = pow(col[piv], -1, p)
                 col = {r: c * inv % p for r, c in col.items()}
                 track = None if track is None else {r: c * inv % p for r, c in track.items()}
@@ -289,11 +266,11 @@ def quotients(boundaries, p: int) -> list["Quotient"]:
         q.field, q._paired = p, {piv: j for j, (piv, _, _) in reduced if piv is not None}
         q._pivots = {piv: (col, None) for piv, (col, _) in stored.items()}
         free = [j for j in range(len(low.cols)) if j not in q._pivots]
-        stored, units = {}, ({j} if p == 2 else {j: 1} for j in free)
+        stored, units = {}, ({j: 1} for j in free)
         reduced = list(zip(free, reduce_columns((low.cols[j] for j in free), p, stored, units)))
         reps = [track for _, (piv, _, track) in reduced if piv is None]
         for k, track in enumerate(reps):
-            q._pivots[max(track)] = (track, {k} if p == 2 else {k: 1})
+            q._pivots[max(track)] = (track, {k: 1})
         q.dimension, q.representatives = len(reps), ColumnMatrix(len(low.cols), reps).dense()
         out.append(q)
     return out[::-1]
@@ -325,10 +302,10 @@ def _coordinates(columns: list, pivots: dict, n: int, p: int) -> np.ndarray:
     """The n x len(columns) coefficients, on the n stored columns of
     ``pivots`` whose tracks are units, that sum to each (cycle) column."""
     X = np.zeros((n, len(columns)), dtype=np.int64)
-    tracks = (sparse_column((), p) for _ in columns)
+    tracks = ({} for _ in columns)
     for j, (piv, _, track) in enumerate(reduce_columns(columns, p, pivots, tracks, insert=False)):
         if piv is not None:
             raise InternalInconsistencyError("vector is not a cycle modulo boundaries of this quotient")
-        for k, c in _items(track):  # column + (stored columns combined by track) = 0
+        for k, c in track.items():  # column + (stored columns combined by track) = 0
             X[k, j] = -c % p
     return X

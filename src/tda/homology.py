@@ -151,17 +151,21 @@ def induced_map(
     """Matrix of H_p(f) in the deterministic homology bases of both sides.
 
     The chain-level map is verified to commute with the boundary operators
-    before being projected to homology.
+    before being projected to homology. Each side's d_p and d_{p+1} are
+    built once, d_p serving the check too, and reduced once; a self-map
+    (target is source) reduces its complex once.
     """
     _check_degree(p, field)
     _check_simplicial(f, source, target)
     Cp = _chain_columns(f, source, target, p, field)
+    dK = [_boundary(source, k, field) for k in (p, p + 1)]
+    dL = dK if target is source else [_boundary(target, k, field) for k in (p, p + 1)]
     if p > 0:
-        lhs = _chain_columns(f, source, target, p - 1, field).compose(_boundary(source, p, field), field)
-        if lhs.cols != _boundary(target, p, field).compose(Cp, field).cols:
+        lhs = _chain_columns(f, source, target, p - 1, field).compose(dK[0], field)
+        if lhs.cols != dL[0].compose(Cp, field).cols:
             raise InternalInconsistencyError("chain map does not commute with boundaries")
-    hK = homology_quotient(source, p, field)
-    hL = homology_quotient(target, p, field)
+    [hK] = fields.quotients(dK, field)
+    [hL] = [hK] if target is source else fields.quotients(dL, field)
     if hK.dimension == 0:
         return np.zeros((hL.dimension, 0), dtype=np.int64)
     return hL.coordinates(Cp.compose(fields.as_columns(hK.representatives, field), field))

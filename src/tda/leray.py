@@ -32,7 +32,7 @@ from . import fields
 from .complexes import IntervalCover, Simplex, SimplicialComplex, _lookup, nerve_of_interval_cover
 from .cosheaf import SimplicialCosheaf, cosheaf_homology
 from .errors import CoverGranularityError, InternalInconsistencyError, MissingVertexValueError
-from .fields import _coordinates, _items, sparse_column
+from .fields import _coordinates
 from .homology import _boundary, _check_degree, _quotients
 from .persistence import Barcode, _boundary_terms, _filtration_barcode
 from .zigzag import ExplicitModule
@@ -162,7 +162,7 @@ def _value_ordered(M: MappedComplex, P: SimplicialComplex, degrees: range, ts: n
         births = np.array([ordered[k][j] for j in rows])
         deaths = np.array([ordered[k + 1][q._paired[j]] if j in q._paired else np.inf for j in rows])
         live = np.searchsorted(ts, births) < np.searchsorted(ts, deaths)
-        units = {j: {i} if field == 2 else {i: 1} for i, j in enumerate(compress(rows, live))}
+        units = {j: {i: 1} for i, j in enumerate(compress(rows, live))}
         table = {j: (col, units.get(j)) for j, (col, _) in q._pivots.items()}
         bars.append(([table[j][0] for j in units], births[live], deaths[live], table))
     return bars, order, rank
@@ -182,7 +182,7 @@ def _sublevel_formulas(
             (sub, order, _), (sup, _, rank) = data[edge], data[vertex]
             for k, i in enumerate(degrees):
                 to_sup = rank[i][np.flatnonzero(keep[i])[order[i]]].tolist() if sub[k][0] else []
-                pushed = [sparse_column(((to_sup[r], c) for r, c in _items(x)), field) for x in sub[k][0]]
+                pushed = [{to_sup[r]: c for r, c in x.items()} for x in sub[k][0]]
                 coords[k][(vertex, edge)] = _coordinates(pushed, sup[k][3], len(sup[k][0]), field)
 
     def cosheaf(k: int, t: float) -> SimplicialCosheaf:  # F_{degrees[k]} on the pieces of K<=t

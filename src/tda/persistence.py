@@ -333,8 +333,8 @@ def _filtration_barcode(
 
     def apparent_column(row):  # None unless row is the earliest coface of apparent cell i
         if earliest[i := latest_face[n - 1 - row]] == n - 1 - row:
-            [col] = fields.sparse_columns(rows, coefs, [(start[i], start[i + 1])], field)
-            inv = 1 if field == 2 else pow(col[row], -1, field)
+            [col] = fields.sparse_columns(rows, coefs, [(start[i], start[i + 1])])
+            inv = pow(col[row], -1, field)
             return col if inv == 1 else {r: c * inv % field for r, c in col.items()}
 
     cleared = np.zeros(n, dtype=bool)
@@ -352,7 +352,7 @@ def _filtration_barcode(
         dies += earliest[unpaired[apparent]].tolist()
         paired = unpaired[has_cofaces & ~apparent]
         bounds = zip(start[paired].tolist(), start[paired + 1].tolist())
-        columns = fields.sparse_columns(rows, coefs, bounds, field)
+        columns = fields.sparse_columns(rows, coefs, bounds)
         reduced = fields.reduce_columns(columns, field, _ApparentPivots(apparent_column))
         for i, (piv, _, _) in zip(paired.tolist(), reduced):
             born.append(i)

@@ -526,8 +526,6 @@ def homology_barcode(fc, field: int = 2, include_zero_bars: bool = False) -> Bar
     values = [v for _, v in fc.entries]
     index = {s: i for i, s in enumerate(cells)}
     columns = [{index[f]: c % field for f, c in tuple_faces(s)} for s in cells]
-    if field == 2:
-        columns = [set(col) for col in columns]
     pivots = [i for i, _, _ in fields.reduce_columns(columns, field)]
     paired = set(pivots)
     bars = []

@@ -399,6 +399,23 @@ def test_cli_sublevel_nan_threshold_is_not_finite(tmp_path, capsys):
     assert (code, out, err) == (1, "", "error: thresholds must be finite\n")
 
 
+@pytest.mark.parametrize("command", ["rips", "cech"])
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_cli_non_finite_point_exits_1(tmp_path, capsys, command, bad):
+    path = tmp_path / "points.csv"
+    path.write_text(f"0,0\n1,0\n0,{bad}\n1,1\n")
+    code, out, err = run_cli(capsys, command, "--input", str(path), "--max-radius", "2")
+    assert (code, out) == (1, "")
+    assert err == f"error: point 2 (counting from 0) has a non-finite coordinate [0.0, {bad}]\n"
+
+
+def test_cli_nan_distance_exits_1(tmp_path, capsys):
+    dm = tmp_path / "d.txt"
+    dm.write_text("1.0\nnan 1.0\n")
+    code, out, err = run_cli(capsys, "rips", "--distances", str(dm), "--max-radius", "2")
+    assert (code, out, err) == (1, "", "error: distance matrix has a NaN entry at (0, 2)\n")
+
+
 def test_cli_zigzag(tmp_path, capsys):
     path = tmp_path / "z.txt"
     path.write_text("dims 1 1\nfwd 1\n")

@@ -261,6 +261,31 @@ def test_rips_rejects_asymmetric_matrix():
         tda.build_rips(D, 1.0, 1, precomputed=True)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_coordinates_are_rejected_naming_the_point(bad):
+    pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    pts[2, 1] = pts[3, 0] = bad
+    builds = [
+        lambda: tda.rips_filtration(pts, 1, 2.0),
+        lambda: tda.build_rips(pts, 1.0, 1),
+        lambda: tda.cech_filtration(pts, 1, 2.0),
+        lambda: tda.min_enclosing_ball(pts),
+        lambda: tda.eccentricity_values(pts),
+    ]
+    for build in builds:
+        with pytest.raises(tda.TdaError, match=r"^point 2 \(counting from 0\) has a non-finite coordinate"):
+            build()
+
+
+def test_nan_distance_is_named_and_infinite_distance_never_joins():
+    D = np.array([[0.0, 1.0, np.nan], [1.0, 0.0, 1.0], [np.nan, 1.0, 0.0]])
+    with pytest.raises(InvalidMetricError, match=r"^distance matrix has a NaN entry at \(0, 2\)$"):
+        tda.rips_filtration(D, 1, 2.0, precomputed=True)
+    D[0, 2] = D[2, 0] = math.inf
+    K = tda.build_rips(D, 2.0, 2, precomputed=True)
+    assert (0, 1) in K and (1, 2) in K and (0, 2) not in K
+
+
 def test_rips_monotone_in_radius():
     rng = np.random.default_rng(3)
     pts = rng.uniform(0, 1, size=(9, 3))

@@ -214,6 +214,47 @@ def test_quotients_sweep_matches_dense_recipe_in_every_degree(seed, p):
         assert np.array_equal(quotient.coordinates(V), coords)
 
 
+def assert_unit_dicts(columns, p):
+    for col in columns:
+        assert type(col) is dict and all(type(c) is int and 1 <= c < p for c in col.values()), col
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3, 5]))
+def test_every_sparse_column_is_a_dict_of_units(seed, p):
+    """One sparse column type for every prime, F2 included: a dict {row:
+    coeff in [1, p)} from each builder, from a product, out of the
+    reduction, and as a column or track of a quotient's pivot table."""
+    rng = np.random.default_rng(seed)
+    m, n, k = rng.integers(0, 7, size=3).tolist()
+    A, B = rng.integers(-p, 2 * p, size=(m, n)), rng.integers(-p, 2 * p, size=(n, k))
+    rows, cols = (a.ravel() for a in np.indices((m, n)))
+    built = fields.term_columns(m, n, rows, cols, A.ravel(), p)
+    assert_unit_dicts(built.cols, p)
+    assert np.array_equal(built.dense(), A % p)
+    dense = fields.as_columns(A, p)
+    assert_unit_dicts(dense.cols, p)
+    assert dense.cols == built.cols
+    cols, rows = np.nonzero((A % p).T)
+    bounds = np.searchsorted(cols, np.arange(n + 1))
+    sliced = list(fields.sparse_columns(rows, (A % p)[rows, cols], zip(bounds, bounds[1:])))
+    assert_unit_dicts(sliced, p)
+    assert sliced == built.cols
+    product = built.compose(fields.as_columns(B, p), p)
+    assert_unit_dicts(product.cols, p)
+    assert np.array_equal(product.dense(), fields.matmul(A, B, p))
+    pivots: dict = {}
+    units = ({j: 1} for j in range(n))
+    for piv, col, track in fields.reduce_columns(built.cols, p, pivots, units):
+        assert_unit_dicts([col, track], p)
+        assert (piv is None) == (not col)
+    for col, track in pivots.values():
+        assert_unit_dicts([col, track], p)
+    K = random_complex(rng)
+    for quotient in fields.quotients([boundary_matrix(K, d, p) for d in range(K.dimension + 2)], p):
+        for col, track in quotient._pivots.values():
+            assert_unit_dicts([col] if track is None else [col, track], p)
+
+
 def test_quotients_rejects_a_mismatched_middle_pair():
     ds = [np.zeros((0, 3)), np.zeros((3, 2)), np.zeros((3, 1)), np.zeros((1, 0))]
     with pytest.raises(ValueError, match="chain space mismatch: d_low has 2 columns, d_high has 3 rows"):

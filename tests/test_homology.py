@@ -11,6 +11,7 @@ import tda
 from conftest import (
     TupleComplex,
     dense_quotient,
+    grid_torus,
     hollow_triangle,
     interval_complex,
     random_complex,
@@ -206,6 +207,26 @@ def test_rotation_of_hollow_triangle_is_identity_on_h1():
         assert M.shape == (1, 1)
         assert fields.rank(M, field) == 1
         assert M[0, 0] == 1  # the fundamental cycle maps to itself
+
+
+def test_self_map_reduces_its_complex_once(monkeypatch):
+    """A self-map shares one reduction between its two sides; a copy of the
+    complex as target is reduced on its own and gives the same matrix."""
+    calls = []
+    quotients = fields.quotients
+    monkeypatch.setattr(fields, "quotients", lambda ds, p: calls.append(p) or quotients(ds, p))
+    n = 5
+    K, _ = grid_torus(n)
+    swap = {v: (v % n) * n + v // n for v in K.vertices()}
+    copy = tda.build_complex(K.simplices)
+    for p in (2, 3):
+        for k, want in enumerate(([[1]], [[0, 1], [1, 0]], [[p - 1]])):
+            calls.clear()
+            assert induced_map(swap, K, K, k, p).tolist() == want
+            assert calls == [p]
+            calls.clear()
+            assert induced_map(swap, K, copy, k, p).tolist() == want
+            assert calls == [p, p]
 
 
 def test_non_simplicial_map_rejected():
