@@ -8,7 +8,9 @@ is one sweep: the cosheaf is validated once, each block boundary is built
 once, and :func:`fields.quotients` reduces them from the top degree down,
 clearing the columns that would reduce to zero; ``cosheaf_homology`` is
 its one-degree case. Sheaf cohomology is computed by transposing to a
-cosheaf.
+cosheaf. Over a disjoint union of paths, :func:`bar_census` reads the
+cosheaf as one zigzag: all paths laid out in one run of vertex and edge
+slots, joined by empty edge slots, and decomposed once.
 """
 
 from __future__ import annotations
@@ -32,9 +34,8 @@ def codim1_pairs(K: SimplicialComplex) -> list[tuple[Simplex, Simplex]]:
     return sorted(pairs)
 
 
-def _check_structure(F, kind: str) -> None:
-    """Validate stalks and map keys; make each map an int64 array of its shape."""
-    base, stalks, maps = F.base, F.stalks, F.maps
+def _check_stalks(base: SimplicialComplex, stalks: dict[Simplex, int], kind: str) -> None:
+    """One non-negative stalk dimension per simplex of the base, and no other."""
     for s in base.simplices:
         if s not in stalks:
             raise InvalidCosheafError(f"{kind} has no stalk dimension for {s}")
@@ -43,6 +44,13 @@ def _check_structure(F, kind: str) -> None:
     extra = set(stalks) - base.simplices
     if extra:
         raise InvalidCosheafError(f"stalks given for simplices not in the base: {sorted(extra)}")
+
+
+def _check_structure(F, kind: str) -> None:
+    """Validate stalks, map keys and map shapes; make each map an int64
+    array (an empty one takes the shape of its zero-size block)."""
+    base, stalks, maps = F.base, F.stalks, F.maps
+    _check_stalks(base, stalks, kind)
     needed = set(codim1_pairs(base))
     if set(maps) != needed:
         missing = sorted(needed - set(maps))
@@ -50,9 +58,14 @@ def _check_structure(F, kind: str) -> None:
         raise InvalidCosheafError(
             f"{kind} extension maps mismatch; missing {missing}, unexpected {extra}"
         )
-    for (face, coface), M in list(maps.items()):
+    for (face, coface), M in maps.items():
         shape = (stalks[face], stalks[coface]) if kind == "cosheaf" else (stalks[coface], stalks[face])
-        maps[(face, coface)] = np.asarray(M, dtype=np.int64).reshape(shape)
+        M = np.asarray(M, dtype=np.int64)
+        if M.shape != shape and not (M.size == 0 and 0 in shape):
+            raise InvalidCosheafError(
+                f"{kind} extension map {(face, coface)} has shape {M.shape}, expected {shape}"
+            )
+        maps[(face, coface)] = M.reshape(shape)
 
 
 @dataclass
@@ -193,87 +206,52 @@ def sheaf_cohomology(F: SimplicialSheaf, p: int, field: int = 2) -> HomologyResu
     return cosheaf_homology(sheaf_to_cosheaf(F), p, field)
 
 
-def _linear_components(K: SimplicialComplex) -> list[list[Simplex]]:
-    """Split a linear complex into paths of alternating vertex/edge slots.
-
-    Raises NonlinearNerveError when the complex has dimension > 1, a
-    vertex of degree > 2, or a cycle.
-    """
+def _line_slots(K: SimplicialComplex) -> list[Simplex | None]:
+    """All paths of a base of dimension <= 1 as one run of alternating vertex
+    and edge slots, each walked from its lowest end and joined to the next by
+    an empty edge slot (None), which no bar crosses. Raises NonlinearNerveError
+    on dimension > 1, a vertex of degree > 2, or a cycle."""
     if K.dimension > 1:
         raise NonlinearNerveError(f"base has dimension {K.dimension}, expected <= 1")
-    vertices = K.vertices()
-    edges = K.p_simplices(1)
-    adjacency: dict[int, list[int]] = {v: [] for v in vertices}
-    for a, b in edges:
+    adjacency: dict[int, list[int]] = {v: [] for v in K.vertices()}
+    for a, b in K.p_simplices(1):
         adjacency[a].append(b)
         adjacency[b].append(a)
-    if any(len(nb) > 2 for nb in adjacency.values()):
-        v = min(v for v, nb in adjacency.items() if len(nb) > 2)
-        raise NonlinearNerveError(f"vertex {v} has degree > 2")
-    seen: set[int] = set()
-    components: list[list[Simplex]] = []
-    for start in vertices:
-        if start in seen:
+    if branching := [v for v, nb in adjacency.items() if len(nb) > 2]:
+        raise NonlinearNerveError(f"vertex {min(branching)} has degree > 2")
+    slots: list[Simplex | None] = []
+    far_ends: set[int] = set()
+    for end, nb in adjacency.items():  # in increasing vertex order
+        if len(nb) > 1 or end in far_ends:
             continue
-        comp_vertices = {start}
-        frontier = [start]
-        while frontier:
-            v = frontier.pop()
-            for w in adjacency[v]:
-                if w not in comp_vertices:
-                    comp_vertices.add(w)
-                    frontier.append(w)
-        seen |= comp_vertices
-        n_edges = sum(1 for a, b in edges if a in comp_vertices)
-        if n_edges != len(comp_vertices) - 1:
-            raise NonlinearNerveError("base contains a cycle")
-        endpoints = sorted(v for v in comp_vertices if len(adjacency[v]) <= 1)
-        cur = endpoints[0]
-        slots: list[Simplex] = [(cur,)]
-        prev = None
-        while True:
-            nxt = [w for w in adjacency[cur] if w != prev]
-            if not nxt:
-                break
-            w = nxt[0]
-            slots.append(tuple(sorted((cur, w))))
-            slots.append((w,))
-            prev, cur = cur, w
-        components.append(slots)
-    return components
+        slots += [None, (end,)] if slots else [(end,)]
+        prev, cur = None, end
+        while nxt := [w for w in adjacency[cur] if w != prev]:
+            prev, cur = cur, nxt[0]
+            slots += [(min(prev, cur), max(prev, cur)), (cur,)]
+        far_ends.add(cur)
+    if len(slots[::2]) < len(adjacency):  # some component has no end
+        raise NonlinearNerveError("base contains a cycle")
+    return slots
 
 
 def bar_census(F: SimplicialCosheaf, field: int = 2) -> tuple[int, int, int]:
-    """Counts of (closed, open, half-open) bars over a linear base.
-
-    The cosheaf is read as a zigzag along each path, vertices and edges
-    interleaved; a bar end landing on a vertex slot is closed, on an edge
-    slot open. Closed bars count dim H_0 and open bars dim H_1.
-    """
-    violation = validate(F, field)
-    if violation is not None:
-        raise InvalidCosheafError(str(violation))
-    closed = opened = half = 0
-    for slots in _linear_components(F.base):
-        dims = [F.stalks[s] for s in slots]
-        arrows: list[tuple[str, np.ndarray]] = []
-        for i in range(len(slots) - 1):
-            a, b = slots[i], slots[i + 1]
-            if len(a) == 1:  # vertex then edge: map points back to the vertex
-                arrows.append((zigzag.BACKWARD, F.maps[(a, b)]))
-            else:  # edge then vertex
-                arrows.append((zigzag.FORWARD, F.maps[(b, a)]))
-        bars = zigzag.decompose_zigzag(zigzag.ZigzagModule(dims, arrows), field)
-        for bar in bars:
-            lo_vertex = bar.lo % 2 == 0
-            hi_vertex = bar.hi % 2 == 0
-            if lo_vertex and hi_vertex:
-                closed += bar.multiplicity
-            elif not lo_vertex and not hi_vertex:
-                opened += bar.multiplicity
-            else:
-                half += bar.multiplicity
-    return closed, opened, half
+    """Counts of (closed, open, half-open) bars over a base of dimension <= 1,
+    read as one zigzag over the slots of :func:`_line_slots`: a bar end on a
+    vertex slot (even) is closed, on an edge slot (odd) open. Closed bars
+    count dim H_0 and open bars dim H_1. A base that is not a disjoint union
+    of paths raises NonlinearNerveError before any map is read."""
+    fields.check_prime(field)
+    slots = _line_slots(F.base)
+    arrows = []
+    for k in range(len(slots) - 1):
+        vertex, edge = (slots[k], slots[k + 1]) if k % 2 == 0 else (slots[k + 1], slots[k])
+        M = F.maps[(vertex, edge)] if edge else np.zeros((F.stalks[vertex], 0), dtype=np.int64)
+        arrows.append((zigzag.FORWARD if k % 2 else zigzag.BACKWARD, M))
+    bars = zigzag.decompose_zigzag(zigzag.ZigzagModule([F.stalks.get(s, 0) for s in slots], arrows), field)
+    closed = sum(bar.multiplicity for bar in bars if bar.lo % 2 == bar.hi % 2 == 0)
+    opened = sum(bar.multiplicity for bar in bars if bar.lo % 2 == bar.hi % 2 == 1)
+    return closed, opened, sum(bar.multiplicity for bar in bars) - closed - opened
 
 
 def colimit_over_subcomplex(F: SimplicialCosheaf, L, field: int = 2) -> int:

@@ -24,7 +24,7 @@ import math
 import numpy as np
 
 from .complexes import IntervalCover, SimplicialComplex, build_complex, simplex
-from .cosheaf import SimplicialCosheaf, codim1_pairs
+from .cosheaf import SimplicialCosheaf, _check_stalks, codim1_pairs
 from .errors import TdaError
 from .persistence import Bar, Barcode, FilteredComplex
 from .zigzag import BACKWARD, FORWARD, ZigzagModule, _check_dims
@@ -141,22 +141,22 @@ def parse_cosheaf(text: str) -> SimplicialCosheaf:
         if s not in base:
             raise TdaError(f"stalk given for {s}, which is not in the complex")
         stalks[s] = int(parts[2])
-    maps = {}
+    _check_stalks(base, stalks, "cosheaf")
+    maps = {(f, c): np.zeros((stalks[f], stalks[c]), dtype=np.int64) for f, c in codim1_pairs(base)}
     for parts in map_lines:
         if len(parts) < 3:
             raise TdaError("bad map line; expected `map <face> <coface> <entries>`")
         face = _parse_simplex_token(parts[1])
         coface = _parse_simplex_token(parts[2])
+        if (face, coface) not in maps:
+            raise TdaError(f"map {face} <- {coface} is not a face/coface pair of the complex")
         entries = [int(x) for x in parts[3:]]
-        shape = (stalks.get(face, 0), stalks.get(coface, 0))
+        shape = maps[(face, coface)].shape
         if len(entries) != shape[0] * shape[1]:
             raise TdaError(
                 f"map {face} <- {coface} needs {shape[0] * shape[1]} entries, got {len(entries)}"
             )
         maps[(face, coface)] = np.asarray(entries, dtype=np.int64).reshape(shape)
-    for pair in codim1_pairs(base):
-        if pair not in maps:
-            maps[pair] = np.zeros((stalks[pair[0]], stalks[pair[1]]), dtype=np.int64)
     return SimplicialCosheaf(base=base, stalks=stalks, maps=maps)
 
 

@@ -151,6 +151,29 @@ def test_cli_cosheaf_open_interval(tmp_path, capsys):
     assert out.splitlines() == ["H_0=0", "H_1=1", "census=(0, 1, 0)"]
 
 
+INVALID_TRIANGLE_COSHEAF = "0 1 2\n" + "".join(
+    f"stalk {s} 1\n" for s in ("0", "1", "2", "0,1", "0,2", "1,2", "0,1,2")
+) + "map 0 0,1 1\nmap 0,1 0,1,2 1\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("0 1\nstalk 0 -1\n", "negative stalk dimension at (0,)"),
+        ("0 1\nstalk 0 1\nmap 5 5,6 1\n", "map (5,) <- (5, 6) is not a face/coface pair of the complex"),
+        (INVALID_TRIANGLE_COSHEAF, "extension maps (0, 1, 2) -> (0,) disagree via (0, 2) and (0, 1)"),
+    ],
+    ids=["negative-stalk", "not-a-face-pair", "invalid-over-a-triangle"],
+)
+def test_cli_cosheaf_input_errors_exit_1(tmp_path, capsys, text, message):
+    """Bad stalk and map lines are named as such, and an invalid cosheaf over
+    a 2-dimensional base reports its failing square, not its base."""
+    path = tmp_path / "bad.cosheaf"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "cosheaf", "--input", str(path), "--field", "5")
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 def test_cli_rips_circle_fixture(tmp_path, capsys):
     out_path = tmp_path / "bars.json"
     code, _, _ = run_cli(

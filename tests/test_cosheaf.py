@@ -1,5 +1,7 @@
 """Cosheaf validation, boundary operators, homology, and bar census."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -13,9 +15,11 @@ from conftest import (
     solid_triangle,
     tuple_cosheaf_boundary,
     twisted_constant_cosheaf,
+    zigzag_bars_oracle,
 )
 from tda import cosheaf as C
-from tda import fields
+from tda import fields, zigzag
+from tda.zigzag import BACKWARD, FORWARD, ZigzagModule
 from tda.errors import InvalidCosheafError, NonlinearNerveError, NotASubcomplexError
 
 
@@ -89,6 +93,22 @@ def test_missing_stalk_rejected():
     K = interval_complex()
     with pytest.raises(InvalidCosheafError):
         C.SimplicialCosheaf(K, {(0,): 1, (1,): 1}, {})
+
+
+@pytest.mark.parametrize("kind", ["cosheaf", "sheaf"])
+def test_extension_map_of_the_wrong_shape_is_rejected(kind):
+    make = C.SimplicialCosheaf if kind == "cosheaf" else C.SimplicialSheaf
+    K = interval_complex()
+    expected = (1, 2) if kind == "cosheaf" else (2, 1)
+    good = np.ones(expected, dtype=np.int64)
+    for bad in (np.ones(expected[::-1], dtype=np.int64), np.ones((1, 3), dtype=np.int64)):
+        with pytest.raises(InvalidCosheafError) as info:
+            make(K, {(0,): 1, (1,): 1, (0, 1): 2}, {((0,), (0, 1)): good, ((1,), (0, 1)): bad})
+        assert str(info.value) == (
+            f"{kind} extension map ((1,), (0, 1)) has shape {bad.shape}, expected {expected}"
+        )
+    F = make(K, {(0,): 0, (1,): 1, (0, 1): 2}, {((0,), (0, 1)): [], ((1,), (0, 1)): good})
+    assert F.maps[((0,), (0, 1))].shape == ((0, 2) if kind == "cosheaf" else (2, 0))
 
 
 def test_interval_boundary_matrix_signs():
@@ -186,6 +206,90 @@ def test_bar_census_rejects_nonlinear_bases():
     star = tda.build_complex([[0, 1], [0, 2], [0, 3]])
     with pytest.raises(NonlinearNerveError):
         C.bar_census(C.constant_cosheaf(star, 1))
+
+
+@st.composite
+def linear_cosheaves(draw):
+    """(cosheaf, field, paths) over a disjoint union of paths and isolated
+    vertices: 0-12 vertices with distinct large int64 ids, cut into runs of
+    random length, simplices listed in shuffled order, stalks of dimension
+    0-3 and random maps (any maps are valid over a base of dimension <= 1).
+    ``paths`` lists each path's vertices in walking order."""
+    field = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(0, 12))
+    ids = draw(st.lists(st.integers(2**32, 2**63 - 1), min_size=n, max_size=n, unique=True))
+    joined = draw(st.lists(st.booleans(), min_size=max(n - 1, 0), max_size=max(n - 1, 0)))
+    paths = [ids[:1]] if ids else []
+    for v, join in zip(ids[1:], joined):
+        if join:
+            paths[-1].append(v)
+        else:
+            paths.append([v])
+    simplices = [[v] for v in ids] + [[a, b] for path in paths for a, b in zip(path, path[1:])]
+    K = tda.build_complex(draw(st.permutations(simplices)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    stalks = {s: int(rng.integers(0, 4)) for s in K.simplices}
+    maps = {
+        (face, coface): rng.integers(0, field, (stalks[face], stalks[coface]))
+        for face, coface in C.codim1_pairs(K)
+    }
+    return C.SimplicialCosheaf(K, stalks, maps), field, paths
+
+
+def per_path_census(F, field, paths):
+    """The census summed over paths, each read as its own zigzag of
+    vertex and edge slots and decomposed by the generalized-rank oracle."""
+    ends_on_edges = Counter()
+    for path in paths:
+        slots = [(path[0],)]
+        for a, b in zip(path, path[1:]):
+            slots += [(min(a, b), max(a, b)), (b,)]
+        arrows = [
+            (BACKWARD, F.maps[(slots[k], slots[k + 1])]) if k % 2 == 0
+            else (FORWARD, F.maps[(slots[k + 1], slots[k])])
+            for k in range(len(slots) - 1)
+        ]
+        z = ZigzagModule([F.stalks[s] for s in slots], arrows)
+        for bar in zigzag_bars_oracle(z, field):
+            ends_on_edges[bar.lo % 2 + bar.hi % 2] += bar.multiplicity
+    return ends_on_edges[0], ends_on_edges[2], ends_on_edges[1]
+
+
+@given(linear_cosheaves())
+def test_bar_census_equals_per_path_oracle(case):
+    F, field, paths = case
+    closed, opened, half = C.bar_census(F, field)
+    assert (closed, opened, half) == per_path_census(F, field, paths)
+    assert closed == C.cosheaf_homology(F, 0, field).dimension
+    assert opened == C.cosheaf_homology(F, 1, field).dimension
+
+
+def test_nonlinear_base_messages_in_order_of_precedence():
+    """Dimension before degree before cycle; the degree message names the
+    lowest vertex of degree > 2."""
+    two_stars_and_a_triangle = [[7, 1], [7, 2], [7, 8], [3, 4], [3, 5], [3, 6], [10, 11, 12]]
+    two_stars_and_a_cycle = [[7, 1], [7, 2], [7, 8], [3, 4], [3, 5], [3, 6], [10, 11], [11, 12], [10, 12]]
+    cycle_and_a_path = [[0, 1], [5, 6], [6, 7], [5, 7]]
+    cases = [
+        (two_stars_and_a_triangle, "base has dimension 2, expected <= 1"),
+        (two_stars_and_a_cycle, "vertex 3 has degree > 2"),
+        (cycle_and_a_path, "base contains a cycle"),
+    ]
+    for simplices, message in cases:
+        F = C.constant_cosheaf(tda.build_complex(simplices), 1)
+        with pytest.raises(NonlinearNerveError) as info:
+            C.bar_census(F, 3)
+        assert str(info.value) == message
+
+
+def test_bar_census_decomposes_one_zigzag_over_all_paths(monkeypatch):
+    calls = []
+    decompose = zigzag.decompose_zigzag
+    monkeypatch.setattr(zigzag, "decompose_zigzag", lambda z, field: calls.append(z) or decompose(z, field))
+    K = tda.build_complex([[0, 1], [1, 2], [5, 4], [9], [20, 30], [30, 40], [40, 50]])
+    F = C.constant_cosheaf(K, 2)
+    assert C.bar_census(F, 3) == (8, 0, 0)
+    assert len(calls) == 1
 
 
 def test_torus_cosheaf_homology_and_generator():
