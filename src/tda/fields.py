@@ -5,7 +5,8 @@ type for every prime, F2 included: a dict {row: coeff in [1, p)}. Homology
 (:func:`quotients`: one sweep down the degrees, each boundary reduced
 once, a d_k column at a pivot row of d_{k+1} skipped) and the persistence
 barcode (coboundary columns, with clearing) run on the one
-column-reduction kernel :func:`reduce_columns`.
+column-reduction kernel :func:`reduce_columns`; a quotient keeps its
+representatives as the sparse reduction tracks, dense only as a view.
 Stalk-sized matrices (zigzags, cosheaf maps, ranks of module maps) are
 reduced by one elimination, :func:`_rref_rows`, on rows held as lists of
 Python ints mod p: at a handful of rows and columns, a numpy call per
@@ -21,7 +22,9 @@ from itertools import repeat
 
 import numpy as np
 
-from .errors import InternalInconsistencyError
+from .errors import InternalInconsistencyError, TdaError
+
+MAX_DENSE_BYTES = 2**30  # ColumnMatrix.dense raises, before allocating, over this
 
 
 def is_prime(p: int) -> bool:
@@ -154,6 +157,9 @@ class ColumnMatrix:
     cols: list
 
     def dense(self) -> np.ndarray:
+        if (size := self.n_rows * len(self.cols) * 8) > MAX_DENSE_BYTES:
+            shape = f"{self.n_rows} x {len(self.cols)}"
+            raise TdaError(f"a dense {shape} matrix would take {size:,} bytes, over {MAX_DENSE_BYTES:,}")
         D = np.zeros((self.n_rows, len(self.cols)), dtype=np.int64)
         for j, col in enumerate(self.cols):
             D[list(col), j] = list(col.values())
@@ -271,20 +277,25 @@ def quotients(boundaries, p: int) -> list["Quotient"]:
         reps = [track for _, (piv, _, track) in reduced if piv is None]
         for k, track in enumerate(reps):
             q._pivots[max(track)] = (track, {k: 1})
-        q.dimension, q.representatives = len(reps), ColumnMatrix(len(low.cols), reps).dense()
+        q.dimension, q.basis = len(reps), ColumnMatrix(len(low.cols), reps)
         out.append(q)
     return out[::-1]
 
 
 class Quotient:
     """The quotient ker(d_low) / im(d_high) with frozen representatives,
-    the two-boundary case of :func:`quotients`. d_low and d_high are
-    :class:`ColumnMatrix` or dense and must compose to zero: simplicial
+    the two-boundary case of :func:`quotients`, held as the sparse tracks
+    ``basis``; ``representatives`` is their dense view. d_low and d_high
+    are :class:`ColumnMatrix` or dense and must compose to zero: simplicial
     (co)boundaries, or cosheaf boundaries once :func:`cosheaf.validate`
     has passed, as ``cosheaf_homology`` checks."""
 
     def __init__(self, d_low, d_high, p: int):
         vars(self).update(vars(quotients([d_low, d_high], p)[0]))
+
+    @property
+    def representatives(self) -> np.ndarray:
+        return self.basis.dense()
 
     def coordinates(self, V) -> np.ndarray:
         """Coordinates of cycle column(s) V (dense or a ColumnMatrix) in the
@@ -292,7 +303,7 @@ class Quotient:
         p = self.field
         squeeze = not isinstance(V, ColumnMatrix) and np.ndim(V) == 1
         cols = as_columns(np.asarray(V)[:, None] if squeeze else V, p)
-        if cols.n_rows != self.representatives.shape[0]:
+        if cols.n_rows != self.basis.n_rows:
             raise ValueError("right-hand side has wrong number of rows")
         X = _coordinates(cols.cols, self._pivots, self.dimension, p)
         return X[:, 0] if squeeze else X

@@ -66,7 +66,7 @@ class HomologyResult:
 
 
 def _result(degree: int, quotient: fields.Quotient) -> HomologyResult:
-    basis = [quotient.representatives[:, j].copy() for j in range(quotient.dimension)]
+    basis = list(quotient.representatives.T)  # one dense view, not one per column
     return HomologyResult(degree=degree, dimension=quotient.dimension, cycle_basis=basis)
 
 
@@ -166,6 +166,4 @@ def induced_map(
             raise InternalInconsistencyError("chain map does not commute with boundaries")
     [hK] = fields.quotients(dK, field)
     [hL] = [hK] if target is source else fields.quotients(dL, field)
-    if hK.dimension == 0:
-        return np.zeros((hL.dimension, 0), dtype=np.int64)
-    return hL.coordinates(Cp.compose(fields.as_columns(hK.representatives, field), field))
+    return hL.coordinates(Cp.compose(hK.basis, field))

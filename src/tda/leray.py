@@ -30,7 +30,7 @@ import numpy as np
 
 from . import fields
 from .complexes import IntervalCover, Simplex, SimplicialComplex, _lookup, nerve_of_interval_cover
-from .cosheaf import SimplicialCosheaf, cosheaf_homology
+from .cosheaf import SimplicialCosheaf, _quotients as _cosheaf_quotients
 from .errors import CoverGranularityError, InternalInconsistencyError, MissingVertexValueError
 from .fields import _coordinates
 from .homology import _boundary, _check_degree, _quotients
@@ -102,13 +102,9 @@ def _inclusion(sub: SimplicialComplex, sup: SimplicialComplex) -> list[np.ndarra
     return sup._fold(_lookup(sub._layer(0)[0][:, 0], sup._layer(0)[0][:, 0]) >= 0, np.minimum)
 
 
-def _push(reps: np.ndarray, sub: SimplicialComplex, sup: SimplicialComplex, p: int) -> np.ndarray:
-    """Columns over the p-simplices of ``sub`` rewritten over those of ``sup``."""
-    masks = _inclusion(sub, sup)
-    keep = masks[p] if p < len(masks) else np.zeros(0, dtype=bool)
-    pushed = np.zeros((len(keep), reps.shape[1]), dtype=np.int64)
-    pushed[keep] = reps
-    return pushed
+def _push(columns: list[dict], to_sup: list[int]) -> list[dict]:
+    """Sparse columns over the simplices of a piece, row r re-keyed to to_sup[r]."""
+    return [{to_sup[r]: c for r, c in col.items()} for col in columns]
 
 
 def _leray_cosheaves(
@@ -118,16 +114,19 @@ def _leray_cosheaves(
     ``degrees``; each piece's boundaries are reduced in one sweep."""
     nerve = nerve_of_interval_cover(cover)
     homology = {ns: _quotients(P, degrees, field) for ns, P in pieces.items()}
+    maps: list[dict] = [{} for _ in degrees]
+    for edge in nerve.p_simplices(1):
+        for vertex in ((edge[0],), (edge[1],)):
+            keep = _inclusion(pieces[edge], pieces[vertex])
+            for k, (i, sub, sup) in enumerate(zip(degrees, homology[edge], homology[vertex])):
+                to_sup = np.flatnonzero(keep[i]).tolist() if sub.dimension else []
+                pushed = fields.ColumnMatrix(sup.basis.n_rows, _push(sub.basis.cols, to_sup))
+                maps[k][(vertex, edge)] = sup.coordinates(pushed)
     out = []
-    for k, degree in enumerate(degrees):
+    for k, degree_maps in enumerate(maps):
         quotients = {ns: qs[k] for ns, qs in homology.items()}
-        maps = {}
-        for edge in nerve.p_simplices(1):
-            for vertex in ((edge[0],), (edge[1],)):
-                pushed = _push(quotients[edge].representatives, pieces[edge], pieces[vertex], degree)
-                maps[(vertex, edge)] = quotients[vertex].coordinates(pushed)
         stalks = {ns: q.dimension for ns, q in quotients.items()}
-        out.append((SimplicialCosheaf(base=nerve, stalks=stalks, maps=maps), quotients))
+        out.append((SimplicialCosheaf(base=nerve, stalks=stalks, maps=degree_maps), quotients))
     return out
 
 
@@ -139,9 +138,9 @@ def leray_formula(
     With top = F_i and below = F_{i-1} (None for i = 0, where F_{-1} = 0)
     this is dim H_i of the complex the pieces cover.
     """
-    total = cosheaf_homology(top, 0, field).dimension
+    total = _cosheaf_quotients(top, range(0, 1), field)[0].dimension
     if below is not None:
-        total += cosheaf_homology(below, 1, field).dimension
+        total += _cosheaf_quotients(below, range(1, 2), field)[0].dimension
     return total
 
 
@@ -182,7 +181,7 @@ def _sublevel_formulas(
             (sub, order, _), (sup, _, rank) = data[edge], data[vertex]
             for k, i in enumerate(degrees):
                 to_sup = rank[i][np.flatnonzero(keep[i])[order[i]]].tolist() if sub[k][0] else []
-                pushed = [{to_sup[r]: c for r, c in x.items()} for x in sub[k][0]]
+                pushed = _push(sub[k][0], to_sup)
                 coords[k][(vertex, edge)] = _coordinates(pushed, sup[k][3], len(sup[k][0]), field)
 
     def cosheaf(k: int, t: float) -> SimplicialCosheaf:  # F_{degrees[k]} on the pieces of K<=t

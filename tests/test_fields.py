@@ -1,5 +1,7 @@
 """Prime-field arithmetic and the elimination helpers."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import dense_quotient, gf2_rank_reference, random_complex, rref_oracle
 from tda import fields
-from tda.errors import InternalInconsistencyError
+from tda.errors import InternalInconsistencyError, TdaError
 from tda.homology import boundary_matrix
 
 
@@ -184,7 +186,9 @@ def test_sparse_quotient_matches_dense_rref_recipe(case):
     assert quotient.dimension == reps.shape[1]
     assert quotient.representatives.shape == reps.shape
     assert np.array_equal(quotient.representatives, reps)
+    assert np.array_equal(quotient.basis.dense(), reps)
     assert np.array_equal(quotient.coordinates(V), coords)
+    assert np.array_equal(quotient.coordinates(fields.as_columns(V, p)), coords)
     for j in range(low.shape[1]):  # a column of low that is not a cycle
         if low[:, j].any():
             e = np.zeros(low.shape[1], dtype=np.int64)
@@ -211,7 +215,19 @@ def test_quotients_sweep_matches_dense_recipe_in_every_degree(seed, p):
         reps, coords = dense_quotient(low, high, p, V)
         assert quotient.dimension == reps.shape[1]
         assert np.array_equal(quotient.representatives, reps)
+        assert np.array_equal(quotient.basis.dense(), reps)
         assert np.array_equal(quotient.coordinates(V), coords)
+        assert np.array_equal(quotient.coordinates(fields.as_columns(V, p)), coords)
+
+
+def test_dense_view_over_the_byte_limit_raises_before_allocating():
+    """A 2^20 x 2^20 int64 view would take 8 TiB: the guard names the shape
+    and the bytes, and raises before numpy is asked for them."""
+    big = fields.ColumnMatrix(2**20, [{}] * 2**20)
+    with mock.patch.object(fields.np, "zeros", side_effect=AssertionError("allocated")):
+        with pytest.raises(TdaError, match=r"1048576 x 1048576 matrix would take 8,796,093,022,208 bytes"):
+            big.dense()
+    assert fields.ColumnMatrix(2, [{1: 1}]).dense().tolist() == [[0], [1]]
 
 
 def assert_unit_dicts(columns, p):
