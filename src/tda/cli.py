@@ -12,6 +12,7 @@ import functools
 import json
 import os
 import sys
+from typing import Iterable
 
 from . import cosheaf as cosheaf_mod
 from . import fields, formats, leray, persistence, svg, zigzag
@@ -157,12 +158,13 @@ def parse_args(argv) -> argparse.Namespace:
     return ns
 
 
-def _emit(text: str, output: str | None) -> None:
+def _emit(blocks: Iterable[str], output: str | None) -> None:
+    """Write the text blocks in order to the output file, or to stdout."""
     if output is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(blocks)
     else:
         with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(blocks)
 
 
 def _barcode_command(args: argparse.Namespace) -> int:
@@ -177,14 +179,14 @@ def _barcode_command(args: argparse.Namespace) -> int:
         points = formats.parse_point_cloud(formats.read_text(args.input), args.header)
         fc = persistence.cech_filtration(points, args.max_dim, args.max_radius)
     bc = persistence.compute_barcode(fc, args.field, args.include_zero_bars)
-    _emit(formats.barcode_to_json(bc, args.field), args.output)
+    _emit(formats._barcode_json_blocks(bc, args.field), args.output)
     return 0
 
 
 def _homology_command(args: argparse.Namespace) -> int:
     K = formats.parse_complex(formats.read_text(args.complex))
     quotients = _quotients(K, range(max(K.dimension, 0) + 1), args.field)
-    _emit("".join(f"H_{p}={q.dimension}\n" for p, q in enumerate(quotients)), None)
+    _emit([f"H_{p}={q.dimension}\n" for p, q in enumerate(quotients)], None)
     return 0
 
 
@@ -197,7 +199,7 @@ def _cosheaf_command(args: argparse.Namespace) -> int:
         lines.append(f"census={census}")
     except NonlinearNerveError:
         lines.append("census=unavailable (base not linear)")
-    _emit("\n".join(lines) + "\n", None)
+    _emit(["\n".join(lines) + "\n"], None)
     return 0
 
 
@@ -221,7 +223,7 @@ def _leray_command(args: argparse.Namespace) -> int:
     for i, top in enumerate(cosheaves):
         below = cosheaves[i - 1] if i > 0 else None
         lines.append(f"H_{i}={leray.leray_formula(top, below, args.field)}")
-    _emit("\n".join(lines) + "\n", None)
+    _emit(["\n".join(lines) + "\n"], None)
     return 0
 
 
@@ -236,7 +238,7 @@ def _sublevel_command(args: argparse.Namespace) -> int:
         "ranks": ranks,
         "thresholds": args.thresholds,
     }
-    _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.output)
+    _emit([json.dumps(payload, indent=2, sort_keys=True) + "\n"], args.output)
     return 0
 
 
@@ -244,7 +246,7 @@ def _zigzag_command(args: argparse.Namespace) -> int:
     z = formats.parse_zigzag(formats.read_text(args.input))
     bars = zigzag.decompose_zigzag(z, args.field)
     lines = [f"bar [{b.lo},{b.hi}] multiplicity {b.multiplicity}" for b in bars]
-    _emit("\n".join(lines) + ("\n" if lines else ""), None)
+    _emit(["\n".join(lines) + ("\n" if lines else "")], None)
     return 0
 
 

@@ -26,11 +26,14 @@ from .homology import HomologyResult, _check_degree, _result
 
 
 def codim1_pairs(K: SimplicialComplex) -> list[tuple[Simplex, Simplex]]:
-    """All (face, coface) pairs differing by one vertex, in lex order."""
-    pairs = []
+    """All (face, coface) pairs differing by one vertex, in lex order, read
+    off the complex's facet positions."""
+    pairs, below = [], K.p_simplices(0)
     for p in range(1, K.dimension + 1):
-        for tau in K.p_simplices(p):
-            pairs.extend((sigma, tau) for sigma in faces(tau))
+        cofaces = K.p_simplices(p)
+        facets = K._layer(p)[1].tolist()
+        pairs.extend((below[i], tau) for tau, row in zip(cofaces, facets) for i in row)
+        below = cofaces
     return sorted(pairs)
 
 
@@ -46,13 +49,21 @@ def _check_stalks(base: SimplicialComplex, stalks: dict[Simplex, int], kind: str
         raise InvalidCosheafError(f"stalks given for simplices not in the base: {sorted(extra)}")
 
 
+def _is_codim1_pair(key, simplices: frozenset[Simplex]) -> bool:
+    """Whether key is a (face, coface) pair of the complex with these simplices."""
+    return isinstance(key, tuple) and len(key) == 2 and key[1] in simplices and key[0] in faces(key[1])
+
+
 def _check_structure(F, kind: str) -> None:
     """Validate stalks, map keys and map shapes; make each map an int64
     array (an empty one takes the shape of its zero-size block)."""
     base, stalks, maps = F.base, F.stalks, F.maps
     _check_stalks(base, stalks, kind)
-    needed = set(codim1_pairs(base))
-    if set(maps) != needed:
+    # Distinct keys, each a face/coface pair and as many as the complex has, are all of them.
+    count = sum((p + 1) * len(base._layer(p)[0]) for p in range(1, base.dimension + 1))
+    simplices = base.simplices
+    if len(maps) != count or not all(_is_codim1_pair(key, simplices) for key in maps):
+        needed = set(codim1_pairs(base))
         missing = sorted(needed - set(maps))
         extra = sorted(set(maps) - needed)
         raise InvalidCosheafError(

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+from typing import Iterator
 
 import numpy as np
 
@@ -187,25 +188,39 @@ def parse_zigzag(text: str) -> ZigzagModule:
 
 
 _BAR_JSON = '    {\n      "birth": %s,\n      "death": %s,\n      "dim": %s\n    }'
+_BLOCK_BARS = 4096  # bars per block of barcode JSON
+
+
+def _barcode_json_blocks(bc: Barcode, field: int) -> Iterator[str]:
+    """The text of ``barcode_to_json`` in blocks of at most _BLOCK_BARS
+    bars, so that no full-size template, result or copy is ever held.
+    Each distinct float is spelled once as json.dumps spells it, by repr or
+    an infinite death as null, and told apart by bit pattern: 0.0 == -0.0
+    but their spellings differ. Each distinct degree is spelled by
+    json.dumps. A block's spellings fill its template in one formatting."""
+    degrees, births, deaths = bc.columns
+    n = len(degrees)
+    bits, which = np.unique(np.array(births + deaths, dtype=float).view(np.int64), return_inverse=True)
+    numbers = np.array(["null" if x == math.inf else repr(x) for x in bits.view(float).tolist()], dtype=object)
+    dims = {d: json.dumps(d) for d in set(degrees)}
+    template = ",\n".join([_BAR_JSON] * _BLOCK_BARS)
+    opening = '{\n  "bars": [\n'
+    for a in range(0, n, _BLOCK_BARS):
+        b = min(a + _BLOCK_BARS, n)
+        if b - a < _BLOCK_BARS:
+            template = ",\n".join([_BAR_JSON] * (b - a))
+        spelled = np.empty((b - a, 3), dtype=object)
+        spelled[:, 0], spelled[:, 1] = numbers[which[a:b]], numbers[which[n + a : n + b]]
+        spelled[:, 2] = list(map(dims.__getitem__, degrees[a:b]))
+        yield opening + template % tuple(spelled.ravel().tolist())
+        opening = ",\n"
+    yield ("\n  ]" if n else '{\n  "bars": []') + f',\n  "field": {json.dumps(field)}\n}}\n'
 
 
 def barcode_to_json(bc: Barcode, field: int) -> str:
     """The bytes of ``json.dumps({"bars": [...], "field": field}, indent=2,
-    sort_keys=True)`` plus a newline, from one template per bar. Each
-    distinct float is spelled once as json.dumps spells it, by repr or an
-    infinite death as null, and told apart by bit pattern: 0.0 == -0.0 but
-    their spellings differ. Each distinct degree is spelled by json.dumps.
-    The spellings fill the templates in one formatting."""
-    degrees, births, deaths = bc.columns
-    bits, which = np.unique(np.array(births + deaths, dtype=float).view(np.int64), return_inverse=True)
-    floats = bits.view(float).tolist()
-    numbers = np.array(["null" if x == math.inf else repr(x) for x in floats], dtype=object)
-    dims = {d: json.dumps(d) for d in set(degrees)}
-    spelled = np.empty((3, len(degrees)), dtype=object)
-    spelled[:2], spelled[2] = numbers[which.reshape(2, -1)], [dims[d] for d in degrees]
-    bars = ",\n".join([_BAR_JSON] * len(degrees)) % tuple(spelled.T.ravel().tolist())
-    bars = f"[\n{bars}\n  ]" if bars else "[]"
-    return f'{{\n  "bars": {bars},\n  "field": {json.dumps(field)}\n}}\n'
+    sort_keys=True)`` plus a newline: the join of the JSON blocks."""
+    return "".join(_barcode_json_blocks(bc, field))
 
 
 def parse_barcode_json(text: str) -> tuple[int, Barcode]:

@@ -225,21 +225,23 @@ class FilteredComplex:
 
 
 def _checked(layers) -> tuple[SimplicialComplex, list[np.ndarray]]:
-    """The complex of per-dimension (vertices, values) arrays, and its values."""
-    layers = [
-        (np.sort(np.asarray(verts, dtype=np.int64), axis=1), np.asarray(vals, dtype=float))
-        for verts, vals in layers
-    ]
+    """The complex of per-dimension (vertices, values) arrays, and its
+    values. A layer is sorted only if some row is not ascending."""
+    checked = []
     for k, (verts, vals) in enumerate(layers):
+        verts, vals = np.asarray(verts, dtype=np.int64), np.asarray(vals, dtype=float)
         if verts.shape != (len(vals), k + 1):
             raise ValueError(f"layer {k} needs {len(vals)} rows of {k + 1} vertex ids, got {verts.shape}")
-        negative, repeated = verts < 0, verts[:, 1:] == verts[:, :-1]
+        if not (verts[:, 1:] > verts[:, :-1]).all():
+            verts = np.sort(verts, axis=1)
+        negative, repeated = verts[:, :1] < 0, verts[:, 1:] == verts[:, :-1]
         for bad, what in ((negative, "negative vertex id"), (repeated, "duplicate vertices")):
             if bad.any():
                 s = tuple(verts[bad.any(axis=1)][0].tolist())
                 raise MalformedSimplexError(f"{what} in {s}")
-    K, orders = _layout([verts for verts, _ in layers])
-    return K, [vals[order] for (_, vals), order in zip(layers, orders)]
+        checked.append((verts, vals))
+    K, orders = _layout([verts for verts, _ in checked])
+    return K, [vals[order] for (_, vals), order in zip(checked, orders)]
 
 
 def rips_filtration(
@@ -311,11 +313,17 @@ def _filtration_barcode(
     its earliest coface c. No column reduced before i holds row c, as every
     face of c is at or before i, so column i keeps pivot c: the bar [value_i,
     value_c) needs no column. An apparent column is built, as given and
-    scaled to pivot 1, only when a later column looks up its pivot row."""
+    scaled to pivot 1, only when a later column looks up its pivot row.
+
+    Positions, rows, earliest cofaces and latest faces are int32, every
+    ``np.minimum.at``/``np.maximum.at`` operand of one dtype, so at most
+    2^31 - 1 cells fit: more raise a ``TdaError`` before any allocation."""
     fields.check_prime(field)
     n = len(order)
-    position = np.empty(n, dtype=np.int64)
-    position[order] = np.arange(n)
+    if n >= 2**31:
+        raise TdaError(f"a filtration of {n:,} cells is too large: int32 positions hold at most 2^31 - 1")
+    position = np.empty(n, dtype=np.int32)
+    position[order] = np.arange(n, dtype=np.int32)
     values = np.asarray(values, dtype=float)[order]
     degrees = np.asarray(degrees, dtype=np.int64)[order]
     face, coface, coef = (np.asarray(a, dtype=np.int64) for a in coboundary)
@@ -323,9 +331,10 @@ def _filtration_barcode(
     by_column = np.flatnonzero(coef)
     by_column = by_column[np.argsort(face[by_column])]  # the order within a column does not matter
     face, coface, coefs = face[by_column], coface[by_column], coef[by_column]
-    start = np.searchsorted(face, np.arange(n + 1))
-    earliest = np.full(n, n, dtype=np.int64)  # n for no coface
-    latest_face = np.full(n + 1, -1, dtype=np.int64)  # the last entry stands for no coface
+    start = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(face, minlength=n), out=start[1:])
+    earliest = np.full(n, n, dtype=np.int32)  # n for no coface
+    latest_face = np.full(n + 1, -1, dtype=np.int32)  # the last entry stands for no coface
     np.minimum.at(earliest, face, coface)
     np.maximum.at(latest_face, coface, face)
     rows = n - 1 - coface
@@ -338,28 +347,24 @@ def _filtration_barcode(
             return col if inv == 1 else {r: c * inv % field for r, c in col.items()}
 
     cleared = np.zeros(n, dtype=bool)
-    born: list[int] = []
-    dies: list[int] = []  # -1 for an infinite bar
+    born = [np.zeros(0, dtype=np.int64)]
+    dies = [np.zeros(0, dtype=np.int64)]  # -1 for an infinite bar
     for degree in np.flatnonzero(np.bincount(degrees)).tolist():
         unpaired = np.flatnonzero((degrees == degree) & ~cleared)[::-1]
         # A cell without nonzero coboundary terms has a zero column.
         has_cofaces = start[unpaired + 1] > start[unpaired]
         apparent = latest_face[earliest[unpaired]] == unpaired
-        first = len(born)
-        born += unpaired[~has_cofaces].tolist()
-        dies += [-1] * (len(born) - first)
-        born += unpaired[apparent].tolist()
-        dies += earliest[unpaired[apparent]].tolist()
         paired = unpaired[has_cofaces & ~apparent]
         bounds = zip(start[paired].tolist(), start[paired + 1].tolist())
         columns = fields.sparse_columns(rows, coefs, bounds)
         reduced = fields.reduce_columns(columns, field, _ApparentPivots(apparent_column))
-        for i, (piv, _, _) in zip(paired.tolist(), reduced):
-            born.append(i)
-            dies.append(-1 if piv is None else n - 1 - piv)
-        killed = np.array(dies[first:], dtype=np.int64)
-        cleared[killed[killed >= 0]] = True
-    born, dies = np.array(born, dtype=np.int64), np.array(dies, dtype=np.int64)
+        killers = np.fromiter((-1 if piv is None else n - 1 - piv for piv, _, _ in reduced), np.int64, len(paired))
+        zero = unpaired[~has_cofaces]
+        born.append(np.concatenate([zero, unpaired[apparent], paired]))
+        dies.append(np.concatenate([np.full(len(zero), -1), earliest[unpaired[apparent]], killers]))
+        cleared[dies[-1][dies[-1] >= 0]] = True
+    del rows, coefs, start, earliest, latest_face, cleared  # before the bars' lists are built
+    born, dies = np.concatenate(born), np.concatenate(dies)
     birth = values[born]
     death = np.where(dies >= 0, values[dies], math.inf)
     keep = (dies < 0) | (birth != death) | include_zero_bars

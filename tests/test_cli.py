@@ -113,6 +113,32 @@ def test_barcode_json_equals_json_dumps(bars, field):
     assert formats.parse_barcode_json(text) == (field, bc)
 
 
+def block_bars(count: int) -> list[Bar]:
+    """count bars over degrees 0-2 whose ends cycle through -0.0 and 0.0
+    births, infinite, -0.0 and 0.0 deaths, and distinct finite floats."""
+    ends = [(-0.0, math.inf), (0.0, -0.0), (-0.0, 0.0), (0.0, math.inf)]
+    return [Bar(i % 3, *ends[i % 5]) if i % 5 < 4 else Bar(i % 3, i / 3, i / 2) for i in range(count)]
+
+
+BLOCK = formats._BLOCK_BARS
+
+
+@pytest.mark.parametrize("count", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+def test_barcode_json_blocks_join_to_json_dumps(count):
+    """The blocks hold at most _BLOCK_BARS bars each, and their join, which
+    is ``barcode_to_json``, is the json.dumps text at and around every
+    block boundary."""
+    bc = Barcode(block_bars(count))
+    obj = {
+        "bars": [{"dim": b.degree, "birth": b.birth, "death": None if b.infinite else b.death} for b in bc],
+        "field": 3,
+    }
+    blocks = list(formats._barcode_json_blocks(bc, 3))
+    assert len(blocks) == -(-count // BLOCK) + 1
+    assert max(block.count('"dim"') for block in blocks) <= BLOCK
+    assert "".join(blocks) == formats.barcode_to_json(bc, 3) == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
 def test_svg_document_shapes():
     empty = svg_document(Barcode([]))
     assert "<svg" in empty and "<line" in empty  # the axis line
@@ -211,6 +237,18 @@ def test_cli_rips_circle_fixture(tmp_path, capsys):
     assert field == 2
     long_h1 = [b for b in bc.in_degree(1) if b.death - b.birth > 0.5]
     assert len(long_h1) == 1
+
+
+@pytest.mark.parametrize("field", [2, 3])
+def test_cli_rips_output_file_equals_stdout(tmp_path, capsys, field):
+    """The streamed barcode JSON is the same bytes in a file and on stdout."""
+    argv = ["rips", "--input", os.path.join(GOLDEN, "cloud37.csv"), "--max-dim", "2",
+            "--max-radius", "0.4", "--field", str(field)]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    path = tmp_path / "bars.json"
+    assert run_cli(capsys, *argv, "--output", str(path)) == (0, "", "")
+    assert path.read_bytes() == out.encode("utf-8")
 
 
 def assert_reproduces_golden(tmp_path, capsys, argv, golden):

@@ -362,6 +362,41 @@ def test_rips_entries_equal_brute_force(inputs):
     assert got == brute_force_rips_entries(D2, max_dim, r)
 
 
+@st.composite
+def lookup_cases(draw):
+    """(keys, queries): sorted distinct keys that form one contiguous run,
+    a run with gaps, or a single key, starting near 0 or near 2^62, and
+    queries: every key, the neighbours of the ends, and drawn ones below,
+    inside, in the gaps and above them or at the int64 extremes and -1 (the
+    missing-face key of ``_layout``), shuffled."""
+    lo = draw(st.one_of(st.integers(0, 20), st.integers(2**62 - 20, 2**62 + 20)))
+    shape = draw(st.sampled_from(["run", "gapped", "single"]))
+    if shape == "single":
+        steps = []
+    else:
+        steps = draw(st.lists(st.integers(1, 1 if shape == "run" else 3), min_size=1, max_size=30))
+        if shape == "gapped":
+            steps[draw(st.integers(0, len(steps) - 1))] += 1  # at least one gap
+    keys = lo + np.cumsum([0] + steps, dtype=np.int64)
+    near = st.integers(int(keys[0]) - 5, int(keys[-1]) + 5)
+    extreme = st.sampled_from([-(2**63), -1, 0, 2**63 - 1])
+    drawn = draw(st.lists(st.one_of(near, extreme), max_size=40))
+    queries = [*keys.tolist(), int(keys[0]) - 1, int(keys[-1]) + 1, *drawn]
+    return keys, np.array(draw(st.permutations(queries)), dtype=np.int64)
+
+
+@given(lookup_cases())
+def test_lookup_matches_a_dict(case):
+    """``_lookup`` answers like a dict from key to index, whether it
+    subtracts (one contiguous run) or searches (any other keys)."""
+    keys, queries = case
+    index = {k: i for i, k in enumerate(keys.tolist())}
+    got = complexes._lookup(keys, queries)
+    assert got.tolist() == [index.get(q, -1) for q in queries.tolist()]
+    assert complexes._lookup(keys, queries.reshape(-1, 1)).shape == (len(queries), 1)
+    assert complexes._lookup(keys[:0], queries).tolist() == [-1] * len(queries)
+
+
 def test_meb_radius_tolerance_at_tiny_scale():
     """A point is inside when its distance is <= radius + TOL, not when its
     squared distance is <= radius^2 + TOL, which accepts it at any

@@ -3,6 +3,7 @@
 import functools
 import math
 import time
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -410,6 +411,21 @@ def test_apparent_column_with_pivot_coefficient_2_is_scaled(field):
     killed = (1.0, 3.0) if field == 2 else (2.0, 3.0)
     survives = 2.0 if field == 2 else 1.0
     assert bc.counter() == {(0, 0.0, math.inf): 1, (1, *killed): 1, (1, survives, math.inf): 1}
+
+
+def test_filtration_barcode_refuses_2_to_the_31_cells_before_allocating():
+    """Positions are int32, so 2^31 cells raise a TdaError; the zero-stride
+    inputs allocate nothing, and neither may the guard."""
+    n = 2**31
+    cells = [np.broadcast_to(x, (n,)) for x in (0.0, np.int64(0), np.int64(0))]
+    tracemalloc.start()
+    try:
+        with pytest.raises(TdaError, match="2,147,483,648 cells is too large"):
+            P._filtration_barcode(*cells, ([], [], []), 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, f"peak {peak:,} bytes"
 
 
 def test_pointwise_dimension_matches_homology():
