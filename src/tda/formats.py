@@ -27,7 +27,7 @@ import numpy as np
 from .complexes import IntervalCover, SimplicialComplex, build_complex, simplex
 from .cosheaf import SimplicialCosheaf, _check_stalks, codim1_pairs
 from .errors import TdaError
-from .persistence import Bar, Barcode, FilteredComplex
+from .persistence import _NONE, Bar, Barcode, FilteredComplex
 from .zigzag import BACKWARD, FORWARD, ZigzagModule, _check_dims
 
 
@@ -198,20 +198,19 @@ def _barcode_json_blocks(bc: Barcode, field: int) -> Iterator[str]:
     an infinite death as null, and told apart by bit pattern: 0.0 == -0.0
     but their spellings differ. Each distinct degree is spelled by
     json.dumps. A block's spellings fill its template in one formatting."""
-    degrees, births, deaths = bc.columns
+    degrees, births, deaths = bc._columns
     n = len(degrees)
-    bits, which = np.unique(np.array(births + deaths, dtype=float).view(np.int64), return_inverse=True)
+    bits, which = np.unique(np.concatenate([births, deaths]).view(np.int64), return_inverse=True)
     numbers = np.array(["null" if x == math.inf else repr(x) for x in bits.view(float).tolist()], dtype=object)
-    dims = {d: json.dumps(d) for d in set(degrees)}
+    codes, degree_of = np.unique(degrees, return_inverse=True)
+    dims = np.array([json.dumps(None if d == _NONE else d) for d in codes.tolist()], dtype=object)
     template = ",\n".join([_BAR_JSON] * _BLOCK_BARS)
     opening = '{\n  "bars": [\n'
     for a in range(0, n, _BLOCK_BARS):
         b = min(a + _BLOCK_BARS, n)
         if b - a < _BLOCK_BARS:
             template = ",\n".join([_BAR_JSON] * (b - a))
-        spelled = np.empty((b - a, 3), dtype=object)
-        spelled[:, 0], spelled[:, 1] = numbers[which[a:b]], numbers[which[n + a : n + b]]
-        spelled[:, 2] = list(map(dims.__getitem__, degrees[a:b]))
+        spelled = np.stack([numbers[which[a:b]], numbers[which[n + a : n + b]], dims[degree_of[a:b]]], axis=1)
         yield opening + template % tuple(spelled.ravel().tolist())
         opening = ",\n"
     yield ("\n  ]" if n else '{\n  "bars": []') + f',\n  "field": {json.dumps(field)}\n}}\n'
@@ -235,10 +234,8 @@ def parse_barcode_json(text: str) -> tuple[int, Barcode]:
         for item in obj["bars"]:
             if not isinstance(item, dict) or not {"dim", "birth", "death"} <= item.keys():
                 raise TdaError(f"bar {item!r} must be an object with `dim`, `birth` and `death`")
-            dim, death = item["dim"], item["death"]
-            if not (dim is None or isinstance(dim, int)):
-                raise TdaError(f"bar dim must be an integer or null, got {dim!r}")
-            bars.append(Bar(dim, float(item["birth"]), math.inf if death is None else float(death)))
+            death = item["death"]
+            bars.append(Bar(item["dim"], float(item["birth"]), math.inf if death is None else float(death)))
         field = int(obj.get("field", 2))
     except TypeError as exc:  # a null or non-numeric birth, death or field
         raise TdaError(f"bad barcode JSON: {exc}") from exc

@@ -254,18 +254,22 @@ def _blowup_barcode(M: MappedComplex, pieces: dict[Simplex, SimplicialComplex], 
         n = start[ns][-1]
         values += maxima
         degrees += [np.full(len(vals), len(ns) - 1 + k) for k, vals in enumerate(maxima)]
-    terms = [[np.zeros(0, dtype=np.int64)] * 3]
-    terms += [_boundary_terms(pieces[ns], start[ns], 1 if len(ns) == 1 else -1) for ns in nerve]
-    for ns in (ns for ns in nerve if len(ns) == 2):
-        for end, c in (((ns[1],), 1), ((ns[0],), -1)):
-            for k, keep in enumerate(_inclusion(pieces[ns], pieces[end])[: pieces[ns].dimension + 1]):
-                cofaces = start[ns][k] + np.arange(np.count_nonzero(keep))
-                terms.append([start[end][k] + np.flatnonzero(keep), cofaces, np.full(len(cofaces), c)])
+
+    def blocks():  # the (face, coface, coefficient) term arrays, block by block
+        yield [np.zeros(0, dtype=np.int64)] * 3
+        for ns in nerve:
+            yield _boundary_terms(pieces[ns], start[ns], 1 if len(ns) == 1 else -1)
+        for ns in (ns for ns in nerve if len(ns) == 2):
+            for end, c in (((ns[1],), 1), ((ns[0],), -1)):
+                for k, keep in enumerate(_inclusion(pieces[ns], pieces[end])[: pieces[ns].dimension + 1]):
+                    cofaces = start[ns][k] + np.arange(np.count_nonzero(keep))
+                    yield [start[end][k] + np.flatnonzero(keep), cofaces, np.full(len(cofaces), c)]
+
     values, degrees = np.concatenate(values), np.concatenate(degrees)
-    # lexsort is stable, so ties in (value, degree) keep the cell order.
+    # lexsort is stable, so ties in (value, degree) keep the cell order. No
+    # name holds the terms, so the routine frees each array once converted.
     order = np.lexsort((degrees, values))
-    coboundary = [np.concatenate(t) for t in zip(*terms)]
-    return _filtration_barcode(values, degrees, order, coboundary, field)
+    return _filtration_barcode(values, degrees, order, [np.concatenate(t) for t in zip(*blocks())], field)
 
 
 def sublevel_module(
@@ -302,13 +306,12 @@ def sublevel_module(
         raise ValueError(f"thresholds must be strictly increasing, got {ts}")
     pieces = _leray_pieces(M, cover)
     bc = _blowup_barcode(M, pieces, field)
-    dims = [bc.alive_at(t, degree) for t in ts]
+    alive = [np.flatnonzero(bc._containing(t, t, degree)) for t in ts]
+    dims = [len(bars) for bars in alive]
     for t, dim, formula in zip(ts, dims, _sublevel_formulas(M, cover, pieces, degree, ts, field)):
         if formula != dim:
             raise InternalInconsistencyError(
                 f"cosheaf formula gives {formula} at t={t}, blowup complex gives {dim}"
             )
-    bars = bc.in_degree(degree)
-    alive = [[k for k, b in enumerate(bars) if b.birth <= t < b.death] for t in ts]
     maps = [np.equal.outer(now, before).astype(np.int64) for before, now in zip(alive, alive[1:])]
     return ExplicitModule(dims=dims, maps=maps)

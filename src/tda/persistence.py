@@ -2,8 +2,8 @@
 
 A filtration is a ``SimplicialComplex`` (vertex and facet-position arrays
 per dimension) with its values in the same row order, checked once to be
-monotone, and its filtration order. A barcode is stored as three columns
-(degree, birth, death); ``Bar`` objects are built when first asked for.
+monotone, and its filtration order. A barcode is three numpy columns:
+int64 degrees, ``_NONE`` standing for None, and float births and deaths.
 
 Barcodes come from one pairing routine: it reduces the anti-transposed
 coboundary (persistent cohomology) degree by degree with clearing, which
@@ -36,6 +36,8 @@ from .complexes import (
 )
 from .errors import MalformedSimplexError, MissingVertexValueError, TdaError
 
+_NONE = np.iinfo(np.int64).max  # the degree code of degree None, after every degree
+
 
 @dataclass(frozen=True)
 class Bar:
@@ -47,6 +49,8 @@ class Bar:
     death: float
 
     def __post_init__(self):
+        if (d := self.degree) is not None and not (np.issubdtype(type(d), np.integer) and 0 <= d < _NONE):
+            raise TdaError(f"bar degree must be an integer from 0 to 2^63 - 2 or None, got {d!r}")
         if not math.isfinite(self.birth):
             raise TdaError(f"bar birth must be finite, got {self.birth}")
         if not self.death >= self.birth:
@@ -57,26 +61,23 @@ class Bar:
         return math.isinf(self.death)
 
 
-def _bar_key(bar: Bar):
-    return (bar.degree is None, -1 if bar.degree is None else bar.degree, bar.birth, bar.death)
-
-
 class Barcode:
-    """A multiset of bars, kept in canonical (degree, birth, death) order as
-    three columns; the ``Bar`` objects are built on first use."""
+    """A multiset of bars in canonical order: by degree, None last, then by
+    birth and death, ties in input order. ``Bar`` objects and the
+    ``columns`` lists are built when asked for."""
 
     def __init__(self, bars: Iterable[Bar] = ()):
-        bars = tuple(sorted(bars, key=_bar_key))
-        self._bars: tuple[Bar, ...] | None = bars
-        self._columns = ([b.degree for b in bars], [b.birth for b in bars], [b.death for b in bars])
+        bars = list(bars)
+        degree = [_NONE if b.degree is None else b.degree for b in bars]
+        self._columns = self.from_columns(degree, [b.birth for b in bars], [b.death for b in bars])._columns
 
     @classmethod
     def from_columns(cls, degree, birth, death) -> "Barcode":
         """The bars (degree[i], birth[i], death[i]) with integer degrees,
-        checked as ``Bar`` checks each bar and sorted as ``Barcode`` sorts."""
-        degree = np.asarray(degree, dtype=np.int64)
-        birth = np.asarray(birth, dtype=float)
-        death = np.asarray(death, dtype=float)
+        checked as ``Bar`` checks each bar, in canonical order."""
+        degree, birth, death = np.asarray(degree, np.int64), np.asarray(birth, float), np.asarray(death, float)
+        if (degree < 0).any():
+            raise TdaError(f"bar degree must be an integer from 0 to 2^63 - 2 or None, got {degree.min()}")
         if not np.isfinite(birth).all():
             raise TdaError(f"bar birth must be finite, got {birth[~np.isfinite(birth)][0]}")
         if (bad := ~(death >= birth)).any():
@@ -84,44 +85,42 @@ class Barcode:
             raise TdaError(f"bar death {death[i]} precedes birth {birth[i]} or is not a number")
         order = np.lexsort((death, birth, degree))
         bc = cls.__new__(cls)
-        bc._bars = None
-        bc._columns = (degree[order].tolist(), birth[order].tolist(), death[order].tolist())
+        bc._columns = (degree[order], birth[order], death[order])
         return bc
 
     @property
     def columns(self) -> tuple[list, list, list]:
-        """The degrees, births and deaths of the bars, in canonical order."""
-        return self._columns
+        """New lists of the degrees (ints or None), births and deaths, in canonical order."""
+        degree, birth, death = self._columns
+        return np.where(degree == _NONE, None, degree).tolist(), birth.tolist(), death.tolist()
 
     @property
     def bars(self) -> tuple[Bar, ...]:
-        if self._bars is None:
-            self._bars = tuple(map(Bar, *self._columns))
-        return self._bars
+        return tuple(map(Bar, *self.columns))
 
     def in_degree(self, degree: int | None) -> list[Bar]:
-        return [b for b in self.bars if b.degree == degree]
+        codes, birth, death = self._columns
+        keep = codes == (_NONE if degree is None else degree)
+        return list(map(Bar, [degree] * int(keep.sum()), birth[keep].tolist(), death[keep].tolist()))
+
+    def _containing(self, r: float, s: float, degree: int | None = None) -> np.ndarray:
+        """Mask of the bars with birth <= r and death > s (optionally one degree)."""
+        codes, birth, death = self._columns
+        mask = (birth <= r) & (death > s)
+        return mask if degree is None else mask & (codes == degree)
 
     def alive_at(self, t: float, degree: int | None = None) -> int:
         """Number of bars with birth <= t < death (optionally one degree)."""
-        return sum(
-            1
-            for d, b, e in zip(*self._columns)
-            if (degree is None or d == degree) and b <= t < e
-        )
+        return int(np.count_nonzero(self._containing(t, t, degree)))
 
     def rank(self, r: float, s: float, degree: int | None = None) -> int:
         """Number of bars containing [r, s]; equals rank of the map r -> s."""
         if s < r:
             raise ValueError(f"need r <= s, got {r} > {s}")
-        return sum(
-            1
-            for d, b, e in zip(*self._columns)
-            if (degree is None or d == degree) and b <= r and e > s
-        )
+        return int(np.count_nonzero(self._containing(r, s, degree)))
 
     def counter(self) -> Counter:
-        return Counter(zip(*self._columns))
+        return Counter(zip(*self.columns))
 
     def __len__(self) -> int:
         return len(self._columns[0])
@@ -130,7 +129,7 @@ class Barcode:
         return iter(self.bars)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Barcode) and self._columns == other._columns
+        return isinstance(other, Barcode) and all(map(np.array_equal, self._columns, other._columns))
 
     def __repr__(self) -> str:
         return f"Barcode({len(self)} bars)"
@@ -138,7 +137,7 @@ class Barcode:
 
 def barcode_to_diagram(bc: Barcode) -> list[tuple[float, float]]:
     """One planar point (birth, death) per bar; +inf marks infinite death."""
-    return sorted((b.birth, b.death) for b in bc)
+    return sorted(zip(*bc.columns[1:]))
 
 
 class FilteredComplex:
@@ -326,8 +325,10 @@ def _filtration_barcode(
     position[order] = np.arange(n, dtype=np.int32)
     values = np.asarray(values, dtype=float)[order]
     degrees = np.asarray(degrees, dtype=np.int64)[order]
-    face, coface, coef = (np.asarray(a, dtype=np.int64) for a in coboundary)
-    face, coface, coef = position[face], position[coface], coef % field
+    face, coface, coef = coboundary
+    del coboundary  # so that, unless the caller holds them, each term array is freed once converted
+    face, coface = position[face], position[coface]
+    coef = np.asarray(coef, dtype=np.int64) % field
     by_column = np.flatnonzero(coef)
     by_column = by_column[np.argsort(face[by_column])]  # the order within a column does not matter
     face, coface, coefs = face[by_column], coface[by_column], coef[by_column]
@@ -363,7 +364,7 @@ def _filtration_barcode(
         born.append(np.concatenate([zero, unpaired[apparent], paired]))
         dies.append(np.concatenate([np.full(len(zero), -1), earliest[unpaired[apparent]], killers]))
         cleared[dies[-1][dies[-1] >= 0]] = True
-    del rows, coefs, start, earliest, latest_face, cleared  # before the bars' lists are built
+    del rows, coefs, start, earliest, latest_face, cleared  # before the bars are assembled
     born, dies = np.concatenate(born), np.concatenate(dies)
     birth = values[born]
     death = np.where(dies >= 0, values[dies], math.inf)
@@ -388,7 +389,6 @@ def compute_barcode(fc: FilteredComplex, field: int = 2, include_zero_bars: bool
     include_zero_bars is set.
     """
     sizes = [len(v) for v in fc._vals]
-    values = np.concatenate(fc._vals or [np.zeros(0)])
-    degrees = np.repeat(np.arange(len(sizes)), sizes)
-    terms = _boundary_terms(fc._complex, np.cumsum([0] + sizes))
-    return _filtration_barcode(values, degrees, fc._order, terms, field, include_zero_bars)
+    return _filtration_barcode(  # no name here holds the arrays, so the routine frees each once converted
+        np.concatenate(fc._vals or [np.zeros(0)]), np.repeat(np.arange(len(sizes)), sizes), fc._order,
+        _boundary_terms(fc._complex, np.cumsum([0] + sizes)), field, include_zero_bars)

@@ -28,10 +28,10 @@ def svg_document(bc: Barcode, width: int = 720) -> str:
     """Deterministic SVG text for a barcode."""
     if width <= _MARGIN_LEFT + _MARGIN_RIGHT:  # no room to plot between the margins
         raise ValueError(f"width must be at least {_MARGIN_LEFT + _MARGIN_RIGHT + 1:.0f}, got {width}")
-    degrees = sorted({b.degree for b in bc if b.degree is not None})
-    finite = [b.death for b in bc if not b.infinite] + [b.birth for b in bc]
-    xmax = max([x for x in finite if math.isfinite(x)] + [1.0])
-    xmin = min([b.birth for b in bc] + [0.0])
+    codes, births, deaths = bc.columns
+    degrees = sorted({d for d in codes if d is not None})
+    xmax = max([x for x in deaths + births if math.isfinite(x)] + [1.0])
+    xmin = min(births + [0.0])
     span = max(xmax - xmin, 1e-9)
     plot_w = width - _MARGIN_LEFT - _MARGIN_RIGHT
 

@@ -551,6 +551,9 @@ def test_cli_plot_width_must_exceed_the_margins(tmp_path, capsys):
         '{"bars": [{"dim": "x", "birth": 0.0, "death": 1.0}, {"dim": 1, "birth": 0.0, "death": 1.0}]}',
         '{"bars": [], "field": null}',
         '{"bars": [{"dim": 1, "birth": 0.5, "death": 1.0}, {"dim": 0, "birth": 0.0, "death": NaN}]}',
+        '{"bars": [{"dim": -1, "birth": 0.0, "death": 1.0}]}',
+        '{"bars": [{"dim": true, "birth": 0.0, "death": 1.0}]}',
+        '{"bars": [{"dim": %d, "birth": 0.0, "death": 1.0}]}' % 2**70,
     ],
 )
 def test_cli_plot_malformed_barcode_exits_1(tmp_path, capsys, text):

@@ -283,29 +283,75 @@ def test_invalid_filtrations_raise_their_error_class(entries, error):
 
 
 @st.composite
-def integer_degree_bars(draw):
+def any_degree_bars(draw):
     birth = draw(st.floats(allow_nan=False, allow_infinity=False))
     death = draw(st.one_of(st.just(math.inf), st.floats(min_value=birth, allow_nan=False)))
-    return P.Bar(draw(st.integers(0, 3)), birth, death)
+    return P.Bar(draw(st.one_of(st.none(), st.integers(0, 3))), birth, death)
 
 
-@given(st.lists(integer_degree_bars(), max_size=10), st.floats(-10, 10), st.floats(0, 5))
+@st.composite
+def tied_bars(draw):
+    """Up to 12 bars, degrees None and 0-3 mixed, whose ends come from a
+    pool of 0.0, -0.0 and up to three floats in [-10, 10], so that equal
+    keys and signed zeros repeat."""
+    pool = st.sampled_from([0.0, -0.0] + draw(st.lists(st.floats(-10, 10), max_size=3)))
+    ends = st.tuples(st.one_of(st.none(), st.integers(0, 3)), pool, st.one_of(pool, st.just(math.inf)))
+    return [P.Bar(d, min(a, b), max(a, b)) for d, a, b in draw(st.lists(ends, max_size=12))]
+
+
+def old_bar_key(bar):
+    """The sort key of the barcode that held a sorted tuple of bars."""
+    return (bar.degree is None, -1 if bar.degree is None else bar.degree, bar.birth, bar.death)
+
+
+@given(
+    st.one_of(st.lists(any_degree_bars(), max_size=10), tied_bars()),
+    st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-10, 10)),
+    st.floats(0, 5),
+)
 @example([P.Bar(0, 0.0, 1.0), P.Bar(0, -0.0, 1.0), P.Bar(1, -0.0, math.inf), P.Bar(0, 0.0, 0.0)], 0.0, 0.5)
+@example([P.Bar(None, 0.0, 1.0), P.Bar(3, -0.0, 1.0), P.Bar(None, -0.0, 1.0), P.Bar(0, 0.0, -0.0)], -0.0, 0.0)
 def test_column_barcode_equals_bar_barcode(bars, t, width):
     """A barcode built from three columns is the barcode built from the
-    same bars: equal, same bars, counts, ranks and JSON bytes."""
+    same bars: equal, with the same counts and JSON bytes. Both match two
+    oracles kept here: the bars sorted by the old key (a stable sort, so
+    0.0 and -0.0 ties keep input order; repr tells them apart), and
+    brute-force loops over those bars for alive_at, rank and in_degree."""
+    expected = sorted(bars, key=old_bar_key)
     by_bars = P.Barcode(bars)
-    by_columns = P.Barcode.from_columns([b.degree for b in bars], [b.birth for b in bars], [b.death for b in bars])
-    assert by_columns == by_bars and len(by_columns) == len(by_bars)
-    assert by_columns.bars == by_bars.bars and list(by_columns) == list(by_bars)
+    codes = [P._NONE if b.degree is None else b.degree for b in bars]
+    by_columns = P.Barcode.from_columns(codes, [b.birth for b in bars], [b.death for b in bars])
+    assert by_columns == by_bars and len(by_columns) == len(by_bars) == len(bars)
     assert by_columns.counter() == by_bars.counter()
-    for degree in (None, 0, 1):
-        assert by_columns.alive_at(t, degree) == by_bars.alive_at(t, degree)
-        assert by_columns.rank(t, t + width, degree) == by_bars.rank(t, t + width, degree)
-        assert by_columns.in_degree(degree) == by_bars.in_degree(degree)
+    columns = ([b.degree for b in expected], [b.birth for b in expected], [b.death for b in expected])
+    for bc in (by_bars, by_columns):
+        assert list(map(repr, bc)) == list(map(repr, bc.bars)) == list(map(repr, expected))
+        assert repr(bc.columns) == repr(columns) and all(d is None or type(d) is int for d in bc.columns[0])
+        for degree in (None, 0, 1, 3):
+            ours = [b for b in expected if degree is None or b.degree == degree]
+            assert bc.alive_at(t, degree) == sum(1 for b in ours if b.birth <= t < b.death)
+            assert bc.rank(t, t + width, degree) == sum(1 for b in ours if b.birth <= t and b.death > t + width)
+            assert list(map(repr, bc.in_degree(degree))) == [repr(b) for b in expected if b.degree == degree]
     text = formats.barcode_to_json(by_columns, 3)
     assert text == formats.barcode_to_json(by_bars, 3)
     assert formats.parse_barcode_json(text) == (3, by_columns)
+
+
+@pytest.mark.parametrize("degree", [-1, True, False, 2**63 - 1, 2**63, 2**70, 1.0, "1"])
+def test_bar_refuses_a_bad_degree(degree):
+    """A degree is None or an integer from 0 to 2^63 - 2: a bool, a negative
+    number or 2^63 - 1, the int64 code of None, would change meaning."""
+    with pytest.raises(TdaError, match="bar degree"):
+        P.Bar(degree, 0.0, 1.0)
+
+
+def test_barcode_degrees_are_none_or_0_to_2_to_the_63_minus_2():
+    with pytest.raises(TdaError, match="bar degree"):
+        P.Barcode([P.Bar(-1, 0, 1)])
+    with pytest.raises(TdaError, match="bar degree"):
+        P.Barcode.from_columns([-1], [0.0], [1.0])
+    for degree in (None, 0, np.int64(2), 2**63 - 2):
+        assert P.Barcode([P.Bar(degree, 0.0, 1.0)]).columns == ([degree], [0.0], [1.0])
 
 
 @pytest.mark.parametrize(
