@@ -1,18 +1,20 @@
-"""Linear algebra over prime fields. Chain complexes are sparse, each
-matrix built from its (row, column, coefficient) terms (:func:`term_columns`;
-the barcode slices :func:`sparse_columns` as it goes) as columns of one
-type for every prime, F2 included: a dict {row: coeff in [1, p)}. Homology
+"""Linear algebra over prime fields on one elimination. Matrices are held
+as columns of one type for every prime, F2 included: a dict {row: coeff
+in [1, p)}; chain complexes are built from their (row, column,
+coefficient) terms (:func:`term_columns`; the barcode slices
+:func:`sparse_columns` as it goes). Every reduction is the one
+column-reduction kernel :func:`reduce_columns`: homology
 (:func:`quotients`: one sweep down the degrees, each boundary reduced
-once, a d_k column at a pivot row of d_{k+1} skipped) and the persistence
-barcode (coboundary columns, with clearing) run on the one
-column-reduction kernel :func:`reduce_columns`; a quotient keeps its
-representatives as the sparse reduction tracks, dense only as a view.
-Stalk-sized matrices (zigzags, cosheaf maps, ranks of module maps) are
-reduced by one elimination, :func:`_rref_rows`, on rows held as lists of
-Python ints mod p: at a handful of rows and columns, a numpy call per
-pivot costs more than the arithmetic. numpy int64 arrays appear only at
-the interface, as arguments and results. Pivots are chosen leftmost
-column first, topmost row first, so every routine is deterministic.
+once, a d_k column at a pivot row of d_{k+1} skipped), the persistence
+barcode (coboundary columns, with clearing), the zigzag sweep, and the
+dense routines :func:`rank`, :func:`kernel_basis`, :func:`solve` and
+:func:`rref`, read off the reduction of a matrix's columns with unit
+tracks. A quotient keeps its representatives as the sparse reduction
+tracks, dense only as a view. numpy int64 arrays appear only at the
+interface, as arguments and results, converted in Python: at stalk
+sizes a numpy call costs more than the arithmetic. Each column is
+reduced at its pivot (largest row) by earlier columns only, so every
+routine is deterministic.
 """
 
 from __future__ import annotations
@@ -38,110 +40,91 @@ def is_prime(p: int) -> bool:
     return True
 
 
-def check_prime(p: int) -> int:
-    if not is_prime(p) or p >= 2**15:
+def check_prime(p) -> int:
+    """p as an int, if it is an integer prime < 2^15 (numpy integers too)."""
+    if not isinstance(p, (int, np.integer)) or p >= 2**15 or not is_prime(p):
         raise ValueError(f"field characteristic must be a prime < 2^15, got {p}")
-    return p
+    return int(p)
+
+
+def integer_array(A) -> np.ndarray:
+    """A as an int64 array. Integral floats (``np.eye``) pass; any other
+    entry raises, naming the first, where a cast would truncate it."""
+    M = np.asarray(A)
+    if M.dtype.kind in "biu":
+        return M.astype(np.int64, copy=False)
+    with np.errstate(invalid="ignore"):
+        I = M.astype(np.int64)
+    bad = np.flatnonzero(I != M)
+    if bad.size:
+        at = tuple(int(i) for i in np.unravel_index(bad[0], M.shape))
+        raise TdaError(f"matrix entries must be integers, got {M.item(at)!r} at {at}")
+    return I
 
 
 def normalize(A, p: int) -> np.ndarray:
-    """Coerce to a 2-D int64 array with entries in [0, p)."""
-    M = np.asarray(A, dtype=np.int64)
+    """Coerce to a 2-D int64 array with entries in [0, p), p a prime."""
+    M = integer_array(A)
     if M.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got shape {M.shape}")
-    return M % p
-
-
-def _rref_rows(rows: list[list[int]], n_cols: int, p: int) -> list[int]:
-    """Reduce ``rows`` (lists of n_cols ints in [0, p)) in place to reduced
-    row echelon form mod p and return the pivot columns. The first
-    len(pivots) rows are then the nonzero rows of the rref, in pivot order,
-    and the rest are zero. The pivot for a column is the topmost row at or
-    below the next pivot position that is nonzero there."""
-    pivots: list[int] = []
-    m = len(rows)
-    r = 0
-    for c in range(n_cols):
-        if r == m:
-            break
-        for i in range(r, m):
-            if rows[i][c]:
-                break
-        else:
-            continue
-        piv = rows[i]
-        rows[i] = rows[r]
-        rows[r] = piv
-        # Rows r.. are zero left of c, so row operations start at column c;
-        # they end at the pivot row's last nonzero, which keeps the banded
-        # difference maps of long diagrams from costing a full row each.
-        if piv[c] != 1:
-            inv = pow(piv[c], -1, p)
-            piv[c:] = [x * inv % p for x in piv[c:]]
-        e = n_cols
-        while not piv[e - 1]:
-            e -= 1
-        tail = piv[c:e]
-        for row in rows:
-            f = row[c]
-            if f and row is not piv:
-                row[c:e] = [(x - f * y) % p for x, y in zip(row[c:e], tail)]
-        pivots.append(c)
-        r += 1
-    return pivots
+    return M % check_prime(p)
 
 
 def rref(A, p: int):
-    """Reduced row echelon form mod p. Returns (R, pivot_columns)."""
-    M = normalize(A, p)
-    rows = M.tolist()
-    pivots = _rref_rows(rows, M.shape[1], p)
-    return np.array(rows, dtype=np.int64).reshape(M.shape), pivots
+    """Reduced row echelon form mod p. Returns (R, pivot_columns), read off
+    :func:`reduce_columns` with unit tracks. A column that stays nonzero
+    is a pivot column, independent of the earlier ones. A column j that
+    reduces to zero has a track e_j plus earlier pivot columns; negated,
+    its entries there are the coordinates of column j on them, column j
+    of R."""
+    cols = as_columns(A, p)
+    R = np.zeros((cols.n_rows, len(cols.cols)), dtype=np.int64)
+    rows: dict[int, int] = {}  # pivot column -> its row of R
+    units = ({j: 1} for j in range(len(cols.cols)))
+    for j, (piv, _, track) in enumerate(reduce_columns(cols.cols, p, None, units)):
+        if piv is not None:
+            rows[j] = k = len(rows)
+            R[k, j] = 1
+            continue
+        for i, c in track.items():
+            if i != j:
+                R[rows[i], j] = -c % p
+    return R, list(rows)
 
 
 def rank(A, p: int) -> int:
-    M = normalize(A, p)
-    return len(_rref_rows(M.tolist(), M.shape[1], p))
+    """The number of columns that stay nonzero under :func:`reduce_columns`."""
+    return sum(piv is not None for piv, _, _ in reduce_columns(as_columns(A, p).cols, p))
 
 
 def kernel_basis(A, p: int) -> np.ndarray:
-    """Column basis of the null space of A, shape (n_cols, nullity)."""
-    M = normalize(A, p)
-    n = M.shape[1]
-    rows = M.tolist()
-    pivots = _rref_rows(rows, n, p)
-    pivot_set = set(pivots)
-    free = [c for c in range(n) if c not in pivot_set]
-    K = [[0] * len(free) for _ in range(n)]
-    for j, c in enumerate(free):
-        K[c][j] = 1
-    for row, c in zip(rows, pivots):
-        K[c] = [-row[f] % p for f in free]
-    return np.array(K, dtype=np.int64).reshape(n, len(free))
+    """Column basis of the null space of A, shape (n_cols, nullity): the
+    tracks of the columns that reduce to zero, which is the rref's basis,
+    e_j plus earlier pivot columns for each free column j."""
+    cols = as_columns(A, p).cols
+    units = ({j: 1} for j in range(len(cols)))
+    kernel = [track for piv, _, track in reduce_columns(cols, p, None, units) if piv is None]
+    return ColumnMatrix(len(cols), kernel).dense()
 
 
 def solve(A, B, p: int):
     """One solution X of A X = B mod p, or None if inconsistent.
 
-    B may be a vector or a matrix of stacked right-hand sides; free
-    variables are set to zero, so the solution is deterministic.
+    B may be a vector or a matrix of stacked right-hand sides; X is zero
+    at every free variable, so the solution is deterministic.
     """
-    M = normalize(A, p)
-    rhs = np.asarray(B, dtype=np.int64)
+    rhs = np.asarray(B)
     squeeze = rhs.ndim == 1
-    rhs = normalize(rhs[:, None] if squeeze else rhs, p)
-    if rhs.shape[0] != M.shape[0]:
+    rhs = as_columns(rhs[:, None] if squeeze else rhs, p)
+    cols = as_columns(A, p)
+    if rhs.n_rows != cols.n_rows:
         raise ValueError("right-hand side has wrong number of rows")
-    na, nb = M.shape[1], rhs.shape[1]
-    rows = [a + b for a, b in zip(M.tolist(), rhs.tolist())]
-    pivots = _rref_rows(rows, na + nb, p)
-    if pivots and pivots[-1] >= na:
-        return None
-    X = [[0] * nb for _ in range(na)]
-    for row, c in zip(rows, pivots):
-        X[c] = row[na:]
-    X = np.array(X, dtype=np.int64).reshape(na, nb)
-    return X[:, 0] if squeeze else X
+    pivots: dict = {}
+    units = ({j: 1} for j in range(len(cols.cols)))
+    for _ in reduce_columns(cols.cols, p, pivots, units):
+        pass
+    X = _coordinates(rhs.cols, pivots, len(cols.cols), p)
+    return X[:, 0] if squeeze and X is not None else X
 
 
 def matmul(A, B, p: int) -> np.ndarray:
@@ -161,8 +144,9 @@ class ColumnMatrix:
             shape = f"{self.n_rows} x {len(self.cols)}"
             raise TdaError(f"a dense {shape} matrix would take {size:,} bytes, over {MAX_DENSE_BYTES:,}")
         D = np.zeros((self.n_rows, len(self.cols)), dtype=np.int64)
-        for j, col in enumerate(self.cols):
-            D[list(col), j] = list(col.values())
+        for j, col in enumerate(self.cols):  # by entry: at stalk sizes a numpy call costs more
+            for r, c in col.items():
+                D[r, j] = c
         return D
 
     def compose(self, other: "ColumnMatrix", p: int) -> "ColumnMatrix":
@@ -199,8 +183,12 @@ def as_columns(A, p: int) -> ColumnMatrix:
     if isinstance(A, ColumnMatrix):
         return A
     M = normalize(A, p)
-    rows, cols = np.nonzero(M)
-    return term_columns(*M.shape, rows, cols, M[rows, cols], p)
+    cols: list[dict] = [{} for _ in range(M.shape[1])]
+    for r, row in enumerate(M.tolist()):  # in Python: at stalk sizes a numpy call costs more
+        for col, x in zip(cols, row):
+            if x:
+                col[r] = x
+    return ColumnMatrix(M.shape[0], cols)
 
 
 def _subtract(vec: dict, other: dict, factor: int, p: int) -> None:
@@ -306,17 +294,21 @@ class Quotient:
         if cols.n_rows != self.basis.n_rows:
             raise ValueError("right-hand side has wrong number of rows")
         X = _coordinates(cols.cols, self._pivots, self.dimension, p)
+        if X is None:
+            raise InternalInconsistencyError("vector is not a cycle modulo boundaries of this quotient")
         return X[:, 0] if squeeze else X
 
 
-def _coordinates(columns: list, pivots: dict, n: int, p: int) -> np.ndarray:
-    """The n x len(columns) coefficients, on the n stored columns of
-    ``pivots`` whose tracks are units, that sum to each (cycle) column."""
+def _coordinates(columns: list, pivots: dict, n: int, p: int) -> np.ndarray | None:
+    """Each column written on the tracks (over n indices) of the stored
+    columns of ``pivots``: reduced by them without being stored, a column
+    that reaches zero is the image of minus its track. Returns the
+    n x len(columns) coefficients, or None if some column does not."""
     X = np.zeros((n, len(columns)), dtype=np.int64)
     tracks = ({} for _ in columns)
     for j, (piv, _, track) in enumerate(reduce_columns(columns, p, pivots, tracks, insert=False)):
         if piv is not None:
-            raise InternalInconsistencyError("vector is not a cycle modulo boundaries of this quotient")
+            return None
         for k, c in track.items():  # column + (stored columns combined by track) = 0
             X[k, j] = -c % p
     return X

@@ -182,7 +182,10 @@ def _sublevel_formulas(
             for k, i in enumerate(degrees):
                 to_sup = rank[i][np.flatnonzero(keep[i])[order[i]]].tolist() if sub[k][0] else []
                 pushed = _push(sub[k][0], to_sup)
-                coords[k][(vertex, edge)] = _coordinates(pushed, sup[k][3], len(sup[k][0]), field)
+                X = _coordinates(pushed, sup[k][3], len(sup[k][0]), field)
+                if X is None:
+                    raise InternalInconsistencyError(f"a class of {edge} is no cycle in {vertex}")
+                coords[k][(vertex, edge)] = X
 
     def cosheaf(k: int, t: float) -> SimplicialCosheaf:  # F_{degrees[k]} on the pieces of K<=t
         alive = {ns: (bars[k][1] <= t) & (t < bars[k][2]) for ns, (bars, _, _) in data.items()}

@@ -5,9 +5,10 @@ The generalized rank of a zigzag over [b, d], the rank of the canonical
 map from the limit to the colimit of the restriction, counts the interval
 summands that contain [b, d]; it is the definition ``decompose_zigzag``
 is tested against. ``decompose_zigzag`` finds the summands in one
-left-to-right sweep (Carlsson–de Silva 2010, right filtrations), one or
-two eliminations of slot-sized matrices per arrow, so a zigzag of n slots
-takes O(n) of them. An ordinary persistence module
+left-to-right sweep (Carlsson–de Silva 2010, right filtrations) on the
+column reduction of :mod:`fields`: one reduction of the images per
+forward arrow, three of slot-sized columns per backward arrow, so a
+zigzag of n slots takes O(n) of them. An ordinary persistence module
 (:class:`ExplicitModule`) is decomposed as the all-forward zigzag.
 """
 
@@ -43,7 +44,7 @@ class FiniteDiagram:
         _check_dims(self.dims)
         checked = []
         for s, t, M in self.morphisms:
-            M = np.asarray(M, dtype=np.int64)
+            M = fields.integer_array(M)
             if not (0 <= s < len(self.dims) and 0 <= t < len(self.dims)):
                 raise TdaError(f"morphism endpoints ({s}, {t}) out of range")
             if M.shape != (self.dims[t], self.dims[s]):
@@ -125,7 +126,7 @@ class ZigzagModule:
         for i, (direction, M) in enumerate(self.arrows):
             if direction not in (FORWARD, BACKWARD):
                 raise TdaError(f"arrow direction must be '{FORWARD}' or '{BACKWARD}'")
-            M = np.asarray(M, dtype=np.int64)
+            M = fields.integer_array(M)
             expected = (
                 (self.dims[i + 1], self.dims[i])
                 if direction == FORWARD
@@ -184,77 +185,73 @@ def generalized_rank(z: ZigzagModule, b: int, d: int, field: int = 2) -> int:
     return fields.rank(canonical, field)
 
 
-def _unit(j: int, n: int) -> list[int]:
-    return [int(i == j) for i in range(n)]
-
-
-def _forward_step(alive, f, m: int, birth: int, p: int):
-    """Carry the alive bars across f: V_k -> V_{k+1} = k^m (rows of f).
+def _forward_step(alive, f: fields.ColumnMatrix, birth: int, p: int):
+    """Carry the alive bars across f: V_k -> V_{k+1} = k^m (m rows of f).
     Returns (alive bars at k+1, births of the bars that end at k)."""
-    leads: dict[int, list[int]] = {}
+    leads: dict = {}
+    images = f.compose(fields.ColumnMatrix(len(f.cols), [v for _, v in alive]), p).cols
     kept, dead = [], []
-    for b, v in alive:
-        w = [sum(a * x for a, x in zip(row, v)) % p for row in f]
-        for c in range(m):
-            if w[c]:
-                if c not in leads:
-                    break
-                x = w[c]
-                w = [(a - x * y) % p for a, y in zip(w, leads[c])]
-        else:
+    for (b, _), (piv, w, _) in zip(alive, fields.reduce_columns(images, p, leads)):
+        if piv is None:
             dead.append(b)
-            continue
-        inv = pow(w[c], -1, p)
-        leads[c] = w = [a * inv % p for a in w]
-        kept.append((b, w))
-    return kept + [(birth, _unit(c, m)) for c in range(m) if c not in leads], dead
+        else:
+            kept.append((b, w))
+    return kept + [(birth, {c: 1}) for c in range(f.n_rows) if c not in leads], dead
 
 
-def _backward_step(alive, g, m: int, birth: int, p: int):
-    """Carry the alive bars across g: k^m = V_{k+1} -> V_k (rows of g).
+def _backward_step(alive, g: fields.ColumnMatrix, birth: int, p: int):
+    """Carry the alive bars across g: k^m = V_{k+1} -> V_k (m columns of g).
     Returns (alive bars at k+1, births of the bars that end at k)."""
-    a = len(alive)
-    rows = [[v[i] for _, v in alive] + g[i] for i in range(a)]
-    fields._rref_rows(rows, a + m, p)  # [alive basis | g] -> [I | coordinates]
-    rows = [[rows[i][a + j] for i in reversed(range(a))] + _unit(j, m) for j in range(m)]
-    pivots = fields._rref_rows(rows, a + m, p)
-    preimage = {a - 1 - c: row[a:] for row, c in zip(rows, pivots) if c < a}
-    born = [(birth, row[a:]) for row, c in zip(rows, pivots) if c >= a]
-    kept = [(b, preimage[i]) for i, (b, _) in enumerate(alive) if i in preimage]
-    return born + kept, [b for i, (b, _) in enumerate(alive) if i not in preimage]
+    basis: dict = {}
+    for _ in fields.reduce_columns([v for _, v in alive], p, basis, ({i: 1} for i in range(len(alive)))):
+        pass
+    found = fields.reduce_columns(g.cols, p, basis, ({} for _ in g.cols), insert=False)
+    coordinates = ({i: -c % p for i, c in track.items()} for _, _, track in found)
+    paired, born = {}, []
+    for piv, _, track in fields.reduce_columns(coordinates, p, {}, ({j: 1} for j in range(len(g.cols)))):
+        if piv is None:
+            born.append((birth, track))
+        else:
+            paired[piv] = track
+    kept = [(b, paired[i]) for i, (b, _) in enumerate(alive) if i in paired]
+    return born + kept, [b for i, (b, _) in enumerate(alive) if i not in paired]
 
 
 def decompose_zigzag(z: ZigzagModule, field: int = 2) -> list[IntegerBar]:
     """The interval summands of a zigzag as bars sorted by (lo, hi), equal
     bars merged into one with their multiplicity.
 
-    At slot k the sweep holds a basis of V_k: one vector and birth per bar
-    of the prefix [0, k] alive at k, oldest first in the age order. Adding
-    bar y's vector to bar x's is an automorphism of the prefix's
-    decomposition when a module map from x's interval [a, k] to y's [b, k]
-    is nonzero at k: for b < a the arrow into a must point forward, for
-    b > a the arrow into b must point backward. So the age order puts the
-    bars born at the head of a backward arrow first, by decreasing birth,
-    then the rest (born at slot 0 or at the head of a forward arrow) by
-    increasing birth, and the sweep only ever adds older bars to younger.
+    At slot k the sweep holds a basis of V_k: one vector ({row: coeff})
+    and birth per bar of the prefix [0, k] alive at k, oldest first in the
+    age order. Adding bar y's vector to bar x's is an automorphism of the
+    prefix's decomposition when a module map from x's interval [a, k] to
+    y's [b, k] is nonzero at k: for b < a the arrow into a must point
+    forward, for b > a the arrow into b must point backward. So the age
+    order puts the bars born at the head of a backward arrow first, by
+    decreasing birth, then the rest (born at slot 0 or at the head of a
+    forward arrow) by increasing birth, and the sweep only ever adds older
+    bars to younger. Every elimination is :func:`fields.reduce_columns`,
+    which reduces each column by the earlier ones only.
 
-    Forward arrow: each image, oldest first, is reduced by the leading
-    entries of the older surviving images only. One that reduces to zero
-    ends its bar; the unit vectors at rows no survivor leads are born.
-    Backward arrow: the rref of [coordinates of g's columns in the basis,
-    youngest bar first | I] pairs each bar with the row, if any, whose
-    pivot is its youngest term; that row's I part maps to the bar's vector
-    plus older ones and becomes its vector. Rows pivoting in the I part
-    are a kernel basis of g and are born; unpaired bars end.
+    Forward arrow: the images, oldest first, are reduced into one pivot
+    table. One that reduces to zero ends its bar; the others are the
+    survivors' vectors, and the unit vectors at rows that are no pivot
+    are born. Backward arrow: the alive basis is reduced with unit
+    tracks, and each column of g, reduced by it without being stored,
+    leaves its coordinates as its negated track. The coordinate columns,
+    keyed by bar index, are reduced with unit tracks over V_{k+1}: a
+    column with pivot i (its youngest bar) pairs bar i with its track,
+    mapped by g to bar i's vector plus older ones; a column that reduces
+    to zero leaves a kernel vector of g, which is born. Unpaired bars end.
     """
     p = fields.check_prime(field)
     if not z.dims:
         return []
-    alive = [(0, _unit(j, z.dims[0])) for j in range(z.dims[0])]
+    alive = [(0, {j: 1}) for j in range(z.dims[0])]
     ends: Counter = Counter()
     for k, (direction, M) in enumerate(z.arrows):
         step = _forward_step if direction == FORWARD else _backward_step
-        alive, dead = step(alive, (M % p).tolist(), z.dims[k + 1], k + 1, p)
+        alive, dead = step(alive, fields.as_columns(M, p), k + 1, p)
         ends.update((b, k) for b in dead)
     ends.update((b, len(z.dims) - 1) for b, _ in alive)
     return [IntegerBar(lo, hi, mult) for (lo, hi), mult in sorted(ends.items())]
@@ -275,7 +272,7 @@ class ExplicitModule:
                 f"got {len(self.maps)}"
             )
         for i, M in enumerate(self.maps):
-            M = np.asarray(M, dtype=np.int64)
+            M = fields.integer_array(M)
             if M.shape != (self.dims[i + 1], self.dims[i]):
                 raise TdaError(
                     f"map {i} has shape {M.shape}, expected {(self.dims[i + 1], self.dims[i])}"

@@ -36,6 +36,30 @@ def test_check_prime():
     assert fields.check_prime(7) == 7
 
 
+@pytest.mark.parametrize("p", [3.5, 2.0, "3", 2**61 - 1])
+def test_check_prime_rejects_non_integers_and_large_primes(p):
+    """As every dense routine does through ``normalize``. The prime 2^61 - 1
+    is refused by its size before a trial division up to its square root."""
+    with pytest.raises(ValueError, match="field characteristic must be a prime < 2\\^15"):
+        fields.check_prime(p)
+    with pytest.raises(ValueError, match="field characteristic must be a prime < 2\\^15"):
+        fields.rank(np.eye(2), p)
+
+
+def test_check_prime_accepts_numpy_integers_as_int():
+    got = fields.check_prime(np.int64(3))
+    assert got == 3 and type(got) is int
+
+
+def test_non_integral_entries_are_rejected_naming_the_first():
+    with pytest.raises(TdaError, match=r"^matrix entries must be integers, got 2.7 at \(0, 0\)$"):
+        fields.normalize([[2.7]], 5)
+    with pytest.raises(TdaError, match=r"^matrix entries must be integers, got nan at \(1, 0\)$"):
+        fields.rank(np.array([[1.0, 2.0], [np.nan, 0.5]]), 3)
+    assert fields.normalize(np.eye(2), 5).tolist() == [[1, 0], [0, 1]]
+    assert fields.normalize([[-1.0, 7.0]], 5).dtype == np.int64
+
+
 def test_gf2_rank_matches_rref_and_reference():
     rng = np.random.default_rng(40)
     for _ in range(30):

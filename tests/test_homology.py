@@ -329,3 +329,9 @@ def test_h1_of_a_large_rips_circle_stays_sparse():
         tracemalloc.stop()
     assert dimension == 1
     assert peak < 64 * 2**20
+
+
+@pytest.mark.parametrize("field", [3.5, 2.0, "3"])
+def test_homology_rejects_a_non_integer_field(field):
+    with pytest.raises(ValueError, match="field characteristic must be a prime"):
+        tda.homology(hollow_triangle(), 1, field)

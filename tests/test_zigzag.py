@@ -4,11 +4,13 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     gf2_rank_reference,
     long_zigzags,
+    random_invertible,
     random_zigzag,
     small_zigzags,
     torus_leray_zigzag,
@@ -254,6 +256,21 @@ def test_shape_validation_errors():
         Z.ExplicitModule(dims=[2, -1], maps=[np.zeros((0, 2), int)])
 
 
+def test_non_integral_entries_are_rejected():
+    from tda.errors import TdaError
+
+    half = [[0.5]]
+    with pytest.raises(TdaError, match=r"^matrix entries must be integers, got 0.5 at \(0, 0\)$"):
+        Z.ZigzagModule([1, 1], [(Z.FORWARD, half)])
+    with pytest.raises(TdaError, match=r"got 0.5 at \(0, 0\)"):
+        Z.FiniteDiagram(dims=[1, 1], morphisms=[(0, 1, half)])
+    with pytest.raises(TdaError, match=r"got 0.5 at \(0, 0\)"):
+        Z.ExplicitModule(dims=[1, 1], maps=[half])
+    eye = np.eye(2)
+    assert Z.decompose_zigzag(Z.ZigzagModule([2, 2], [(Z.BACKWARD, eye)])) == [Z.IntegerBar(0, 1, 2)]
+    assert Z.ExplicitModule(dims=[2, 2], maps=[eye]).maps[0].dtype == np.int64
+
+
 def test_forward_module_agrees_with_decompose_explicit():
     rng = np.random.default_rng(29)
     for field in (2, 3):
@@ -351,3 +368,30 @@ def test_decompose_zigzag_degenerate(dims, arrows, expected):
 def test_decompose_zigzag_matches_rank_oracle(case):
     z, field = case
     assert Z.decompose_zigzag(z, field) == zigzag_bars_oracle(z, field)
+
+
+@settings(max_examples=30)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3, 5, 7]), st.integers(50, 300))
+def test_decompose_zigzag_is_invariant_under_a_change_of_basis(seed, field, n):
+    """The bars are those of the isomorphism class: conjugating every arrow
+    by a random invertible P_i at each slot i (P_{i+1} M P_i^-1 forward,
+    P_i M P_{i+1}^-1 backward) leaves them as they were, on zigzags longer
+    than the O(n^2) oracle can check. Half the arrows are identities, so
+    long bars cross many slots."""
+    rng = np.random.default_rng(seed)
+    dims = rng.integers(0, 5, n).tolist()
+    arrows = []
+    for i in range(n - 1):
+        direction = Z.FORWARD if rng.random() < 0.5 else Z.BACKWARD
+        shape = (dims[i + 1], dims[i]) if direction == Z.FORWARD else (dims[i], dims[i + 1])
+        M = np.eye(*shape, dtype=np.int64) if rng.random() < 0.5 else rng.integers(0, field, shape)
+        arrows.append((direction, M))
+    P = [random_invertible(rng, d, field) for d in dims]
+    inverse = [fields.solve(Q, np.eye(len(Q), dtype=np.int64), field) for Q in P]
+    moved = [
+        (direction, P[i + 1] @ M @ inverse[i] if direction == Z.FORWARD else P[i] @ M @ inverse[i + 1])
+        for i, (direction, M) in enumerate(arrows)
+    ]
+    bars = Z.decompose_zigzag(Z.ZigzagModule(dims, arrows), field)
+    assert Z.decompose_zigzag(Z.ZigzagModule(dims, moved), field) == bars
+    assert sum(bar.multiplicity * (bar.hi - bar.lo + 1) for bar in bars) == sum(dims)
