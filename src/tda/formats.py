@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import chain, repeat
 from typing import Iterator
 
 import numpy as np
@@ -189,29 +190,41 @@ def parse_zigzag(text: str) -> ZigzagModule:
 
 _BAR_JSON = '    {\n      "birth": %s,\n      "death": %s,\n      "dim": %s\n    }'
 _BLOCK_BARS = 4096  # bars per block of barcode JSON
+_HEAD_BREAK = "\0"  # between the texts of a block's heads: no spelling holds it
 
 
 def _barcode_json_blocks(bc: Barcode, field: int) -> Iterator[str]:
     """The text of ``barcode_to_json`` in blocks of at most _BLOCK_BARS
     bars, so that no full-size template, result or copy is ever held.
-    Each distinct float is spelled once as json.dumps spells it, by repr or
-    an infinite death as null, and told apart by bit pattern: 0.0 == -0.0
-    but their spellings differ. Each distinct degree is spelled by
-    json.dumps. A block's spellings fill its template in one formatting."""
+    Equal bars sit next to each other in canonical order, so each run of
+    them is spelled once, at its head: a bar starts a run when it differs
+    from the one before in degree or in the bit pattern of birth or death
+    (0.0 == -0.0, but their spellings differ), and at every block start.
+    Each distinct float among the heads is spelled once as json.dumps
+    spells it, by repr or an infinite death as null; each distinct degree
+    by json.dumps. A block's heads fill one template in one formatting,
+    and each head's text is repeated over its run."""
     degrees, births, deaths = bc._columns
     n = len(degrees)
-    bits, which = np.unique(np.concatenate([births, deaths]).view(np.int64), return_inverse=True)
+    birth_bits, death_bits = births.view(np.int64), deaths.view(np.int64)
+    head = np.ones(n, dtype=bool)
+    head[1:] = (degrees[1:] != degrees[:-1]) | (birth_bits[1:] != birth_bits[:-1]) | (death_bits[1:] != death_bits[:-1])
+    head[::_BLOCK_BARS] = True
+    heads = np.flatnonzero(head)
+    m = len(heads)
+    bits, which = np.unique(np.concatenate([birth_bits[heads], death_bits[heads]]), return_inverse=True)
     numbers = np.array(["null" if x == math.inf else repr(x) for x in bits.view(float).tolist()], dtype=object)
-    codes, degree_of = np.unique(degrees, return_inverse=True)
+    codes, degree_of = np.unique(degrees[heads], return_inverse=True)
     dims = np.array([json.dumps(None if d == _NONE else d) for d in codes.tolist()], dtype=object)
-    template = ",\n".join([_BAR_JSON] * _BLOCK_BARS)
+    # k heads fill the first k * (len(_BAR_JSON) + 1) - 1 characters of the template
+    template = _HEAD_BREAK.join([_BAR_JSON] * _BLOCK_BARS)
+    firsts = np.searchsorted(heads, np.arange(0, n, _BLOCK_BARS)).tolist() + [m]
     opening = '{\n  "bars": [\n'
-    for a in range(0, n, _BLOCK_BARS):
-        b = min(a + _BLOCK_BARS, n)
-        if b - a < _BLOCK_BARS:
-            template = ",\n".join([_BAR_JSON] * (b - a))
-        spelled = np.stack([numbers[which[a:b]], numbers[which[n + a : n + b]], dims[degree_of[a:b]]], axis=1)
-        yield opening + template % tuple(spelled.ravel().tolist())
+    for a, h, g in zip(range(0, n, _BLOCK_BARS), firsts, firsts[1:]):
+        spelled = np.stack([numbers[which[h:g]], numbers[which[m + h : m + g]], dims[degree_of[h:g]]], axis=1)
+        texts = template[: (g - h) * (len(_BAR_JSON) + 1) - 1] % tuple(spelled.ravel().tolist())
+        runs = np.diff(heads[h:g], append=min(a + _BLOCK_BARS, n)).tolist()
+        yield opening + ",\n".join(chain.from_iterable(map(repeat, texts.split(_HEAD_BREAK), runs)))
         opening = ",\n"
     yield ("\n  ]" if n else '{\n  "bars": []') + f',\n  "field": {json.dumps(field)}\n}}\n'
 

@@ -5,9 +5,10 @@ per dimension) with its values in the same row order, checked once to be
 monotone, and its filtration order. A barcode is three numpy columns:
 int64 degrees, ``_NONE`` standing for None, and float births and deaths.
 
-Barcodes come from one pairing routine: it reduces the anti-transposed
-coboundary (persistent cohomology) degree by degree with clearing, which
-gives the same pairs as reducing the boundary. Filtration barcodes use
+Barcodes come from one pairing routine: it pairs degree 0 by union-find
+and reduces the anti-transposed coboundary (persistent cohomology) of
+every higher degree, degree by degree with clearing, which gives the
+same pairs as reducing the boundary. Filtration barcodes use
 half-open bars [birth, death): the pairing makes pointwise dimension
 counts exact under that convention. Module decompositions over integer
 grades (see :func:`tda.zigzag.decompose_explicit`) use closed bars
@@ -34,7 +35,7 @@ from .complexes import (
     _rips_entries,
     squared_distance_matrix,
 )
-from .errors import MalformedSimplexError, MissingVertexValueError, TdaError
+from .errors import InternalInconsistencyError, MalformedSimplexError, MissingVertexValueError, TdaError
 
 _NONE = np.iinfo(np.int64).max  # the degree code of degree None, after every degree
 
@@ -294,19 +295,53 @@ class _ApparentPivots(dict):
         return super().get(row)
 
 
+def _merges(n_vertices: int, edges, ends_a, ends_b) -> tuple[list[int], list[int]]:
+    """Union-find over vertices 0..n_vertices-1, numbered by age, taking
+    the edges in the given order: each edge that joins two components
+    yields (the younger root, the edge), and the older root stays the
+    root (the elder rule). Stops after n_vertices - 1 merges."""
+    parent = list(range(n_vertices))
+    younger, killers = [], []
+    for edge, a, b in zip(edges.tolist(), ends_a.tolist(), ends_b.tolist()):
+        while (up := parent[a]) != a:  # path halving
+            parent[a] = a = parent[up]
+        while (up := parent[b]) != b:
+            parent[b] = b = parent[up]
+        if a != b:
+            a, b = max(a, b), min(a, b)
+            parent[a] = b
+            younger.append(a)
+            killers.append(edge)
+            if len(younger) == n_vertices - 1:
+                break
+    return younger, killers
+
+
 def _filtration_barcode(
     values, degrees, order, coboundary, field: int, include_zero_bars: bool = False
 ) -> Barcode:
     """Barcode of cells with the given values and degrees, filtered in the
     given order. ``coboundary`` holds three integer arrays, one term each:
     a face, a coface one degree up (later in the order), and the incidence
-    coefficient. Each cell's column has a row per coface, rows in reverse
-    filtration order, so a column's largest row is its earliest coface.
-    Columns are reduced degree by degree from low to high, each degree in
-    decreasing filtration order, skipping the cells already paired one
-    degree down (clearing). The column of cell i with the pivot row of
-    cell j yields the bar [value_i, value_j) in degree_i; a zero column
-    yields an infinite bar.
+    coefficient.
+
+    Degree 0 is paired by union-find (Edelsbrunner-Letscher-Zomorodian
+    2002). Each degree-1 cell must have no degree-0 face or two whose
+    coefficients sum to 0 mod field, as an edge's b - a does; any other
+    raises ``InternalInconsistencyError``. The degree-1 cells are taken in
+    filtration order. A component's root is its earliest vertex; an edge
+    joining two roots kills the later one, giving the bar [value(root),
+    value(edge)) in degree 0, and is cleared from the degree-1 columns.
+    The roots left give infinite bars. Pairs are unique for a total order,
+    so these are the pairs that reducing the degree-0 columns gives.
+
+    Every higher degree is paired by reducing columns. Each cell's column
+    has a row per coface, rows in reverse filtration order, so a column's
+    largest row is its earliest coface. Columns are reduced degree by
+    degree from low to high, each degree in decreasing filtration order,
+    skipping the cells already paired one degree down (clearing). The
+    column of cell i with the pivot row of cell j yields the bar [value_i,
+    value_j) in degree_i; a zero column yields an infinite bar.
 
     Cell i is apparent (Bauer 2021, §3.5) when it is the latest face of
     its earliest coface c. No column reduced before i holds row c, as every
@@ -329,7 +364,41 @@ def _filtration_barcode(
     del coboundary  # so that, unless the caller holds them, each term array is freed once converted
     face, coface = position[face], position[coface]
     coef = np.asarray(coef, dtype=np.int64) % field
-    by_column = np.flatnonzero(coef)
+    vertex_face = degrees[face] == 0
+    low = np.flatnonzero(vertex_face & (coef != 0))
+    low = low[np.argsort(coface[low], kind="stable")]
+    edge_of = coface[low]
+    head = np.flatnonzero(np.diff(edge_of, prepend=-1))  # each degree-1 cell's first term
+    if (bad := (sizes := np.diff(head, append=len(low))) != 2).any():
+        i = int(np.flatnonzero(bad)[0])
+        raise InternalInconsistencyError(f"cell {order[edge_of[head[i]]]} has {sizes[i]} faces of degree 0, not 0 or 2")
+    a, b = low[head], low[head + 1]
+    if (bad := (coef[a] + coef[b]) % field != 0).any():
+        i = int(np.flatnonzero(bad)[0])
+        raise InternalInconsistencyError(
+            f"cell {order[edge_of[head[i]]]} has degree-0 faces with coefficients {coef[a[i]]} and"
+            f" {coef[b[i]]}, which do not sum to 0 mod {field}")
+    vertices, edges = np.flatnonzero(degrees == 0), edge_of[head]
+    ends = np.searchsorted(vertices, face[[a, b]])  # vertices are numbered by age
+    younger, killers = _merges(len(vertices), edges, *ends)
+    killer = np.full(len(vertices), -1, dtype=np.int64)  # -1 for an infinite bar
+    killer[younger] = killers
+    cleared = np.zeros(n, dtype=bool)
+    cleared[killers] = True
+    # Barcode keeps input order among bars equal but for the sign of a zero,
+    # which the JSON spells apart, so degree 0 lists its bars as the column
+    # pass lists a degree: no coface, then apparent, then the rest, each by
+    # decreasing position. A vertex is apparent if it is the later end of
+    # its earliest edge.
+    first_edge = np.full(len(vertices), n, dtype=np.int32)  # n for no edge
+    np.minimum.at(first_edge, ends.ravel(), np.tile(edges, 2))
+    later = ends.max(axis=0)
+    group = np.where(first_edge < n, 2, 0)
+    group[later[first_edge[later] == edges]] = 1
+    listed = np.lexsort((-np.arange(len(vertices)), group))
+    born, dies = [vertices[listed]], [killer[listed]]
+    del low, edge_of, head, sizes, a, b, vertices, edges, ends, killer, first_edge, later, group, listed
+    by_column = np.flatnonzero(~vertex_face & (coef != 0))
     by_column = by_column[np.argsort(face[by_column])]  # the order within a column does not matter
     face, coface, coefs = face[by_column], coface[by_column], coef[by_column]
     start = np.zeros(n + 1, dtype=np.int64)
@@ -339,7 +408,7 @@ def _filtration_barcode(
     np.minimum.at(earliest, face, coface)
     np.maximum.at(latest_face, coface, face)
     rows = n - 1 - coface
-    del face, coface, coef, by_column
+    del face, coface, coef, vertex_face, by_column
 
     def apparent_column(row):  # None unless row is the earliest coface of apparent cell i
         if earliest[i := latest_face[n - 1 - row]] == n - 1 - row:
@@ -347,10 +416,7 @@ def _filtration_barcode(
             inv = pow(col[row], -1, field)
             return col if inv == 1 else {r: c * inv % field for r, c in col.items()}
 
-    cleared = np.zeros(n, dtype=bool)
-    born = [np.zeros(0, dtype=np.int64)]
-    dies = [np.zeros(0, dtype=np.int64)]  # -1 for an infinite bar
-    for degree in np.flatnonzero(np.bincount(degrees)).tolist():
+    for degree in (np.flatnonzero(np.bincount(degrees)[1:]) + 1).tolist():
         unpaired = np.flatnonzero((degrees == degree) & ~cleared)[::-1]
         # A cell without nonzero coboundary terms has a zero column.
         has_cofaces = start[unpaired + 1] > start[unpaired]
@@ -384,7 +450,8 @@ def _boundary_terms(K: SimplicialComplex, start, sign: int = 1) -> list[np.ndarr
 
 def compute_barcode(fc: FilteredComplex, field: int = 2, include_zero_bars: bool = False) -> Barcode:
     """Barcode of a filtration, a simplex's degree being its dimension, by
-    the coboundary reduction with clearing. The coboundary terms come from
+    union-find in degree 0 and the coboundary reduction with clearing
+    above (``_filtration_barcode``). The coboundary terms come from
     the complex's facet positions. Zero-length bars are dropped unless
     include_zero_bars is set.
     """

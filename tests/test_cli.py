@@ -123,18 +123,36 @@ def block_bars(count: int) -> list[Bar]:
 BLOCK = formats._BLOCK_BARS
 
 
-@pytest.mark.parametrize("count", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
-def test_barcode_json_blocks_join_to_json_dumps(count):
+@pytest.mark.parametrize(
+    "bars",
+    [pytest.param(block_bars(count), id=str(count)) for count in (0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1)]
+    + [
+        pytest.param(
+            [Bar(0, 0.0, 1.0)] + [Bar(2, 0.5, math.inf)] * (3 * BLOCK + 7) + [Bar(2, 0.75, math.inf)],
+            id="one-run-over-3-block-boundaries",
+        ),
+        pytest.param(
+            [Bar(1, 0.0, 1.0), Bar(1, -0.0, 1.0)] * 5 + [Bar(1, -0.0, 2.0)] * 3 + [Bar(1, 0.0, 2.0)] * 3,
+            id="zero-and-minus-zero-births-side-by-side",
+        ),
+        pytest.param(
+            [Bar(3, 1.0, 2.0)] * 4 + [Bar(None, 1.0, 2.0)] * 5 + [Bar(None, 1.5, 2.0)] * 2 + [Bar(None, 1.5, math.inf)],
+            id="runs-of-degree-none",
+        ),
+        pytest.param([Bar(i % 3, i / 7, i / 5 + 1) for i in range(BLOCK + 10)], id="all-distinct"),
+    ],
+)
+def test_barcode_json_blocks_join_to_json_dumps(bars):
     """The blocks hold at most _BLOCK_BARS bars each, and their join, which
     is ``barcode_to_json``, is the json.dumps text at and around every
-    block boundary."""
-    bc = Barcode(block_bars(count))
+    block boundary, over runs of equal bars and distinct ones."""
+    bc = Barcode(bars)
     obj = {
         "bars": [{"dim": b.degree, "birth": b.birth, "death": None if b.infinite else b.death} for b in bc],
         "field": 3,
     }
     blocks = list(formats._barcode_json_blocks(bc, 3))
-    assert len(blocks) == -(-count // BLOCK) + 1
+    assert len(blocks) == -(-len(bars) // BLOCK) + 1
     assert max(block.count('"dim"') for block in blocks) <= BLOCK
     assert "".join(blocks) == formats.barcode_to_json(bc, 3) == json.dumps(obj, indent=2, sort_keys=True) + "\n"
 

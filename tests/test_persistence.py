@@ -16,7 +16,7 @@ from conftest import face_closure, grid_torus, homology_barcode, interval_comple
 from tda import fields, formats
 from tda import persistence as P
 from tda import zigzag as Z
-from tda.errors import MalformedSimplexError, MissingVertexValueError, TdaError
+from tda.errors import InternalInconsistencyError, MalformedSimplexError, MissingVertexValueError, TdaError
 
 
 def test_rips_filtration_two_points():
@@ -457,6 +457,78 @@ def test_apparent_column_with_pivot_coefficient_2_is_scaled(field):
     killed = (1.0, 3.0) if field == 2 else (2.0, 3.0)
     survives = 2.0 if field == 2 else 1.0
     assert bc.counter() == {(0, 0.0, math.inf): 1, (1, *killed): 1, (1, survives, math.inf): 1}
+
+
+@st.composite
+def disconnected_filtrations(draw):
+    """A filtration with several components: Rips on 2-4 clusters of 1-4
+    points, 10 apart, plus 0-3 isolated points, at a radius under the
+    gaps; or a random monotone filtration plus 1-3 isolated vertices.
+    Union-find never reaches n0 - 1 merges on either."""
+    if draw(st.booleans()):
+        clusters = [draw(st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)), min_size=1, max_size=4))
+                    for _ in range(draw(st.integers(2, 4)))]
+        pts = [(x + 10 * k, y) for k, cluster in enumerate(clusters) for x, y in cluster]
+        pts += [(-10.0 * (k + 1), 5.0) for k in range(draw(st.integers(0, 3)))]
+        return P.rips_filtration(np.array(pts), draw(st.integers(1, 2)), draw(st.floats(0.1, 1.0)))
+    fc = random_monotone_filtration(np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    top = max(s[0] for s, _ in fc.entries if len(s) == 1)
+    extra = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
+    return P.FilteredComplex(fc.entries + [((top + 1 + k,), float(v)) for k, v in enumerate(extra)])
+
+
+@given(disconnected_filtrations(), st.sampled_from([2, 3, 5]), st.booleans())
+def test_disconnected_barcode_equals_homology_reduction(fc, field, include_zero_bars):
+    """Several components: the union-find leaves more than one root, and
+    an isolated vertex's bar is infinite."""
+    bc = P.compute_barcode(fc, field, include_zero_bars)
+    assert sum(b.infinite for b in bc.in_degree(0)) >= 2
+    assert bc == homology_barcode(fc, field, include_zero_bars)
+
+
+@pytest.mark.parametrize(
+    "entries, bars",
+    [
+        ([((0,), -0.0), ((1,), 0.0), ((2,), 0.0), ((0, 2), 2.0)],
+         [("0.0", 2.0), ("0.0", math.inf), ("-0.0", math.inf)]),
+        ([((0,), -0.0), ((1,), 0.0), ((2,), -0.0), ((3,), 0.0), ((0, 3), 2.0), ((1, 2), 1.0), ((2, 3), 1.0)],
+         [("0.0", 1.0), ("-0.0", 1.0), ("0.0", 2.0), ("-0.0", math.inf)]),
+        ([((0,), -0.0), ((1,), 0.0), ((2,), -0.0), ((3,), -0.0), ((0, 1), 2.0), ((1, 2), 2.0), ((2, 3), 1.0)],
+         [("-0.0", 1.0), ("0.0", 2.0), ("-0.0", 2.0), ("-0.0", math.inf)]),
+        ([((0,), 0.0), ((1,), -0.0), ((2,), 0.0), ((3,), -0.0), ((0, 1), 1.0), ((1, 3), 1.0), ((2, 3), 1.0)],
+         [("-0.0", 1.0), ("-0.0", 1.0), ("0.0", 1.0), ("0.0", math.inf)]),
+    ],
+)
+def test_degree_0_bars_equal_but_for_a_zero_sign_keep_their_order(entries, bars):
+    """Barcode keeps input order among bars equal but for the sign of a
+    zero, and the JSON spells 0.0 and -0.0 apart. Degree 0 lists vertices
+    without an edge, then each vertex that is the later end of its
+    earliest edge, then the rest, each by decreasing position, as a
+    degree's column pass does."""
+    degrees, births, deaths = P.compute_barcode(P.FilteredComplex(entries), 2).columns
+    assert degrees == [0] * len(bars)
+    assert list(zip(map(repr, births), deaths)) == bars
+
+
+def test_degree_1_cell_with_one_vertex_face_raises():
+    """Cells 1 and 2 are vertices; cell 0, of degree 1, has only vertex 1
+    as a face."""
+    coboundary = ([1], [0], [1])
+    with pytest.raises(InternalInconsistencyError, match="cell 0 has 1 faces of degree 0, not 0 or 2"):
+        P._filtration_barcode([1.0, 0.0, 0.0], [1, 0, 0], np.array([1, 2, 0]), coboundary, 2)
+
+
+@pytest.mark.parametrize("field", [2, 3])
+def test_degree_1_cell_whose_vertex_coefficients_do_not_cancel(field):
+    """Cell 0 has vertex faces 1 and 2 with coefficients (1, 1): an edge
+    over F2, where 1 + 1 = 0; over F3 the faces do not cancel."""
+    coboundary = ([1, 2], [0, 0], [1, 1])
+    args = ([1.0, 0.0, 0.0], [1, 0, 0], np.array([1, 2, 0]), coboundary, field)
+    if field == 2:
+        assert P._filtration_barcode(*args).counter() == {(0, 0.0, math.inf): 1, (0, 0.0, 1.0): 1}
+    else:
+        with pytest.raises(InternalInconsistencyError, match="cell 0 has degree-0 faces with coefficients 1 and 1"):
+            P._filtration_barcode(*args)
 
 
 def test_filtration_barcode_refuses_2_to_the_31_cells_before_allocating():
