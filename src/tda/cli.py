@@ -17,7 +17,6 @@ from typing import Iterable
 from . import cosheaf as cosheaf_mod
 from . import fields, formats, leray, persistence, svg, zigzag
 from .errors import NonlinearNerveError
-from .fields import is_prime
 from .homology import _quotients
 
 _FORMATS_HELP = """\
@@ -41,9 +40,10 @@ file formats:
 
 def _prime(text: str) -> int:
     value = int(text)
-    if not is_prime(value):
-        raise argparse.ArgumentTypeError(f"{value} is not prime")
-    return value
+    try:
+        return fields.check_prime(value)  # its bound comes before any trial division
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"{value} is not prime" if value < fields.MAX_FIELD else str(exc))
 
 
 def _positive(text: str) -> float:

@@ -482,7 +482,7 @@ class IntervalCover:
     def overlap(self, i: int) -> tuple[float, float] | None:
         """The open intersection of intervals i and i+1, or None if disjoint."""
         lo = self.intervals[i + 1][0]
-        hi = self.intervals[i][1]
+        hi = min(self.intervals[i][1], self.intervals[i + 1][1])  # i + 1 may lie inside i
         return (lo, hi) if lo < hi else None
 
 

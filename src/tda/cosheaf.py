@@ -22,7 +22,7 @@ import numpy as np
 from . import fields, zigzag
 from .complexes import Simplex, SimplicialComplex, faces
 from .errors import InvalidCosheafError, NonlinearNerveError, NotASubcomplexError
-from .homology import HomologyResult, _check_degree, _result
+from .homology import HomologyResult, _check_degree
 
 
 def codim1_pairs(K: SimplicialComplex) -> list[tuple[Simplex, Simplex]]:
@@ -200,7 +200,8 @@ def _quotients(F: SimplicialCosheaf, degrees: range, field: int) -> list[fields.
 
 def cosheaf_homology(F: SimplicialCosheaf, p: int, field: int = 2) -> HomologyResult:
     """H_p(K; F) from the cosheaf boundary ranks; validates first."""
-    return _result(p, _quotients(F, range(p, p + 1), field)[0])
+    [q] = _quotients(F, range(p, p + 1), field)
+    return HomologyResult(p, q.dimension, q.basis)
 
 
 def sheaf_to_cosheaf(F: SimplicialSheaf) -> SimplicialCosheaf:

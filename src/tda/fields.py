@@ -10,11 +10,12 @@ barcode (coboundary columns, with clearing), the zigzag sweep, and the
 dense routines :func:`rank`, :func:`kernel_basis`, :func:`solve` and
 :func:`rref`, read off the reduction of a matrix's columns with unit
 tracks. A quotient keeps its representatives as the sparse reduction
-tracks, dense only as a view. numpy int64 arrays appear only at the
-interface, as arguments and results, converted in Python: at stalk
-sizes a numpy call costs more than the arithmetic. Each column is
-reduced at its pivot (largest row) by earlier columns only, so every
-routine is deterministic.
+tracks. numpy int64 arrays appear only at the interface: arguments, and
+results as views that :meth:`ColumnMatrix.dense` builds, or refuses over
+``MAX_DENSE_BYTES``. Both are converted in Python: at stalk sizes a
+numpy call costs more than the arithmetic. Each column is reduced at its
+pivot (largest row) by earlier columns only, so every routine is
+deterministic.
 """
 
 from __future__ import annotations
@@ -27,22 +28,17 @@ import numpy as np
 from .errors import InternalInconsistencyError, TdaError
 
 MAX_DENSE_BYTES = 2**30  # ColumnMatrix.dense raises, before allocating, over this
-
-
-def is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
+MAX_FIELD = 2**15  # a field characteristic is a prime below this
 
 
 def check_prime(p) -> int:
-    """p as an int, if it is an integer prime < 2^15 (numpy integers too)."""
-    if not isinstance(p, (int, np.integer)) or p >= 2**15 or not is_prime(p):
+    """p as an int, if it is an integer prime < 2^15 (numpy integers too).
+    The bound comes first, so trial division takes at most 180 steps."""
+    prime = isinstance(p, (int, np.integer)) and 2 <= p < MAX_FIELD
+    d = 2
+    while prime and d * d <= p:
+        prime, d = p % d != 0, d + 1
+    if not prime:
         raise ValueError(f"field characteristic must be a prime < 2^15, got {p}")
     return int(p)
 
@@ -78,18 +74,16 @@ def rref(A, p: int):
     its entries there are the coordinates of column j on them, column j
     of R."""
     cols = as_columns(A, p)
-    R = np.zeros((cols.n_rows, len(cols.cols)), dtype=np.int64)
     rows: dict[int, int] = {}  # pivot column -> its row of R
+    out = []
     units = ({j: 1} for j in range(len(cols.cols)))
     for j, (piv, _, track) in enumerate(reduce_columns(cols.cols, p, None, units)):
         if piv is not None:
-            rows[j] = k = len(rows)
-            R[k, j] = 1
-            continue
-        for i, c in track.items():
-            if i != j:
-                R[rows[i], j] = -c % p
-    return R, list(rows)
+            rows[j] = len(rows)
+            out.append({rows[j]: 1})
+        else:
+            out.append({rows[i]: -c % p for i, c in track.items() if i != j})
+    return ColumnMatrix(cols.n_rows, out).dense(), list(rows)
 
 
 def rank(A, p: int) -> int:
@@ -304,11 +298,10 @@ def _coordinates(columns: list, pivots: dict, n: int, p: int) -> np.ndarray | No
     columns of ``pivots``: reduced by them without being stored, a column
     that reaches zero is the image of minus its track. Returns the
     n x len(columns) coefficients, or None if some column does not."""
-    X = np.zeros((n, len(columns)), dtype=np.int64)
+    out = []
     tracks = ({} for _ in columns)
-    for j, (piv, _, track) in enumerate(reduce_columns(columns, p, pivots, tracks, insert=False)):
+    for piv, _, track in reduce_columns(columns, p, pivots, tracks, insert=False):
         if piv is not None:
             return None
-        for k, c in track.items():  # column + (stored columns combined by track) = 0
-            X[k, j] = -c % p
-    return X
+        out.append({k: -c % p for k, c in track.items()})  # column + (stored columns combined by track) = 0
+    return ColumnMatrix(n, out).dense()

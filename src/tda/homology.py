@@ -54,24 +54,18 @@ def coboundary_matrix(K: SimplicialComplex, p: int, field: int = 2) -> np.ndarra
 
 @dataclass
 class HomologyResult:
-    """Dimension of a (co)homology group with representative cycles.
-
-    Each basis vector is a coordinate vector over the chain basis used by
-    the corresponding boundary matrix (lexicographic simplex order).
-    """
+    """Dimension of a (co)homology group with representative cycles, held
+    as the quotient's sparse tracks ``basis``. Each vector of their dense
+    view ``cycle_basis`` is a coordinate vector over the chain basis used by
+    the corresponding boundary matrix (lexicographic simplex order)."""
 
     degree: int
     dimension: int
-    cycle_basis: list[np.ndarray]
+    basis: fields.ColumnMatrix
 
-
-def _result(degree: int, quotient: fields.Quotient) -> HomologyResult:
-    basis = list(quotient.representatives.T)  # one dense view, not one per column
-    return HomologyResult(degree=degree, dimension=quotient.dimension, cycle_basis=basis)
-
-
-def homology_quotient(K: SimplicialComplex, p: int, field: int = 2) -> fields.Quotient:
-    return _quotients(K, range(p, p + 1), field)[0]
+    @property
+    def cycle_basis(self) -> list[np.ndarray]:
+        return list(self.basis.dense().T)  # one dense view, not one per column
 
 
 def _quotients(K: SimplicialComplex, degrees: range, field: int) -> list[fields.Quotient]:
@@ -82,14 +76,15 @@ def _quotients(K: SimplicialComplex, degrees: range, field: int) -> list[fields.
 
 def homology(K: SimplicialComplex, p: int, field: int = 2) -> HomologyResult:
     """H_p(K) = ker d_p / im d_{p+1} over the given prime field."""
-    return _result(p, homology_quotient(K, p, field))
+    [q] = _quotients(K, range(p, p + 1), field)
+    return HomologyResult(p, q.dimension, q.basis)
 
 
 def cohomology(K: SimplicialComplex, p: int, field: int = 2) -> HomologyResult:
     """H^p(K) from coboundary ranks; its dimension equals dim H_p(K)."""
     _check_degree(p, field)
-    low, high = (_coboundary(K, q, field) for q in (p + 1, p))
-    return _result(p, fields.Quotient(low, high, field))
+    [q] = fields.quotients([_coboundary(K, k, field) for k in (p + 1, p)], field)
+    return HomologyResult(p, q.dimension, q.basis)
 
 
 def _coboundary(K: SimplicialComplex, p: int, field: int) -> fields.ColumnMatrix:

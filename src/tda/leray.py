@@ -32,7 +32,6 @@ from . import fields
 from .complexes import IntervalCover, Simplex, SimplicialComplex, _lookup, nerve_of_interval_cover
 from .cosheaf import SimplicialCosheaf, _quotients as _cosheaf_quotients
 from .errors import CoverGranularityError, InternalInconsistencyError, MissingVertexValueError
-from .fields import _coordinates
 from .homology import _boundary, _check_degree, _quotients
 from .persistence import Barcode, _boundary_terms, _filtration_barcode
 from .zigzag import ExplicitModule
@@ -182,7 +181,7 @@ def _sublevel_formulas(
             for k, i in enumerate(degrees):
                 to_sup = rank[i][np.flatnonzero(keep[i])[order[i]]].tolist() if sub[k][0] else []
                 pushed = _push(sub[k][0], to_sup)
-                X = _coordinates(pushed, sup[k][3], len(sup[k][0]), field)
+                X = fields._coordinates(pushed, sup[k][3], len(sup[k][0]), field)
                 if X is None:
                     raise InternalInconsistencyError(f"a class of {edge} is no cycle in {vertex}")
                 coords[k][(vertex, edge)] = X
@@ -316,5 +315,9 @@ def sublevel_module(
             raise InternalInconsistencyError(
                 f"cosheaf formula gives {formula} at t={t}, blowup complex gives {dim}"
             )
-    maps = [np.equal.outer(now, before).astype(np.int64) for before, now in zip(alive, alive[1:])]
+    maps = []
+    for before, now in zip(alive, alive[1:]):  # a bar dead by the later threshold maps to zero
+        row = {bar: i for i, bar in enumerate(now.tolist())}
+        cols = [{row[bar]: 1} if bar in row else {} for bar in before.tolist()]
+        maps.append(fields.ColumnMatrix(len(now), cols).dense())
     return ExplicitModule(dims=dims, maps=maps)

@@ -600,6 +600,16 @@ def test_cli_usage_errors_exit_2(tmp_path):
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("field", ["32771", "2305843009213693951"])  # 2^15 + 3 and 2^61 - 1, both prime
+def test_cli_field_over_the_bound_is_a_usage_error(capsys, field):
+    """The bound of ``fields.check_prime`` comes before any trial division,
+    so even 2^61 - 1 exits 2 at once."""
+    with pytest.raises(SystemExit) as err:
+        cli.parse_args(["homology", "--complex", CIRCLE, "--field", field])
+    assert err.value.code == 2
+    assert capsys.readouterr().err.endswith(f"field characteristic must be a prime < 2^15, got {field}\n")
+
+
 def test_cli_rips_predicted_oversize_exits_1(tmp_path, capsys):
     pts = np.random.default_rng(0).random((3000, 2))
     path = tmp_path / "big.csv"

@@ -1,6 +1,7 @@
 """Boundary matrices, (co)homology, and induced maps."""
 
 import tracemalloc
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from conftest import (
     tuple_faces,
 )
 from tda import fields
-from tda.errors import NonSimplicialMapError
+from tda.errors import NonSimplicialMapError, TdaError
 from tda.homology import _boundary, _chain_columns, boundary_matrix, chain_map, coboundary_matrix, induced_map
 
 
@@ -329,6 +330,22 @@ def test_h1_of_a_large_rips_circle_stays_sparse():
         tracemalloc.stop()
     assert dimension == 1
     assert peak < 64 * 2**20
+
+
+def test_dense_views_of_homology_are_behind_the_guard(monkeypatch):
+    """Over ``fields.MAX_DENSE_BYTES``, (co)homology still gives its
+    dimension from the sparse tracks, while the dense cycle basis and the
+    induced map's matrix raise the guard's TdaError. K_10 has 45 edges and
+    H_1 of dimension 36: views of 45 x 36 and 36 x 36 int64 entries."""
+    K = tda.build_complex(list(combinations(range(10), 2)))
+    monkeypatch.setattr(fields, "MAX_DENSE_BYTES", 36 * 36 * 8 - 1)
+    h1 = tda.homology(K, 1)
+    assert (h1.dimension, h1.basis.n_rows, len(h1.basis.cols)) == (36, 45, 36)
+    assert tda.cohomology(K, 1).dimension == 36
+    with pytest.raises(TdaError, match=r"^a dense 45 x 36 matrix would take 12,960 bytes"):
+        h1.cycle_basis
+    with pytest.raises(TdaError, match=r"^a dense 36 x 36 matrix would take 10,368 bytes"):
+        induced_map({v: v for v in K.vertices()}, K, K, 1)
 
 
 @pytest.mark.parametrize("field", [3.5, 2.0, "3"])

@@ -354,6 +354,34 @@ def test_sublevel_check_fires_when_the_blowup_loses_a_bar(monkeypatch, field):
         L.sublevel_module(octagon_mapped(), OCTAGON_COVER, 1, [-0.9, -0.2, 0.5, 1.2], field)
 
 
+def test_nested_consecutive_intervals_overlap_in_the_inner_one():
+    """(1, 2) lies inside (0, 10), so their overlap is (1, 2), and level data
+    on that cover recovers the path's lower-star barcode."""
+    cover = IntervalCover([(0, 10), (1, 2)])
+    assert cover.overlap(0) == (1.0, 2.0)
+    M = L.MappedComplex(tda.build_complex([[0, 1], [1, 2], [2, 3]]), {0: 0.5, 1: 1.5, 2: 5.0, 3: 9.0})
+    thresholds = [1.0, 2.0, 6.0, 10.0]
+    for field in (2, 3):
+        bc = P.compute_barcode(P.lower_star_filtration(M.complex, M.values), field)
+        assert L.sublevel_barcode(M, cover, field) == bc
+        module = L.sublevel_module(M, cover, 0, thresholds, field)
+        assert module.dims == [bc.alive_at(t, 0) for t in thresholds]
+
+
+def test_sublevel_module_maps_are_behind_the_guard(monkeypatch):
+    """40 vertices under one interval, so no Leray edge piece has
+    coordinates to build: each map, 40 x 40 int64, is the one dense view,
+    built at the guard's bound and refused one byte under it."""
+    M = L.MappedComplex(tda.build_complex([[v] for v in range(40)]), {v: 1.0 for v in range(40)})
+    cover = IntervalCover([(0.0, 2.0)])
+    monkeypatch.setattr(fields, "MAX_DENSE_BYTES", 40 * 40 * 8)
+    module = L.sublevel_module(M, cover, 0, [1.5, 2.5])
+    assert np.array_equal(module.maps[0], np.eye(40, dtype=np.int64))
+    monkeypatch.setattr(fields, "MAX_DENSE_BYTES", 40 * 40 * 8 - 1)
+    with pytest.raises(tda.TdaError, match=r"^a dense 40 x 40 matrix would take 12,800 bytes"):
+        L.sublevel_module(M, cover, 0, [1.5, 2.5])
+
+
 def test_sublevel_rejects_bad_thresholds():
     M = octagon_mapped()
     with pytest.raises(ValueError):
