@@ -29,9 +29,9 @@ import numpy as np
 from .errors import InvalidMetricError, MalformedSimplexError, NonlinearNerveError, TdaError
 
 TOL = 1e-9
-# Largest predicted Rips/Čech simplex count: `tda rips` costs about 300 bytes
-# per simplex (a 600-point noisy circle at radius 0.3: 1,002,826 simplices,
-# 298 MB peak RSS for the build, F2 barcode and streamed JSON), so about 1.5 GB.
+# Largest predicted Rips/Čech simplex count. `tda rips --output` peaks at ~250 bytes
+# per simplex near it (noisy circle, radius 0.3: 1,000 points, 4,649,194 simplices,
+# 1,096 MiB; 600 points, 1,002,826 simplices, 283 MiB), so about 1.2 GB.
 MAX_SIMPLICES = 5_000_000
 # Largest block, in bytes, of coordinate differences (squared_distance_matrix)
 # or adjacency rows (_rips_entries) held at once. Each distance is the same

@@ -55,8 +55,8 @@ def _is_codim1_pair(key, simplices: frozenset[Simplex]) -> bool:
 
 
 def _check_structure(F, kind: str) -> None:
-    """Validate stalks, map keys and map shapes; make each map an int64
-    array (an empty one takes the shape of its zero-size block)."""
+    """Validate stalks, map keys and map shapes; make each map an int64 array
+    by :func:`fields.integer_array` (an empty one takes the shape of its zero-size block)."""
     base, stalks, maps = F.base, F.stalks, F.maps
     _check_stalks(base, stalks, kind)
     # Distinct keys, each a face/coface pair and as many as the complex has, are all of them.
@@ -71,7 +71,7 @@ def _check_structure(F, kind: str) -> None:
         )
     for (face, coface), M in maps.items():
         shape = (stalks[face], stalks[coface]) if kind == "cosheaf" else (stalks[coface], stalks[face])
-        M = np.asarray(M, dtype=np.int64)
+        M = fields.integer_array(M)
         if M.shape != shape and not (M.size == 0 and 0 in shape):
             raise InvalidCosheafError(
                 f"{kind} extension map {(face, coface)} has shape {M.shape}, expected {shape}"

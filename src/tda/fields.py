@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import InternalInconsistencyError, TdaError
 
-MAX_DENSE_BYTES = 2**30  # ColumnMatrix.dense raises, before allocating, over this
+MAX_DENSE_BYTES = 2**30  # check_dense raises, before any dense allocation, over this
 MAX_FIELD = 2**15  # a field characteristic is a prime below this
 
 
@@ -56,6 +56,20 @@ def integer_array(A) -> np.ndarray:
         at = tuple(int(i) for i in np.unravel_index(bad[0], M.shape))
         raise TdaError(f"matrix entries must be integers, got {M.item(at)!r} at {at}")
     return I
+
+
+def checked_matrix(A, shape: tuple, what: str) -> np.ndarray:
+    """A as an int64 array (:func:`integer_array`) of the given shape."""
+    M = integer_array(A)
+    if M.shape != shape:
+        raise TdaError(f"{what} has shape {M.shape}, expected {shape}")
+    return M
+
+
+def check_dense(n_rows: int, n_cols: int) -> None:
+    """Raise TdaError if a dense int64 n_rows x n_cols matrix is over ``MAX_DENSE_BYTES``."""
+    if (size := n_rows * n_cols * 8) > MAX_DENSE_BYTES:
+        raise TdaError(f"a dense {n_rows} x {n_cols} matrix would take {size:,} bytes, over {MAX_DENSE_BYTES:,}")
 
 
 def normalize(A, p: int) -> np.ndarray:
@@ -134,9 +148,7 @@ class ColumnMatrix:
     cols: list
 
     def dense(self) -> np.ndarray:
-        if (size := self.n_rows * len(self.cols) * 8) > MAX_DENSE_BYTES:
-            shape = f"{self.n_rows} x {len(self.cols)}"
-            raise TdaError(f"a dense {shape} matrix would take {size:,} bytes, over {MAX_DENSE_BYTES:,}")
+        check_dense(self.n_rows, len(self.cols))
         D = np.zeros((self.n_rows, len(self.cols)), dtype=np.int64)
         for j, col in enumerate(self.cols):  # by entry: at stalk sizes a numpy call costs more
             for r, c in col.items():
@@ -297,7 +309,8 @@ def _coordinates(columns: list, pivots: dict, n: int, p: int) -> np.ndarray | No
     """Each column written on the tracks (over n indices) of the stored
     columns of ``pivots``: reduced by them without being stored, a column
     that reaches zero is the image of minus its track. Returns the
-    n x len(columns) coefficients, or None if some column does not."""
+    n x len(columns) coefficients (its size checked first), or None if some column does not."""
+    check_dense(n, len(columns))
     out = []
     tracks = ({} for _ in columns)
     for piv, _, track in reduce_columns(columns, p, pivots, tracks, insert=False):

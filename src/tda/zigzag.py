@@ -44,15 +44,9 @@ class FiniteDiagram:
         _check_dims(self.dims)
         checked = []
         for s, t, M in self.morphisms:
-            M = fields.integer_array(M)
             if not (0 <= s < len(self.dims) and 0 <= t < len(self.dims)):
                 raise TdaError(f"morphism endpoints ({s}, {t}) out of range")
-            if M.shape != (self.dims[t], self.dims[s]):
-                raise TdaError(
-                    f"morphism {s}->{t} has shape {M.shape}, "
-                    f"expected {(self.dims[t], self.dims[s])}"
-                )
-            checked.append((s, t, M))
+            checked.append((s, t, fields.checked_matrix(M, (self.dims[t], self.dims[s]), f"morphism {s}->{t}")))
         self.morphisms = checked
 
 
@@ -68,10 +62,13 @@ def _difference_kernel(dims, morphisms, field: int) -> tuple[int, list[np.ndarra
     per morphism (src, tgt, M), cut into one coordinate block per object.
 
     Takes raw, already-validated data, so colimits can pass the dual
-    diagram without building and re-checking a FiniteDiagram.
+    diagram without building and re-checking a FiniteDiagram. The
+    difference matrix passes :func:`fields.check_dense` before it is built.
     """
     off = _offsets(dims)
-    Phi = np.zeros((sum(dims[t] for _, t, _ in morphisms), off[-1]), dtype=np.int64)
+    shape = (sum(dims[t] for _, t, _ in morphisms), off[-1])
+    fields.check_dense(*shape)
+    Phi = np.zeros(shape, dtype=np.int64)
     r = 0
     for s, t, M in morphisms:
         h = dims[t]
@@ -126,15 +123,8 @@ class ZigzagModule:
         for i, (direction, M) in enumerate(self.arrows):
             if direction not in (FORWARD, BACKWARD):
                 raise TdaError(f"arrow direction must be '{FORWARD}' or '{BACKWARD}'")
-            M = fields.integer_array(M)
-            expected = (
-                (self.dims[i + 1], self.dims[i])
-                if direction == FORWARD
-                else (self.dims[i], self.dims[i + 1])
-            )
-            if M.shape != expected:
-                raise TdaError(f"arrow {i} has shape {M.shape}, expected {expected}")
-            checked.append((direction, M))
+            shape = (self.dims[i + 1], self.dims[i]) if direction == FORWARD else (self.dims[i], self.dims[i + 1])
+            checked.append((direction, fields.checked_matrix(M, shape, f"arrow {i}")))
         self.arrows = checked
 
     def __len__(self) -> int:
@@ -272,12 +262,7 @@ class ExplicitModule:
                 f"got {len(self.maps)}"
             )
         for i, M in enumerate(self.maps):
-            M = fields.integer_array(M)
-            if M.shape != (self.dims[i + 1], self.dims[i]):
-                raise TdaError(
-                    f"map {i} has shape {M.shape}, expected {(self.dims[i + 1], self.dims[i])}"
-                )
-            self.maps[i] = M
+            self.maps[i] = fields.checked_matrix(M, (self.dims[i + 1], self.dims[i]), f"map {i}")
 
     def __len__(self) -> int:
         return len(self.dims)

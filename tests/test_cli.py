@@ -26,6 +26,12 @@ PATH16 = os.path.join(GOLDEN, "path16.cosheaf")
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
+def test_every_public_name_resolves_once():
+    """Each name in ``tda.__all__`` is an attribute of the package, and none repeats."""
+    assert len(set(tda.__all__)) == len(tda.__all__)
+    assert [name for name in tda.__all__ if not hasattr(tda, name)] == []
+
+
 def test_parse_point_cloud_separators_and_header():
     text = "x,y\n0.5, 1.5\n2 3\n"
     pts = formats.parse_point_cloud(text, header=True)

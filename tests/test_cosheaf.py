@@ -20,7 +20,7 @@ from conftest import (
 from tda import cosheaf as C
 from tda import fields, zigzag
 from tda.zigzag import BACKWARD, FORWARD, ZigzagModule
-from tda.errors import InvalidCosheafError, NonlinearNerveError, NotASubcomplexError
+from tda.errors import InvalidCosheafError, NonlinearNerveError, NotASubcomplexError, TdaError
 
 
 def open_interval_cosheaf():
@@ -109,6 +109,19 @@ def test_extension_map_of_the_wrong_shape_is_rejected(kind):
         )
     F = make(K, {(0,): 0, (1,): 1, (0, 1): 2}, {((0,), (0, 1)): [], ((1,), (0, 1)): good})
     assert F.maps[((0,), (0, 1))].shape == ((0, 2) if kind == "cosheaf" else (2, 0))
+
+
+@pytest.mark.parametrize("kind", ["cosheaf", "sheaf"])
+def test_non_integral_extension_map_is_rejected(kind):
+    """A map entry of 0.5 raises, naming it, where a cast to int64 would
+    truncate it to 0 and answer for another cosheaf; integral floats pass."""
+    make = C.SimplicialCosheaf if kind == "cosheaf" else C.SimplicialSheaf
+    K = interval_complex()
+    stalks = {(0,): 1, (1,): 1, (0, 1): 1}
+    with pytest.raises(TdaError, match=r"^matrix entries must be integers, got 0.5 at \(0, 0\)$"):
+        make(K, stalks, {((0,), (0, 1)): [[0.5]], ((1,), (0, 1)): np.eye(1)})
+    F = make(K, stalks, {((0,), (0, 1)): np.eye(1), ((1,), (0, 1)): np.eye(1)})
+    assert all(M.dtype == np.int64 and M.tolist() == [[1]] for M in F.maps.values())
 
 
 def test_interval_boundary_matrix_signs():
@@ -411,3 +424,22 @@ def test_colimit_rejects_non_subcomplex():
     other = tda.build_complex([[5]])
     with pytest.raises(NotASubcomplexError):
         C.colimit_over_subcomplex(F, other)
+
+
+def test_limits_and_colimits_are_behind_the_guard(monkeypatch):
+    """Over ``fields.MAX_DENSE_BYTES`` the difference matrix of a diagram is
+    refused before numpy is asked for it: k^2 -> k^2 gives a 2 x 4 matrix
+    for its limit and its colimit, the constant cosheaf k on an edge a
+    2 x 3 one for its colimit over the whole base."""
+    diagram = zigzag.FiniteDiagram(dims=[2, 2], morphisms=[(0, 1, np.eye(2))])
+    F = C.constant_cosheaf(interval_complex(), 1)
+    monkeypatch.setattr(fields, "MAX_DENSE_BYTES", 64)
+    assert zigzag.limit(diagram)[0] == zigzag.colimit(diagram)[0] == 2
+    monkeypatch.setattr(fields, "MAX_DENSE_BYTES", 63)
+    monkeypatch.setattr(zigzag.np, "zeros", lambda *args, **kwargs: pytest.fail("allocated"))
+    for route in (zigzag.limit, zigzag.colimit):
+        with pytest.raises(TdaError, match=r"^a dense 2 x 4 matrix would take 64 bytes, over 63$"):
+            route(diagram)
+    monkeypatch.setattr(fields, "MAX_DENSE_BYTES", 47)
+    with pytest.raises(TdaError, match=r"^a dense 2 x 3 matrix would take 48 bytes, over 47$"):
+        C.colimit_over_subcomplex(F, F.base)

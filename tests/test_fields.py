@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import dense_quotient, gf2_rank_reference, random_complex, rref_oracle
+from conftest import dense_quotient, gf2_rank_reference, hollow_triangle, random_complex, rref_oracle
 from tda import fields
 from tda.errors import InternalInconsistencyError, TdaError
 from tda.homology import boundary_matrix
@@ -252,6 +252,21 @@ def test_dense_view_over_the_byte_limit_raises_before_allocating():
         with pytest.raises(TdaError, match=r"1048576 x 1048576 matrix would take 8,796,093,022,208 bytes"):
             big.dense()
     assert fields.ColumnMatrix(2, [{1: 1}]).dense().tolist() == [[0], [1]]
+
+
+def test_coordinates_check_their_size_before_reducing(monkeypatch):
+    """The n x len(columns) result of ``Quotient.coordinates`` and
+    ``solve`` is sized up front: over the bound they raise before any
+    column is reduced, ``solve`` even where it would have returned None."""
+    q = fields.Quotient(boundary_matrix(hollow_triangle(), 1), np.zeros((3, 0), int), 2)
+    cycle = q.representatives
+    monkeypatch.setattr(fields, "MAX_DENSE_BYTES", 7)
+    with mock.patch.object(fields, "reduce_columns", side_effect=AssertionError("reduced")):
+        with pytest.raises(TdaError, match=r"^a dense 1 x 1 matrix would take 8 bytes, over 7$"):
+            q.coordinates(cycle)
+    monkeypatch.setattr(fields, "MAX_DENSE_BYTES", 15)
+    with pytest.raises(TdaError, match=r"^a dense 2 x 1 matrix would take 16 bytes, over 15$"):
+        fields.solve(np.array([[1, 0], [0, 0]]), np.array([0, 1]), 2)
 
 
 def assert_unit_dicts(columns, p):

@@ -271,6 +271,25 @@ def test_non_integral_entries_are_rejected():
     assert Z.ExplicitModule(dims=[2, 2], maps=[eye]).maps[0].dtype == np.int64
 
 
+def test_matrix_errors_name_the_matrix():
+    """Each constructor names the matrix it rejects; a morphism's endpoints
+    are checked before its matrix is read."""
+    from tda.errors import TdaError
+
+    wide, tall = np.zeros((1, 2), int), np.zeros((2, 1), int)
+    cases = {
+        "morphism 0->1 has shape (1, 2), expected (2, 1)": lambda: Z.FiniteDiagram([1, 2], [(0, 1, wide)]),
+        "morphism endpoints (0, 2) out of range": lambda: Z.FiniteDiagram([1, 2], [(0, 2, [[0.5]])]),
+        "arrow 0 has shape (1, 2), expected (2, 1)": lambda: Z.ZigzagModule([1, 2], [(Z.FORWARD, wide)]),
+        "arrow 0 has shape (2, 1), expected (1, 2)": lambda: Z.ZigzagModule([1, 2], [(Z.BACKWARD, tall)]),
+        "map 1 has shape (1, 2), expected (2, 1)": lambda: Z.ExplicitModule([1, 1, 2], [np.eye(1), wide]),
+    }
+    for message, build in cases.items():
+        with pytest.raises(TdaError) as info:
+            build()
+        assert str(info.value) == message
+
+
 def test_forward_module_agrees_with_decompose_explicit():
     rng = np.random.default_rng(29)
     for field in (2, 3):
