@@ -231,8 +231,11 @@ def _barcode_json_blocks(bc: Barcode, field: int) -> Iterator[str]:
 
 def barcode_to_json(bc: Barcode, field: int) -> str:
     """The bytes of ``json.dumps({"bars": [...], "field": field}, indent=2,
-    sort_keys=True)`` plus a newline: the join of the JSON blocks."""
-    return "".join(_barcode_json_blocks(bc, field))
+    sort_keys=True)`` plus a newline: the blocks appended to one string in place."""
+    text = ""
+    for block in _barcode_json_blocks(bc, field):
+        text += block
+    return text
 
 
 def parse_barcode_json(text: str) -> tuple[int, Barcode]:

@@ -1,21 +1,23 @@
 """Finite zigzag modules and finite diagrams of vector spaces.
 
-Limits and colimits are computed from the difference map of a diagram.
-The generalized rank of a zigzag over [b, d], the rank of the canonical
-map from the limit to the colimit of the restriction, counts the interval
-summands that contain [b, d]; it is the definition ``decompose_zigzag``
-is tested against. ``decompose_zigzag`` finds the summands in one
-left-to-right sweep (Carlsson–de Silva 2010, right filtrations) on the
-column reduction of :mod:`fields`: one reduction of the images per
-forward arrow, three of slot-sized columns per backward arrow, so a
-zigzag of n slots takes O(n) of them. An ordinary persistence module
-(:class:`ExplicitModule`) is decomposed as the all-forward zigzag.
+Limits and colimits are the kernels of difference maps, built as sparse
+terms from their blocks. The generalized rank of a zigzag over [b, d],
+the rank of the canonical map from the limit to the colimit of the
+restriction, counts the interval summands that contain [b, d]; it is the
+definition ``decompose_zigzag`` is tested against. ``decompose_zigzag``
+finds the summands in one left-to-right sweep (Carlsson–de Silva 2010,
+right filtrations) on the column reduction of :mod:`fields`: one
+reduction of the images per forward arrow, three of slot-sized columns
+per backward arrow, so a zigzag of n slots takes O(n) of them. An
+ordinary persistence module (:class:`ExplicitModule`) is decomposed as
+the all-forward zigzag.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field as dataclass_field
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -50,32 +52,26 @@ class FiniteDiagram:
         self.morphisms = checked
 
 
-def _offsets(dims: Sequence[int]) -> list[int]:
-    off = [0]
-    for d in dims:
-        off.append(off[-1] + d)
-    return off
-
-
 def _difference_kernel(dims, morphisms, field: int) -> tuple[int, list[np.ndarray]]:
     """Kernel of the difference map sending (v_x)_x to (M v_src - v_tgt)
     per morphism (src, tgt, M), cut into one coordinate block per object.
 
     Takes raw, already-validated data, so colimits can pass the dual
-    diagram without building and re-checking a FiniteDiagram. The
-    difference matrix passes :func:`fields.check_dense` before it is built.
+    diagram without building and re-checking a FiniteDiagram. The map's
+    shape passes :func:`fields.check_dense`; it is built only as the sparse
+    terms of its blocks, M and -I per morphism (M - I for a self-loop).
     """
-    off = _offsets(dims)
-    shape = (sum(dims[t] for _, t, _ in morphisms), off[-1])
-    fields.check_dense(*shape)
-    Phi = np.zeros(shape, dtype=np.int64)
-    r = 0
-    for s, t, M in morphisms:
-        h = dims[t]
-        Phi[r : r + h, off[s] : off[s + 1]] += M
-        Phi[r : r + h, off[t] : off[t + 1]] -= np.eye(h, dtype=np.int64)
-        r += h
-    K = fields.kernel_basis(Phi % field, field)
+    off = list(accumulate(dims, initial=0))
+    starts = list(accumulate((dims[t] for _, t, _ in morphisms), initial=0))
+    fields.check_dense(starts[-1], off[-1])
+    terms = []
+    for r, (s, t, M) in zip(starts, morphisms):
+        I = np.eye(dims[t], dtype=np.int64)
+        for x, B in [(s, M - I)] if s == t else [(s, M), (t, -I)]:
+            for i, entries in enumerate(B.tolist(), start=r):
+                terms.extend((i, k, c) for k, c in enumerate(entries, start=off[x]) if c)
+    rows, cols, coeffs = np.array(terms, dtype=np.int64).reshape(-1, 3).T
+    K = fields.kernel_basis(fields.term_columns(starts[-1], off[-1], rows, cols, coeffs, field), field)
     return K.shape[1], [K[off[x] : off[x + 1], :] for x in range(len(dims))]
 
 

@@ -264,6 +264,46 @@ def small_zigzags(draw):
     return ZigzagModule(dims=dims, arrows=arrows), field
 
 
+@st.composite
+def small_diagrams(draw):
+    """(dims, morphisms, field): 0-4 objects of dimension 0-3 and 0-6
+    morphisms between any two of them, self-loops and parallel arrows
+    included, with entries -2p..3p, over F2, F3 or F5."""
+    field = draw(st.sampled_from([2, 3, 5]))
+    dims = draw(st.lists(st.integers(0, 3), max_size=4))
+    morphisms = []
+    for _ in range(draw(st.integers(0, 6)) if dims else 0):
+        s, t = draw(st.integers(0, len(dims) - 1)), draw(st.integers(0, len(dims) - 1))
+        size = dims[t] * dims[s]
+        entries = draw(st.lists(st.integers(-2 * field, 3 * field), min_size=size, max_size=size))
+        morphisms.append((s, t, np.array(entries, dtype=np.int64).reshape(dims[t], dims[s])))
+    return dims, morphisms, field
+
+
+def dense_limit(dims, morphisms, field: int):
+    """The dense recipe for a diagram's limit, the library's former one:
+    the difference map (v_x)_x -> (M v_src - v_tgt) per morphism written
+    block by block into an np.zeros matrix, then ``fields.kernel_basis``
+    cut into one block per object. The oracle for ``zigzag.limit``."""
+    off = np.cumsum([0] + list(dims)).tolist()
+    Phi = np.zeros((sum(dims[t] for _, t, _ in morphisms), off[-1]), dtype=np.int64)
+    r = 0
+    for s, t, M in morphisms:
+        h = dims[t]
+        Phi[r : r + h, off[s] : off[s + 1]] += M
+        Phi[r : r + h, off[t] : off[t + 1]] -= np.eye(h, dtype=np.int64)
+        r += h
+    K = fields.kernel_basis(Phi % field, field)
+    return K.shape[1], [K[off[x] : off[x + 1], :] for x in range(len(dims))]
+
+
+def dense_colimit(dims, morphisms, field: int):
+    """The transposed :func:`dense_limit` of the dual diagram (every
+    morphism reversed and transposed). The oracle for ``zigzag.colimit``."""
+    dim, blocks = dense_limit(dims, [(t, s, M.T) for s, t, M in morphisms], field)
+    return dim, [B.T for B in blocks]
+
+
 def _cross(ends, M: np.ndarray, pull: bool, field: int):
     """Carry the end maps (Eb, Ed) of a limit over [b, d] across M.
 

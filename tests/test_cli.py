@@ -163,6 +163,25 @@ def test_barcode_json_blocks_join_to_json_dumps(bars):
     assert "".join(blocks) == formats.barcode_to_json(bc, 3) == json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
+def test_barcode_to_json_holds_its_text_about_once():
+    """120,000 bars at radii on a grid of 1/64, in runs of equal bars as a
+    Rips barcode has them (9 MB of JSON): the traced peak inside the call
+    stays under 1.5 times the text, where holding every block and their
+    join at once would take twice it."""
+    rng = np.random.default_rng(0)
+    n = 120_000
+    births = rng.integers(0, 100, n) / 64
+    bc = Barcode.from_columns(rng.integers(0, 3, n), births, births + rng.integers(1, 40, n) / 64)
+    tracemalloc.start()
+    try:
+        text = formats.barcode_to_json(bc, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text.count('"dim"') == n and text == "".join(formats._barcode_json_blocks(bc, 2))
+    assert peak < 1.5 * len(text), f"peak {peak:,} bytes for {len(text):,} characters"
+
+
 def test_svg_document_shapes():
     empty = svg_document(Barcode([]))
     assert "<svg" in empty and "<line" in empty  # the axis line

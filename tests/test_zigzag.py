@@ -4,14 +4,17 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    dense_colimit,
+    dense_limit,
     gf2_rank_reference,
     long_zigzags,
     random_invertible,
     random_zigzag,
+    small_diagrams,
     small_zigzags,
     torus_leray_zigzag,
     zigzag_bars_oracle,
@@ -145,6 +148,29 @@ def test_limit_colimit_duality():
                 dims=list(d.dims), morphisms=[(t, s, M.T) for s, t, M in d.morphisms]
             )
             assert Z.limit(d, field)[0] == Z.colimit(transposed, field)[0]
+
+
+@given(small_diagrams())
+@example(([], [], 3))
+@example(([0, 2], [(1, 1, np.array([[1, 2], [0, 1]])), (0, 1, np.zeros((2, 0), dtype=np.int64))], 3))
+@example(([2, 1, 0], [(0, 1, np.array([[1, 1]])), (0, 1, np.array([[0, 1]])), (1, 0, np.array([[1], [0]]))], 2))
+@example(([3], [(0, 0, np.eye(3, dtype=np.int64)), (0, 0, 2 * np.eye(3, dtype=np.int64))], 5))
+@settings(max_examples=150)
+def test_limit_and_colimit_equal_the_dense_recipe(diagram):
+    """limit and colimit, from the difference map's sparse terms, give
+    exactly the bases of the dense recipe: the dimension and every block,
+    its dtype, shape and entries. The examples pin no objects, a
+    self-loop beside a zero-dimensional object, parallel arrows, and two
+    self-loops on one object."""
+    dims, morphisms, field = diagram
+    d = Z.FiniteDiagram(dims, morphisms)
+    for route, reference in ((Z.limit, dense_limit), (Z.colimit, dense_colimit)):
+        dim, blocks = route(d, field)
+        ref_dim, ref_blocks = reference(d.dims, d.morphisms, field)
+        assert dim == ref_dim
+        assert [(B.dtype, B.shape, B.tolist()) for B in blocks] == [
+            (R.dtype, R.shape, R.tolist()) for R in ref_blocks
+        ]
 
 
 def test_generalized_rank_single_slot():
