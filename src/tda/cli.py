@@ -15,7 +15,7 @@ import sys
 from typing import Iterable
 
 from . import cosheaf as cosheaf_mod
-from . import fields, formats, leray, persistence, svg, zigzag
+from . import fields, formats, leray, persistence, zigzag
 from .errors import NonlinearNerveError
 from .homology import _quotients
 
@@ -70,6 +70,25 @@ def _thresholds(text: str) -> list[float]:
     return ts
 
 
+class _DeferredParser:
+    """A subcommand parser that records its ``add_argument`` calls and
+    builds the real ArgumentParser on its first ``parse_known_args``, so a
+    run builds the parser of the one command it runs, not all of them."""
+
+    def __init__(self, **kwargs):
+        self._kwargs, self._arguments, self._parser = kwargs, [], None
+
+    def add_argument(self, *args, **kwargs) -> None:
+        self._arguments.append((args, kwargs))
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._parser is None:
+            self._parser = argparse.ArgumentParser(**self._kwargs)
+            for a, k in self._arguments:
+                self._parser.add_argument(*a, **k)
+        return self._parser.parse_known_args(args, namespace)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tda",
@@ -77,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
         epilog=_FORMATS_HELP,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_DeferredParser)
 
     def add_common(p, field=True, output=False):
         if field:
@@ -191,14 +210,18 @@ def _homology_command(args: argparse.Namespace) -> int:
 
 
 def _cosheaf_command(args: argparse.Namespace) -> int:
+    """H_p for p up to the base's dimension, then the bar census. Over a
+    base of dimension <= 1 the census's closed and open bars count H_0 and
+    H_1 (and there is no square to validate); other bases are reduced."""
     F = formats.parse_cosheaf(formats.read_text(args.input))
-    quotients = cosheaf_mod._quotients(F, range(max(F.base.dimension, 0) + 1), args.field)
-    lines = [f"H_{p}={q.dimension}" for p, q in enumerate(quotients)]
+    degrees = range(max(F.base.dimension, 0) + 1)
     try:
         census = cosheaf_mod.bar_census(F, args.field)
-        lines.append(f"census={census}")
+        dims, last = census[: len(degrees)], f"census={census}"
     except NonlinearNerveError:
-        lines.append("census=unavailable (base not linear)")
+        dims = [q.dimension for q in cosheaf_mod._quotients(F, degrees, args.field)]
+        last = "census=unavailable (base not linear)"
+    lines = [f"H_{p}={dim}" for p, dim in enumerate(dims)] + [last]
     _emit(["\n".join(lines) + "\n"], None)
     return 0
 
@@ -251,6 +274,8 @@ def _zigzag_command(args: argparse.Namespace) -> int:
 
 
 def _plot_command(args: argparse.Namespace) -> int:
+    from . import svg  # only this command draws
+
     _, bc = formats.parse_barcode_json(formats.read_text(args.input))
     svg.render_svg(bc, args.output, width=args.width)
     return 0

@@ -113,16 +113,21 @@ def parse_filtration(text: str) -> FilteredComplex:
     return FilteredComplex(entries)
 
 
-def _parse_simplex_token(token: str):
-    return simplex(int(v) for v in token.split(","))
-
-
 def parse_cosheaf(text: str) -> SimplicialCosheaf:
     """Cosheaf file: complex section, stalk lines, map lines.
 
     Unlisted stalks default to dimension 0 and unlisted extension maps to
-    zero matrices, so zero-stalk simplices need no explicit lines.
+    zero matrices, so zero-stalk simplices need no explicit lines. Each
+    distinct simplex token is parsed once, at its first use.
     """
+    tokens: dict[str, tuple[int, ...]] = {}
+
+    def parse_token(token: str) -> tuple[int, ...]:
+        s = tokens.get(token)
+        if s is None:
+            s = tokens[token] = simplex(int(v) for v in token.split(","))
+        return s
+
     complex_lines: list[str] = []
     stalk_lines: list[list[str]] = []
     map_lines: list[list[str]] = []
@@ -139,7 +144,7 @@ def parse_cosheaf(text: str) -> SimplicialCosheaf:
     for parts in stalk_lines:
         if len(parts) != 3:
             raise TdaError(f"bad stalk line {parts!r}; expected `stalk <simplex> <dim>`")
-        s = _parse_simplex_token(parts[1])
+        s = parse_token(parts[1])
         if s not in base:
             raise TdaError(f"stalk given for {s}, which is not in the complex")
         stalks[s] = int(parts[2])
@@ -148,8 +153,8 @@ def parse_cosheaf(text: str) -> SimplicialCosheaf:
     for parts in map_lines:
         if len(parts) < 3:
             raise TdaError("bad map line; expected `map <face> <coface> <entries>`")
-        face = _parse_simplex_token(parts[1])
-        coface = _parse_simplex_token(parts[2])
+        face = parse_token(parts[1])
+        coface = parse_token(parts[2])
         if (face, coface) not in maps:
             raise TdaError(f"map {face} <- {coface} is not a face/coface pair of the complex")
         entries = [int(x) for x in parts[3:]]
@@ -200,30 +205,31 @@ def _barcode_json_blocks(bc: Barcode, field: int) -> Iterator[str]:
     them is spelled once, at its head: a bar starts a run when it differs
     from the one before in degree or in the bit pattern of birth or death
     (0.0 == -0.0, but their spellings differ), and at every block start.
-    Each distinct float among the heads is spelled once as json.dumps
-    spells it, by repr or an infinite death as null; each distinct degree
-    by json.dumps. A block's heads fill one template in one formatting,
-    and each head's text is repeated over its run."""
+    Each distinct degree is spelled once by json.dumps. Each block spells
+    each distinct float among its heads once, as json.dumps spells it, by
+    repr or an infinite death as null, so no float's spelling outlives its
+    block. A block's heads fill one template in one formatting, and each
+    head's text is repeated over its run."""
     degrees, births, deaths = bc._columns
     n = len(degrees)
     birth_bits, death_bits = births.view(np.int64), deaths.view(np.int64)
     head = np.ones(n, dtype=bool)
-    head[1:] = (degrees[1:] != degrees[:-1]) | (birth_bits[1:] != birth_bits[:-1]) | (death_bits[1:] != death_bits[:-1])
+    head[1:] = degrees[1:] != degrees[:-1]
+    codes = np.sort(degrees[head])  # each degree starts some run of equal degrees
+    head[1:] |= (birth_bits[1:] != birth_bits[:-1]) | (death_bits[1:] != death_bits[:-1])
     head[::_BLOCK_BARS] = True
-    heads = np.flatnonzero(head)
-    m = len(heads)
-    bits, which = np.unique(np.concatenate([birth_bits[heads], death_bits[heads]]), return_inverse=True)
-    numbers = np.array(["null" if x == math.inf else repr(x) for x in bits.view(float).tolist()], dtype=object)
-    codes, degree_of = np.unique(degrees[heads], return_inverse=True)
     dims = np.array([json.dumps(None if d == _NONE else d) for d in codes.tolist()], dtype=object)
     # k heads fill the first k * (len(_BAR_JSON) + 1) - 1 characters of the template
     template = _HEAD_BREAK.join([_BAR_JSON] * _BLOCK_BARS)
-    firsts = np.searchsorted(heads, np.arange(0, n, _BLOCK_BARS)).tolist() + [m]
     opening = '{\n  "bars": [\n'
-    for a, h, g in zip(range(0, n, _BLOCK_BARS), firsts, firsts[1:]):
-        spelled = np.stack([numbers[which[h:g]], numbers[which[m + h : m + g]], dims[degree_of[h:g]]], axis=1)
-        texts = template[: (g - h) * (len(_BAR_JSON) + 1) - 1] % tuple(spelled.ravel().tolist())
-        runs = np.diff(heads[h:g], append=min(a + _BLOCK_BARS, n)).tolist()
+    for a in range(0, n, _BLOCK_BARS):
+        heads = a + np.flatnonzero(head[a : a + _BLOCK_BARS])
+        m = len(heads)
+        bits, which = np.unique(np.concatenate([birth_bits[heads], death_bits[heads]]), return_inverse=True)
+        numbers = np.array(["null" if x == math.inf else repr(x) for x in bits.view(float).tolist()], dtype=object)
+        spelled = np.stack([numbers[which[:m]], numbers[which[m:]], dims[np.searchsorted(codes, degrees[heads])]], axis=1)
+        texts = template[: m * (len(_BAR_JSON) + 1) - 1] % tuple(spelled.ravel().tolist())
+        runs = np.diff(heads, append=min(a + _BLOCK_BARS, n)).tolist()
         yield opening + ",\n".join(chain.from_iterable(map(repeat, texts.split(_HEAD_BREAK), runs)))
         opening = ",\n"
     yield ("\n  ]" if n else '{\n  "bars": []') + f',\n  "field": {json.dumps(field)}\n}}\n'

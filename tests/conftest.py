@@ -280,6 +280,36 @@ def small_diagrams(draw):
     return dims, morphisms, field
 
 
+@st.composite
+def linear_cosheaves(draw):
+    """(cosheaf, field, paths) over a disjoint union of paths and isolated
+    vertices: 0-12 vertices with distinct large int64 ids, cut into runs of
+    random length, simplices listed in shuffled order, stalks of dimension
+    0-3 and random maps (any maps are valid over a base of dimension <= 1).
+    ``paths`` lists each path's vertices in walking order."""
+    from tda.cosheaf import SimplicialCosheaf, codim1_pairs
+
+    field = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(0, 12))
+    ids = draw(st.lists(st.integers(2**32, 2**63 - 1), min_size=n, max_size=n, unique=True))
+    joined = draw(st.lists(st.booleans(), min_size=max(n - 1, 0), max_size=max(n - 1, 0)))
+    paths = [ids[:1]] if ids else []
+    for v, join in zip(ids[1:], joined):
+        if join:
+            paths[-1].append(v)
+        else:
+            paths.append([v])
+    simplices = [[v] for v in ids] + [[a, b] for path in paths for a, b in zip(path, path[1:])]
+    K = tda.build_complex(draw(st.permutations(simplices)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    stalks = {s: int(rng.integers(0, 4)) for s in K.simplices}
+    maps = {
+        (face, coface): rng.integers(0, field, (stalks[face], stalks[coface]))
+        for face, coface in codim1_pairs(K)
+    }
+    return SimplicialCosheaf(K, stalks, maps), field, paths
+
+
 def dense_limit(dims, morphisms, field: int):
     """The dense recipe for a diagram's limit, the library's former one:
     the difference map (v_x)_x -> (M v_src - v_tgt) per morphism written

@@ -1,12 +1,16 @@
 """File formats, SVG rendering, and the command-line surface."""
 
+import io
 import itertools
 import json
 import math
 import os
+import random
 import subprocess
 import sys
+import tempfile
 import tracemalloc
+from contextlib import redirect_stdout
 from unittest import mock
 
 import numpy as np
@@ -15,8 +19,10 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import tda
-from conftest import FIXTURES, octagon_circle
+from conftest import FIXTURES, linear_cosheaves, octagon_circle, random_complex, twisted_constant_cosheaf
 from tda import cli, formats
+from tda import cosheaf as C
+from tda.errors import NonlinearNerveError
 from tda.persistence import Bar, Barcode
 from tda.svg import svg_document
 
@@ -66,6 +72,37 @@ def test_parse_cosheaf_with_defaults():
     from tda.cosheaf import cosheaf_homology
 
     assert cosheaf_homology(F, 1).dimension == 1
+
+
+def test_parse_cosheaf_parses_each_distinct_token_once():
+    """A simplex token repeated across stalk and map lines is turned into
+    a simplex once: the constant cosheaf over a path of 30 vertices has
+    30 + 29 distinct tokens among its 30 + 29 + 2 * 29 uses."""
+    n = 30
+    lines = [f"{i} {i + 1}" for i in range(n - 1)] + [f"stalk {i} 1" for i in range(n)]
+    lines += [f"stalk {i},{i + 1} 1" for i in range(n - 1)]
+    lines += [f"map {v} {i},{i + 1} 1" for i in range(n - 1) for v in (i, i + 1)]
+    with mock.patch.object(formats, "simplex", wraps=formats.simplex) as parse:
+        F = formats.parse_cosheaf("\n".join(lines))
+    assert parse.call_count == 2 * n - 1
+    assert F.stalks == {s: 1 for s in F.base.simplices}
+    assert all(M.tolist() == [[1]] for M in F.maps.values())
+
+
+@pytest.mark.parametrize(
+    "lines, message",
+    [
+        (["map 0 0,1 1", "map 1 0,1 1", "map 0,x 0,1 1", "map 1,y 0,1 1"], "invalid literal for int() with base 10: 'x'"),
+        (["map 0 0,1 1", "map 0 0,0 1", "map 1 1,1 1"], "duplicate vertices in (0, 0)"),
+    ],
+    ids=["not-an-integer", "repeated-vertex"],
+)
+def test_parse_cosheaf_names_the_first_bad_token(lines, message):
+    """A bad token is reported as its first use fails, after good tokens
+    that were already parsed and reused."""
+    with pytest.raises(ValueError) as info:
+        formats.parse_cosheaf("\n".join(["0 1", "stalk 0 1", "stalk 1 1", "stalk 0,1 1", *lines]))
+    assert str(info.value) == message
 
 
 def test_parse_zigzag():
@@ -182,6 +219,25 @@ def test_barcode_to_json_holds_its_text_about_once():
     assert peak < 1.5 * len(text), f"peak {peak:,} bytes for {len(text):,} characters"
 
 
+def test_barcode_to_json_of_distinct_bars_holds_its_text_about_once():
+    """100,000 bars whose births are all distinct (9.7 MB of JSON): each
+    block spells only its own floats, so the traced peak inside the call
+    stays under 1.5 times the text."""
+    draw = random.Random(0)
+    n = 100_000
+    births = np.array([draw.random() for _ in range(n)])
+    deaths = np.where(np.arange(n) % 10 == 0, math.inf, births + np.array([draw.random() for _ in range(n)]))
+    bc = Barcode.from_columns(np.arange(n) % 3, births, deaths)
+    tracemalloc.start()
+    try:
+        text = formats.barcode_to_json(bc, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text.count('"dim"') == n and text == "".join(formats._barcode_json_blocks(bc, 2))
+    assert peak < 1.5 * len(text), f"peak {peak:,} bytes for {len(text):,} characters"
+
+
 def test_svg_document_shapes():
     empty = svg_document(Barcode([]))
     assert "<svg" in empty and "<line" in empty  # the axis line
@@ -259,6 +315,65 @@ def test_cli_cosheaf_input_errors_exit_1(tmp_path, capsys, text, message):
     path.write_text(text)
     code, out, err = run_cli(capsys, "cosheaf", "--input", str(path), "--field", "5")
     assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def cosheaf_text(F) -> str:
+    """F as a cosheaf file: every simplex as a complex line, then every
+    stalk and every map."""
+    def token(s):
+        return ",".join(map(str, s))
+
+    lines = [" ".join(map(str, s)) for s in sorted(F.base.simplices)]
+    lines += [f"stalk {token(s)} {d}" for s, d in F.stalks.items()]
+    lines += [f"map {token(a)} {token(b)} " + " ".join(map(str, np.ravel(M).tolist())) for (a, b), M in F.maps.items()]
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def cli_cosheaves(draw):
+    """(cosheaf, field) over F2 or F3: a random cosheaf over paths and
+    isolated vertices; any stalks and maps over the 1-skeleton of a random
+    complex, whose vertices may branch or close a cycle; a twisted constant
+    cosheaf over a random 2-dimensional complex; or any stalks over 0-6
+    isolated vertices."""
+    field = draw(st.sampled_from([2, 3]))
+    kind = draw(st.sampled_from(["paths", "graph", "complex", "vertices"]))
+    if kind == "paths":
+        return draw(linear_cosheaves())[0], field
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "complex":
+        K = random_complex(rng)
+        return twisted_constant_cosheaf(rng, K, int(rng.integers(1, 3)), field), field
+    if kind == "graph":
+        K = tda.build_complex([s for s in random_complex(rng).simplices if len(s) <= 2])
+    else:
+        K = tda.build_complex([[v] for v in range(draw(st.integers(0, 6)))])
+    stalks = {s: int(rng.integers(0, 4)) for s in K.simplices}
+    maps = {(a, b): rng.integers(0, field, (stalks[a], stalks[b])) for a, b in C.codim1_pairs(K)}
+    return C.SimplicialCosheaf(K, stalks, maps), field
+
+
+@given(cli_cosheaves())
+def test_cli_cosheaf_prints_cosheaf_homology(case):
+    """``tda cosheaf`` prints dim H_p(K; F) from ``cosheaf_homology`` for
+    every p up to the base's dimension, whether it reads them off the bar
+    census (a base of paths and isolated vertices) or reduces the block
+    boundaries (any other base), then the census or its absence."""
+    F, field = case
+    with tempfile.TemporaryDirectory() as work:
+        path = os.path.join(work, "F.cosheaf")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(cosheaf_text(F))
+        out = io.StringIO()
+        with redirect_stdout(out):
+            code = cli.main(["cosheaf", "--input", path, "--field", str(field)])
+    try:
+        census = f"census={C.bar_census(F, field)}"
+    except NonlinearNerveError:
+        census = "census=unavailable (base not linear)"
+    degrees = range(max(F.base.dimension, 0) + 1)
+    expected = [f"H_{p}={C.cosheaf_homology(F, p, field).dimension}" for p in degrees] + [census]
+    assert (code, out.getvalue().splitlines()) == (0, expected)
 
 
 def test_cli_rips_circle_fixture(tmp_path, capsys):
@@ -424,6 +539,32 @@ def test_importing_the_cli_builds_no_parser():
     assert done.returncode == 0, done.stderr
     at_import, first, second = map(int, done.stdout.split())
     assert at_import == 0 and first > 0 and second == first
+
+
+def test_a_run_builds_the_parsers_of_its_commands_only():
+    """In a fresh process, ``tda zigzag`` constructs two ArgumentParsers,
+    the top level and its own; a second command adds its own, and
+    repeating a command adds none."""
+    zigzag80 = os.path.join(GOLDEN, "zigzag80.txt")
+    script = "\n".join([
+        "import argparse, io",
+        "from contextlib import redirect_stdout",
+        "built = []",
+        "init = argparse.ArgumentParser.__init__",
+        "argparse.ArgumentParser.__init__ = lambda self, *a, **k: built.append(k.get('prog')) or init(self, *a, **k)",
+        "import tda.cli",
+        "runs = []",
+        f"for argv in (['zigzag', '--input', {zigzag80!r}], ['cosheaf', '--input', {PATH16!r}], ['zigzag', '--input', {zigzag80!r}]):",
+        "    with redirect_stdout(io.StringIO()):",
+        "        assert tda.cli.main(argv) == 0",
+        "    runs.append(list(built))",
+        "print(runs)",
+    ])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    two = ["tda", "tda zigzag"]
+    assert done.stdout == f"{[two, two + ['tda cosheaf'], two + ['tda cosheaf']]}\n"
 
 
 TORUS18_COVER = "-4.2,-1.05;-2.95,0.97;-0.97,2.95;1.05,4.2;3.3,5.5"

@@ -11,6 +11,7 @@ import tda
 from conftest import (
     hollow_triangle,
     interval_complex,
+    linear_cosheaves,
     random_complex,
     solid_triangle,
     tuple_cosheaf_boundary,
@@ -219,34 +220,6 @@ def test_bar_census_rejects_nonlinear_bases():
     star = tda.build_complex([[0, 1], [0, 2], [0, 3]])
     with pytest.raises(NonlinearNerveError):
         C.bar_census(C.constant_cosheaf(star, 1))
-
-
-@st.composite
-def linear_cosheaves(draw):
-    """(cosheaf, field, paths) over a disjoint union of paths and isolated
-    vertices: 0-12 vertices with distinct large int64 ids, cut into runs of
-    random length, simplices listed in shuffled order, stalks of dimension
-    0-3 and random maps (any maps are valid over a base of dimension <= 1).
-    ``paths`` lists each path's vertices in walking order."""
-    field = draw(st.sampled_from([2, 3, 5]))
-    n = draw(st.integers(0, 12))
-    ids = draw(st.lists(st.integers(2**32, 2**63 - 1), min_size=n, max_size=n, unique=True))
-    joined = draw(st.lists(st.booleans(), min_size=max(n - 1, 0), max_size=max(n - 1, 0)))
-    paths = [ids[:1]] if ids else []
-    for v, join in zip(ids[1:], joined):
-        if join:
-            paths[-1].append(v)
-        else:
-            paths.append([v])
-    simplices = [[v] for v in ids] + [[a, b] for path in paths for a, b in zip(path, path[1:])]
-    K = tda.build_complex(draw(st.permutations(simplices)))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    stalks = {s: int(rng.integers(0, 4)) for s in K.simplices}
-    maps = {
-        (face, coface): rng.integers(0, field, (stalks[face], stalks[coface]))
-        for face, coface in C.codim1_pairs(K)
-    }
-    return C.SimplicialCosheaf(K, stalks, maps), field, paths
 
 
 def per_path_census(F, field, paths):

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from conftest import (
     random_banded_mapped_complex,
     random_complex,
     random_mapped_complex,
+    tuple_faces,
 )
 from tda import cosheaf as C
 from tda import fields
@@ -290,6 +292,57 @@ def test_sublevel_barcode_equals_lower_star_barcode(seed, field, banded):
     expected = homology_barcode(fc, field)
     assert P.compute_barcode(fc, field) == expected
     assert L.sublevel_barcode(M, cover, field) == expected
+
+
+def tuple_blowup(M, cover, field):
+    """The blowup (total) complex of the cover's preimage pieces from tuples:
+    the cells (ns, tau), piece by piece in nerve order, then by dimension
+    and lexicographically, and the multiset of its (face cell, coface cell,
+    coefficient mod field) terms. A piece's boundary keeps its signs on a
+    nerve vertex and is negated on a nerve edge (a, b); each simplex of the
+    edge's piece maps into b's piece with +1 and into a's with -1."""
+    K, ivs = TupleComplex(M.complex.simplices), cover.intervals
+    spans = {(i,): iv for i, iv in enumerate(ivs)}
+    spans.update({(i, i + 1): (max(a[0], b[0]), min(a[1], b[1])) for i, (a, b) in enumerate(zip(ivs, ivs[1:]))})
+    pieces = {ns: K.full_subcomplex(v for v in K.vertices() if lo < M.values[v] < hi) for ns, (lo, hi) in spans.items()}
+    cells = [(ns, tau) for ns in sorted(pieces) for tau in sorted(pieces[ns].simplices, key=lambda s: (len(s), s))]
+    terms = Counter()
+    for ns, piece in pieces.items():
+        for tau in piece.simplices:
+            for face, sign in tuple_faces(tau):
+                terms[(ns, face), (ns, tau), sign * (1 if len(ns) == 1 else -1) % field] += 1
+            if len(ns) == 2:
+                terms[((ns[1],), tau), (ns, tau), 1] += 1
+                terms[((ns[0],), tau), (ns, tau), -1 % field] += 1
+    return cells, terms
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3]), st.booleans())
+def test_blowup_terms_equal_the_tuple_total_complex(seed, field, banded):
+    """The cells, values, degrees and coboundary terms that
+    ``_blowup_barcode`` hands to the pairing routine are the tuple-built
+    total complex's, term for term, and its differential squares to zero."""
+    rng = np.random.default_rng(seed)
+    M = (random_banded_mapped_complex if banded else random_mapped_complex)(rng)
+    cover = admissible_random_cover(rng, M)
+    calls = []
+
+    def capture(values, degrees, order, coboundary, field):
+        calls.append((values, degrees, [np.asarray(t) for t in coboundary]))
+        return P._filtration_barcode(values, degrees, order, coboundary, field)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(L, "_filtration_barcode", capture)
+        L.sublevel_barcode(M, cover, field)
+    [(values, degrees, (faces, cofaces, coefficients))] = calls
+    cells, terms = tuple_blowup(M, cover, field)
+    assert values.tolist() == [max(M.values[v] for v in tau) for _, tau in cells]
+    assert degrees.tolist() == [len(ns) + len(tau) - 2 for ns, tau in cells]
+    got = Counter(zip(faces.tolist(), cofaces.tolist(), (coefficients % field).tolist()))
+    assert Counter({(cells[f], cells[c], x): k for (f, c, x), k in got.items()}) == terms
+    D = np.zeros((len(cells), len(cells)), dtype=np.int64)
+    np.add.at(D, (faces, cofaces), coefficients)
+    assert not (D @ D % field).any()
 
 
 def sublevel_complex(M, t):
