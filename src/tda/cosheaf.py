@@ -2,21 +2,21 @@
 
 A cosheaf assigns a vector-space dimension to each simplex and an
 extension matrix toward each codimension-1 face; longer compositions are
-derived, and path independence across codimension-2 pairs is what makes
-the signed block boundary square to zero. Homology in a range of degrees
-is one sweep: the cosheaf is validated once, each block boundary is built
-once, and :func:`fields.quotients` reduces them from the top degree down,
-clearing the columns that would reduce to zero; ``cosheaf_homology`` is
-its one-degree case. Sheaf cohomology is computed by transposing to a
-cosheaf. Over a disjoint union of paths, :func:`bar_census` reads the
-cosheaf as one zigzag: all paths laid out in one run of vertex and edge
-slots, joined by empty edge slots, and decomposed once.
+derived, and path independence across codimension-2 pairs holds exactly
+when the signed block boundary squares to zero: validity is read off
+d_{p-1} d_p. Homology in a range of degrees is one sweep: each block
+boundary is built once, checked so, and reduced by :func:`fields.quotients`
+from the top degree down, clearing the columns that would reduce to zero;
+``cosheaf_homology`` is its one-degree case. Sheaf cohomology is computed
+by transposing to a cosheaf. Over a disjoint union of paths, :func:`bar_census`
+reads the cosheaf as one zigzag: all paths laid out in one run of vertex
+and edge slots, joined by empty edge slots, and decomposed once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
-from itertools import accumulate, combinations
+from itertools import accumulate
 import numpy as np
 
 from . import fields, zigzag
@@ -137,21 +137,28 @@ class CosheafViolation:
 
 
 def validate(F: SimplicialCosheaf, field: int = 2) -> CosheafViolation | None:
-    """Check path independence on every codimension-2 pair.
-
+    """Check path independence on every codimension-2 pair, which generates
+    the full composition condition, as d_{p-1} d_p = 0 (:func:`_violation`).
     Returns None when all squares commute mod the field, otherwise the
-    first violating triple in lexicographic order. Commutation across
-    codimension 2 generates the full composition condition.
-    """
+    first violating triple in lexicographic order."""
+    return _violation(F, {}, field)
+
+
+def _violation(F: SimplicialCosheaf, ds: dict, field: int) -> CosheafViolation | None:
+    """The first failing square, read off d_{p-1} d_p (p >= 2): its block
+    (sigma, tau) is +-(via face i of tau - via face j), tau - sigma =
+    {tau[i], tau[j]}, i < j, so in the first tau with a nonzero column the
+    largest sigma of a nonzero row is the first (i, j). Builds d_k in ``ds``."""
     fields.check_prime(field)
     for p in range(2, F.base.dimension + 1):
-        for tau in F.base.p_simplices(p):
-            for (i, gamma1), (j, gamma2) in combinations(enumerate(faces(tau)), 2):
-                sigma = faces(gamma1)[j - 1]  # drop vertices i < j
-                via1 = fields.matmul(F.maps[(sigma, gamma1)], F.maps[(gamma1, tau)], field)
-                via2 = fields.matmul(F.maps[(sigma, gamma2)], F.maps[(gamma2, tau)], field)
-                if not np.array_equal(via1, via2):
-                    return CosheafViolation(sigma, tau, gamma1, gamma2)
+        ds.update((k, _boundary(F, k, field)) for k in (p - 1, p) if k not in ds)
+        product = ds[p - 1].compose(ds[p], field).cols
+        (taus, cols), (sigmas, rows) = chain_offsets(F, p), chain_offsets(F, p - 2)
+        for tau, start, stop in zip(taus, cols, cols[1:]):
+            if bad := [r for col in product[start:stop] for r in col]:
+                sigma = sigmas[np.searchsorted(rows, max(bad), side="right") - 1]
+                i, j = (k for k, v in enumerate(tau) if v not in sigma)
+                return CosheafViolation(sigma, tau, faces(tau)[i], faces(tau)[j])
     return None
 
 
@@ -172,30 +179,28 @@ def cosheaf_boundary(F: SimplicialCosheaf, p: int, field: int = 2) -> np.ndarray
 
 
 def _boundary(F: SimplicialCosheaf, p: int, field: int) -> fields.ColumnMatrix:
-    """Columns of the block boundary over the basis (simplex, stalk index): the
-    nonzero entries of each block (-1)^j r_{sigma,tau}, sigma facet j of tau."""
+    """Columns of the block boundary over the basis (simplex, stalk index),
+    built from its blocks (-1)^j r_{sigma,tau}, sigma facet j of tau."""
     taus, col_offsets = chain_offsets(F, p)
     sigmas, row_offsets = chain_offsets(F, p - 1)
-    terms = []
-    for tau, start, facets in zip(taus, col_offsets, F.base._layer(p)[1].tolist()):
-        for j, f in enumerate(facets):
-            for i, entries in enumerate(F.maps[(sigmas[f], tau)].tolist(), start=row_offsets[f]):
-                for k, x in enumerate(entries, start=start):
-                    if x:
-                        terms.append((i, k, (-1) ** j * x))
-    rows, cols, coeffs = np.array(terms, dtype=np.int64).reshape(-1, 3).T
-    return fields.term_columns(row_offsets[-1], col_offsets[-1], rows, cols, coeffs, field)
+    blocks = [
+        (row_offsets[f], start, M if j % 2 == 0 else -(M % field))  # M % field first: -M overflows at -2^63
+        for tau, start, facets in zip(taus, col_offsets, F.base._layer(p)[1].tolist())
+        for j, f in enumerate(facets)
+        for M in [F.maps[(sigmas[f], tau)]]
+    ]
+    return fields.block_columns(row_offsets[-1], col_offsets[-1], blocks, field)
 
 
 def _quotients(F: SimplicialCosheaf, degrees: range, field: int) -> list[fields.Quotient]:
-    """The quotient of H_p(K; F) for each p in ``degrees``: F is validated
-    once, each boundary d_start..d_stop built once, and all of them
-    reduced in one sweep."""
-    violation = validate(F, field)
-    if violation is not None:
+    """The quotient of H_p(K; F) for each p in ``degrees``: d_start..d_stop
+    and d_1..d_dim built once, F validated on them, the first reduced in one sweep."""
+    ds: dict[int, fields.ColumnMatrix] = {}
+    if (violation := _violation(F, ds, field)) is not None:
         raise InvalidCosheafError(str(violation))
     _check_degree(degrees.start, field)
-    return fields.quotients([_boundary(F, p, field) for p in range(degrees.start, degrees.stop + 1)], field)
+    needed = range(degrees.start, degrees.stop + 1)
+    return fields.quotients([ds[p] if p in ds else _boundary(F, p, field) for p in needed], field)
 
 
 def cosheaf_homology(F: SimplicialCosheaf, p: int, field: int = 2) -> HomologyResult:

@@ -2,20 +2,20 @@
 as columns of one type for every prime, F2 included: a dict {row: coeff
 in [1, p)}; chain complexes are built from their (row, column,
 coefficient) terms (:func:`term_columns`; the barcode slices
-:func:`sparse_columns` as it goes). Every reduction is the one
-column-reduction kernel :func:`reduce_columns`: homology
-(:func:`quotients`: one sweep down the degrees, each boundary reduced
-once, a d_k column at a pivot row of d_{k+1} skipped), the persistence
-barcode (coboundary columns, with clearing), the zigzag sweep, and the
-dense routines :func:`rank`, :func:`kernel_basis`, :func:`solve` and
-:func:`rref`, read off the reduction of a matrix's columns with unit
-tracks. A quotient keeps its representatives as the sparse reduction
-tracks. numpy int64 arrays appear only at the interface: arguments, and
-results as views that :meth:`ColumnMatrix.dense` builds, or refuses over
-``MAX_DENSE_BYTES``. Both are converted in Python: at stalk sizes a
-numpy call costs more than the arithmetic. Each column is reduced at its
-pivot (largest row) by earlier columns only, so every routine is
-deterministic.
+:func:`sparse_columns` as it goes) or their blocks
+(:func:`block_columns`). Every reduction is the one column-reduction
+kernel :func:`reduce_columns`: homology (:func:`quotients`: one sweep
+down the degrees, each boundary reduced once, a d_k column at a pivot
+row of d_{k+1} skipped), the persistence barcode (coboundary columns,
+with clearing), the zigzag sweep, and the dense routines :func:`rank`,
+:func:`kernel_basis`, :func:`solve` and :func:`rref`, read off the
+reduction of a matrix's columns with unit tracks. A quotient keeps its
+representatives as the sparse reduction tracks. numpy int64 arrays
+appear only at the interface: arguments, and results as views that
+:meth:`ColumnMatrix.dense` builds, or refuses over ``MAX_DENSE_BYTES``.
+Both are converted in Python: at stalk sizes a numpy call costs more
+than the arithmetic. Each column is reduced at its pivot (largest row)
+by earlier columns only, so every routine is deterministic.
 """
 
 from __future__ import annotations
@@ -165,6 +165,17 @@ class ColumnMatrix:
                     acc[r] = acc.get(r, 0) + a * c
             out.append({r: c % p for r, c in acc.items() if c % p})
         return ColumnMatrix(self.n_rows, out)
+
+
+def block_columns(n_rows: int, n_cols: int, blocks, p: int) -> ColumnMatrix:
+    """The n_rows x n_cols sum mod p of (row, col, B) blocks, each int64 array
+    B with its top-left entry at (row, col); overlapping blocks add up."""
+    columns: list[dict] = [{} for _ in range(n_cols)]
+    for r, c, B in blocks:
+        for col, entries in zip(columns[c : c + B.shape[1]], B.T.tolist()):
+            for i, x in enumerate(entries, start=r):
+                col[i] = col.get(i, 0) + x
+    return ColumnMatrix(n_rows, [{i: y for i, x in col.items() if (y := x % p)} for col in columns])
 
 
 def term_columns(n_rows: int, n_cols: int, rows, cols, coeffs, p: int) -> ColumnMatrix:

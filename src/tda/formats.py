@@ -25,6 +25,7 @@ from typing import Iterator
 
 import numpy as np
 
+from . import fields
 from .complexes import IntervalCover, SimplicialComplex, build_complex, simplex
 from .cosheaf import SimplicialCosheaf, _check_stalks, codim1_pairs
 from .errors import TdaError
@@ -149,7 +150,10 @@ def parse_cosheaf(text: str) -> SimplicialCosheaf:
             raise TdaError(f"stalk given for {s}, which is not in the complex")
         stalks[s] = int(parts[2])
     _check_stalks(base, stalks, "cosheaf")
-    maps = {(f, c): np.zeros((stalks[f], stalks[c]), dtype=np.int64) for f, c in codim1_pairs(base)}
+    pairs = codim1_pairs(base)
+    if (size := 8 * sum(stalks[f] * stalks[c] for f, c in pairs)) > fields.MAX_DENSE_BYTES:
+        raise TdaError(f"the extension maps would take {size:,} bytes, over {fields.MAX_DENSE_BYTES:,}")
+    maps = {(f, c): np.zeros((stalks[f], stalks[c]), dtype=np.int64) for f, c in pairs}
     for parts in map_lines:
         if len(parts) < 3:
             raise TdaError("bad map line; expected `map <face> <coface> <entries>`")

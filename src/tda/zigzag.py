@@ -1,7 +1,7 @@
 """Finite zigzag modules and finite diagrams of vector spaces.
 
-Limits and colimits are the kernels of difference maps, built as sparse
-terms from their blocks. The generalized rank of a zigzag over [b, d],
+Limits and colimits are the kernels of difference maps, built from
+their blocks. The generalized rank of a zigzag over [b, d],
 the rank of the canonical map from the limit to the colimit of the
 restriction, counts the interval summands that contain [b, d]; it is the
 definition ``decompose_zigzag`` is tested against. ``decompose_zigzag``
@@ -58,20 +58,15 @@ def _difference_kernel(dims, morphisms, field: int) -> tuple[int, list[np.ndarra
 
     Takes raw, already-validated data, so colimits can pass the dual
     diagram without building and re-checking a FiniteDiagram. The map's
-    shape passes :func:`fields.check_dense`; it is built only as the sparse
-    terms of its blocks, M and -I per morphism (M - I for a self-loop).
+    shape passes :func:`fields.check_dense`; :func:`fields.block_columns`
+    sums its blocks, M and -I per morphism (M - I for a self-loop).
     """
     off = list(accumulate(dims, initial=0))
     starts = list(accumulate((dims[t] for _, t, _ in morphisms), initial=0))
     fields.check_dense(starts[-1], off[-1])
-    terms = []
-    for r, (s, t, M) in zip(starts, morphisms):
-        I = np.eye(dims[t], dtype=np.int64)
-        for x, B in [(s, M - I)] if s == t else [(s, M), (t, -I)]:
-            for i, entries in enumerate(B.tolist(), start=r):
-                terms.extend((i, k, c) for k, c in enumerate(entries, start=off[x]) if c)
-    rows, cols, coeffs = np.array(terms, dtype=np.int64).reshape(-1, 3).T
-    K = fields.kernel_basis(fields.term_columns(starts[-1], off[-1], rows, cols, coeffs, field), field)
+    minus_eye = [-np.eye(d, dtype=np.int64) for d in dims]
+    blocks = [(r, off[x], B) for r, (s, t, M) in zip(starts, morphisms) for x, B in ((s, M), (t, minus_eye[t]))]
+    K = fields.kernel_basis(fields.block_columns(starts[-1], off[-1], blocks, field), field)
     return K.shape[1], [K[off[x] : off[x + 1], :] for x in range(len(dims))]
 
 

@@ -462,6 +462,27 @@ def twisted_constant_cosheaf(rng: np.random.Generator, K: SimplicialComplex, n: 
     return SimplicialCosheaf(base=K, stalks={s: n for s in K.simplices}, maps=maps)
 
 
+def square_violation(F, field: int):
+    """The first codimension-2 square of a cosheaf whose two compositions
+    differ mod field, by a loop over every square: p-simplices tau for p =
+    2, 3, ... in lex order, then vertex pairs i < j of tau, comparing the
+    composition via tau minus vertex i with the one via tau minus vertex j
+    down to sigma, tau minus both. The library's former check, kept as the
+    oracle for ``cosheaf.validate``; None when every square commutes."""
+    from tda.cosheaf import CosheafViolation
+
+    for p in range(2, F.base.dimension + 1):
+        for tau in F.base.p_simplices(p):
+            for i, j in combinations(range(p + 1), 2):
+                gamma1, gamma2 = tau[:i] + tau[i + 1 :], tau[:j] + tau[j + 1 :]
+                sigma = tau[:i] + tau[i + 1 : j] + tau[j + 1 :]
+                via1 = (F.maps[(sigma, gamma1)] % field) @ (F.maps[(gamma1, tau)] % field) % field
+                via2 = (F.maps[(sigma, gamma2)] % field) @ (F.maps[(gamma2, tau)] % field) % field
+                if not np.array_equal(via1, via2):
+                    return CosheafViolation(sigma, tau, gamma1, gamma2)
+    return None
+
+
 def torus_leray_zigzag():
     """The degree-1 Leray zigzag of the upright torus over a four-piece
     cover: 0 <- k -> k^2 <- k^2 -> k^2 <- k -> 0 with diagonal end maps."""

@@ -20,9 +20,9 @@ from hypothesis import strategies as st
 
 import tda
 from conftest import FIXTURES, linear_cosheaves, octagon_circle, random_complex, twisted_constant_cosheaf
-from tda import cli, formats
+from tda import cli, fields, formats
 from tda import cosheaf as C
-from tda.errors import NonlinearNerveError
+from tda.errors import NonlinearNerveError, TdaError
 from tda.persistence import Bar, Barcode
 from tda.svg import svg_document
 
@@ -284,6 +284,22 @@ def test_cli_homology_of_k100_keeps_representatives_sparse(tmp_path, capsys):
         tracemalloc.stop()
     assert (code, out) == (0, "H_0=1\nH_1=4851\n")
     assert peak < 64 * 2**20, f"peak {peak:,} bytes"
+
+
+def test_parse_cosheaf_refuses_maps_over_the_dense_bound(tmp_path, capsys, monkeypatch):
+    """The zero maps of a cosheaf file are sized before any is allocated:
+    stalks 2 and 3 on the vertices of an edge with stalk 4 give maps of
+    (2 + 3) * 4 * 8 = 160 bytes, which pass a bound of 160 and are refused
+    under 159, by the parser and by the CLI with exit code 1."""
+    path = tmp_path / "edge.cosheaf"
+    path.write_text("0 1\nstalk 0 2\nstalk 1 3\nstalk 0,1 4\n")
+    monkeypatch.setattr(fields, "MAX_DENSE_BYTES", 160)
+    assert formats.parse_cosheaf(path.read_text()).maps[((1,), (0, 1))].shape == (3, 4)
+    monkeypatch.setattr(fields, "MAX_DENSE_BYTES", 159)
+    message = "the extension maps would take 160 bytes, over 159"
+    with pytest.raises(TdaError, match=f"^{message}$"):
+        formats.parse_cosheaf(path.read_text())
+    assert run_cli(capsys, "cosheaf", "--input", str(path)) == (1, "", f"error: {message}\n")
 
 
 def test_cli_cosheaf_open_interval(tmp_path, capsys):

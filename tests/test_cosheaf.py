@@ -1,10 +1,12 @@
 """Cosheaf validation, boundary operators, homology, and bar census."""
 
+import re
 from collections import Counter
+from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tda
@@ -14,6 +16,7 @@ from conftest import (
     linear_cosheaves,
     random_complex,
     solid_triangle,
+    square_violation,
     tuple_cosheaf_boundary,
     twisted_constant_cosheaf,
     zigzag_bars_oracle,
@@ -123,6 +126,87 @@ def test_non_integral_extension_map_is_rejected(kind):
         make(K, stalks, {((0,), (0, 1)): [[0.5]], ((1,), (0, 1)): np.eye(1)})
     F = make(K, stalks, {((0,), (0, 1)): np.eye(1), ((1,), (0, 1)): np.eye(1)})
     assert all(M.dtype == np.int64 and M.tolist() == [[1]] for M in F.maps.values())
+
+
+@st.composite
+def perturbed_cosheaves(draw):
+    """(cosheaf, field): a twisted constant cosheaf with stalks of dimension
+    0-2, over F2, F3 or F5, with 0-3 maps replaced by random entries in
+    [-p, 2p). The base is a random 2-dimensional complex on 3-7 vertices or
+    1-6 tetrahedra on 4-7 vertices with their faces; over the latter the
+    replaced maps are at times all triangle-to-tetrahedron maps, so that
+    the first failing square lies in degree 3."""
+    field = draw(st.sampled_from([2, 3, 5]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        K = random_complex(rng, max_vertices=7)
+    else:
+        tetrahedra = list(combinations(range(draw(st.integers(4, 7))), 4))
+        K = tda.build_complex(draw(st.lists(st.sampled_from(tetrahedra), min_size=1, max_size=6)))
+    F = twisted_constant_cosheaf(rng, K, draw(st.integers(0, 2)), field)
+    pairs = C.codim1_pairs(K)
+    if K.dimension == 3 and draw(st.booleans()):
+        pairs = [(face, coface) for face, coface in pairs if len(coface) == 4]
+    for _ in range(draw(st.integers(0, 3)) if pairs else 0):
+        pair = pairs[int(rng.integers(len(pairs)))]
+        F.maps[pair] = rng.integers(-field, 2 * field, F.maps[pair].shape)
+    return F, field
+
+
+@settings(max_examples=300)
+@given(perturbed_cosheaves())
+def test_validate_equals_the_loop_over_every_square(case):
+    """``validate``, read off the products d_{p-1} d_p, returns exactly what
+    the loop over every square returns: None, or the same violation field
+    by field; ``_quotients`` raises it as its message."""
+    F, field = case
+    expected = square_violation(F, field)
+    assert C.validate(F, field) == expected
+    if expected is not None:
+        with pytest.raises(InvalidCosheafError, match=f"^{re.escape(str(expected))}$"):
+            C._quotients(F, range(0, F.base.dimension + 1), field)
+
+
+def test_validity_is_checked_on_the_reduced_boundaries(monkeypatch):
+    """On a 2-dimensional base every route builds each d_k at most once,
+    d_1 and d_2 for the squares and the others its degrees need, and
+    multiplies no pair of extension maps; over a tetrahedron ``validate``
+    builds d_1, d_2 and d_3 once each."""
+    K = tda.build_complex([[0, 1, 2], [1, 2, 3], [3, 4]])
+    F = twisted_constant_cosheaf(np.random.default_rng(34), K, 2, 3)
+    tetrahedron = twisted_constant_cosheaf(np.random.default_rng(35), tda.build_complex([[0, 1, 2, 3]]), 1, 3)
+    bad = C.SimplicialCosheaf(K, dict(F.stalks), dict(F.maps))
+    bad.maps[((1, 2), (1, 2, 3))] = np.zeros((2, 2), dtype=np.int64)
+    built = []
+    boundary = C._boundary
+    monkeypatch.setattr(C, "_boundary", lambda F, k, field: built.append(k) or boundary(F, k, field))
+    monkeypatch.setattr(fields, "matmul", lambda *args: pytest.fail("fields.matmul called"))
+    routes = [
+        (lambda: C.validate(F, 3), [1, 2]),
+        (lambda: C.cosheaf_homology(F, 0, 3), [0, 1, 2]),
+        (lambda: C.cosheaf_homology(F, 2, 3), [1, 2, 3]),
+        (lambda: C._quotients(F, range(0, 3), 3), [0, 1, 2, 3]),
+        (lambda: C.validate(bad, 3), [1, 2]),
+        (lambda: C.validate(tetrahedron, 3), [1, 2, 3]),
+    ]
+    for route, degrees in routes:
+        built.clear()
+        route()
+        assert sorted(built) == degrees
+    built.clear()
+    with pytest.raises(InvalidCosheafError):
+        C.cosheaf_homology(bad, 0, 3)
+    assert sorted(built) == [1, 2]
+
+
+def test_boundary_negates_the_most_negative_entry_exactly():
+    """The block of a face of odd index is negated after reduction mod p,
+    so an entry -2^63, whose int64 negation overflows, is still -x mod p."""
+    K = interval_complex()
+    low = np.iinfo(np.int64).min
+    F = C.SimplicialCosheaf(K, {s: 1 for s in K.simplices}, {((0,), (0, 1)): [[low]], ((1,), (0, 1)): [[low]]})
+    for p in (2, 3, 5, 7):
+        assert C.cosheaf_boundary(F, 1, p)[:, 0].tolist() == [-low % p, low % p]
 
 
 def test_interval_boundary_matrix_signs():

@@ -310,6 +310,28 @@ def test_every_sparse_column_is_a_dict_of_units(seed, p):
             assert_unit_dicts([col] if track is None else [col, track], p)
 
 
+@given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3, 5]))
+def test_block_columns_sum_their_blocks(seed, p):
+    """``block_columns`` is the dense sum mod p of its blocks, each placed
+    at its top-left corner, overlapping ones added (empty ones too), as
+    columns of units; the entries span int64, summed without overflow."""
+    rng = np.random.default_rng(seed)
+    m, n = rng.integers(0, 7, size=2).tolist()
+    total = np.zeros((m, n), dtype=object)
+    blocks = []
+    for _ in range(int(rng.integers(0, 6))):
+        r, c = int(rng.integers(0, m + 1)), int(rng.integers(0, n + 1))
+        shape = (int(rng.integers(0, m - r + 1)), int(rng.integers(0, n - c + 1)))
+        lo, hi = (-2 * p, 3 * p) if rng.random() < 0.8 else (-(2**63), 2**63 - 1)
+        B = rng.integers(lo, hi, size=shape)
+        blocks.append((r, c, B))
+        total[r : r + shape[0], c : c + shape[1]] += B.astype(object)
+    built = fields.block_columns(m, n, blocks, p)
+    assert_unit_dicts(built.cols, p)
+    assert built.n_rows == m and np.array_equal(built.dense(), (total % p).astype(np.int64))
+
+
+
 def test_quotients_rejects_a_mismatched_middle_pair():
     ds = [np.zeros((0, 3)), np.zeros((3, 2)), np.zeros((3, 1)), np.zeros((1, 0))]
     with pytest.raises(ValueError, match="chain space mismatch: d_low has 2 columns, d_high has 3 rows"):
