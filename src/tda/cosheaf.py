@@ -144,15 +144,17 @@ def validate(F: SimplicialCosheaf, field: int = 2) -> CosheafViolation | None:
     return _violation(F, {}, field)
 
 
-def _violation(F: SimplicialCosheaf, ds: dict, field: int) -> CosheafViolation | None:
+def _violation(F: SimplicialCosheaf, ds: dict, field: int, keep=()) -> CosheafViolation | None:
     """The first failing square, read off d_{p-1} d_p (p >= 2): its block
     (sigma, tau) is +-(via face i of tau - via face j), tau - sigma =
     {tau[i], tau[j]}, i < j, so in the first tau with a nonzero column the
-    largest sigma of a nonzero row is the first (i, j). Builds d_k in ``ds``."""
+    largest sigma of a nonzero row is the first (i, j). Builds each d_k once; ``ds`` keeps those in ``keep``."""
     fields.check_prime(field)
-    for p in range(2, F.base.dimension + 1):
+    for p in range(2, (dim := F.base.dimension) + 1):
         ds.update((k, _boundary(F, k, field)) for k in (p - 1, p) if k not in ds)
         product = ds[p - 1].compose(ds[p], field).cols
+        for k in set(ds).difference(keep, range(p, dim)):  # d_p is the next d_{p-1}
+            del ds[k]
         (taus, cols), (sigmas, rows) = chain_offsets(F, p), chain_offsets(F, p - 2)
         for tau, start, stop in zip(taus, cols, cols[1:]):
             if bad := [r for col in product[start:stop] for r in col]:
@@ -183,23 +185,22 @@ def _boundary(F: SimplicialCosheaf, p: int, field: int) -> fields.ColumnMatrix:
     built from its blocks (-1)^j r_{sigma,tau}, sigma facet j of tau."""
     taus, col_offsets = chain_offsets(F, p)
     sigmas, row_offsets = chain_offsets(F, p - 1)
-    blocks = [
-        (row_offsets[f], start, M if j % 2 == 0 else -(M % field))  # M % field first: -M overflows at -2^63
+    blocks = (  # made as they are summed; M % field first: -M overflows at -2^63
+        (row_offsets[f], start, M if j % 2 == 0 else -(M % field))
         for tau, start, facets in zip(taus, col_offsets, F.base._layer(p)[1].tolist())
         for j, f in enumerate(facets)
         for M in [F.maps[(sigmas[f], tau)]]
-    ]
+    )
     return fields.block_columns(row_offsets[-1], col_offsets[-1], blocks, field)
 
 
 def _quotients(F: SimplicialCosheaf, degrees: range, field: int) -> list[fields.Quotient]:
     """The quotient of H_p(K; F) for each p in ``degrees``: d_start..d_stop
     and d_1..d_dim built once, F validated on them, the first reduced in one sweep."""
-    ds: dict[int, fields.ColumnMatrix] = {}
-    if (violation := _violation(F, ds, field)) is not None:
+    needed = range(degrees.start, degrees.stop + 1)
+    if (violation := _violation(F, ds := {}, field, needed)) is not None:
         raise InvalidCosheafError(str(violation))
     _check_degree(degrees.start, field)
-    needed = range(degrees.start, degrees.stop + 1)
     return fields.quotients([ds[p] if p in ds else _boundary(F, p, field) for p in needed], field)
 
 

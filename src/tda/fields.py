@@ -1,21 +1,20 @@
 """Linear algebra over prime fields on one elimination. Matrices are held
-as columns of one type for every prime, F2 included: a dict {row: coeff
-in [1, p)}; chain complexes are built from their (row, column,
-coefficient) terms (:func:`term_columns`; the barcode slices
-:func:`sparse_columns` as it goes) or their blocks
-(:func:`block_columns`). Every reduction is the one column-reduction
-kernel :func:`reduce_columns`: homology (:func:`quotients`: one sweep
-down the degrees, each boundary reduced once, a d_k column at a pivot
-row of d_{k+1} skipped), the persistence barcode (coboundary columns,
-with clearing), the zigzag sweep, and the dense routines :func:`rank`,
-:func:`kernel_basis`, :func:`solve` and :func:`rref`, read off the
-reduction of a matrix's columns with unit tracks. A quotient keeps its
-representatives as the sparse reduction tracks. numpy int64 arrays
-appear only at the interface: arguments, and results as views that
-:meth:`ColumnMatrix.dense` builds, or refuses over ``MAX_DENSE_BYTES``.
-Both are converted in Python: at stalk sizes a numpy call costs more
-than the arithmetic. Each column is reduced at its pivot (largest row)
-by earlier columns only, so every routine is deterministic.
+as columns of one type for every prime, F2 included: a dict {row: coeff in
+[1, p)}; chain complexes are built from their (row, column, coefficient)
+terms (:func:`term_columns`; the barcode slices :func:`sparse_columns` as
+it goes) or their blocks (:func:`block_columns`). Every reduction is the
+one column-reduction kernel :func:`reduce_columns`: homology
+(:func:`quotients`: one sweep down the degrees, each boundary reduced
+once, a d_k column at a pivot row of d_{k+1} skipped), the persistence
+barcode (coboundary columns, with clearing), the zigzag sweep, and the
+dense routines :func:`rank`, :func:`kernel_basis`, :func:`solve` and
+:func:`rref`, read off the reduction of a matrix's columns with unit
+tracks. A quotient keeps its representatives as the sparse reduction
+tracks. numpy int64 arrays appear only at the interface: arguments, and
+results as views that :meth:`ColumnMatrix.dense` builds, or refuses over
+``MAX_DENSE_BYTES``. Both are converted in Python: at stalk sizes a numpy
+call costs more than the arithmetic. Each column is reduced at its pivot
+(largest row) by earlier columns only, so every routine is deterministic.
 """
 
 from __future__ import annotations
@@ -168,23 +167,24 @@ class ColumnMatrix:
 
 
 def block_columns(n_rows: int, n_cols: int, blocks, p: int) -> ColumnMatrix:
-    """The n_rows x n_cols sum mod p of (row, col, B) blocks, each int64 array
-    B with its top-left entry at (row, col); overlapping blocks add up."""
-    columns: list[dict] = [{} for _ in range(n_cols)]
-    for r, c, B in blocks:
-        for col, entries in zip(columns[c : c + B.shape[1]], B.T.tolist()):
-            for i, x in enumerate(entries, start=r):
-                col[i] = col.get(i, 0) + x
-    return ColumnMatrix(n_rows, [{i: y for i, x in col.items() if (y := x % p)} for col in columns])
+    """The n_rows x n_cols sum mod p of (row, col, B) blocks: int64 arrays B, each placed at (row, col)."""
+    terms = ((i, k, x) for r, c, B in blocks for k, col in enumerate(B.T.tolist(), c) for i, x in enumerate(col, r) if x)
+    return _sum_terms(n_rows, n_cols, terms, p)
 
 
 def term_columns(n_rows: int, n_cols: int, rows, cols, coeffs, p: int) -> ColumnMatrix:
-    """The n_rows x n_cols matrix with coeffs[t] mod p at (rows[t], cols[t]) for each
-    term t of three integer arrays; zero terms are dropped, and no pair may repeat."""
+    """The n_rows x n_cols sum mod p of coeffs[t] at (rows[t], cols[t]) over the terms t of three integer arrays."""
+    return _sum_terms(n_rows, n_cols, zip(rows.tolist(), cols.tolist(), (coeffs % p).tolist()), p)
+
+
+def _sum_terms(n_rows: int, n_cols: int, terms, p: int) -> ColumnMatrix:
+    """The one column builder: x added mod p at (r, c) for each (r, c, x) in ``terms``; zeros are dropped."""
     columns: list[dict] = [{} for _ in range(n_cols)]
-    for r, c, x in zip(rows.tolist(), cols.tolist(), (coeffs % p).tolist()):
-        if x:
-            columns[c][r] = x
+    for r, c, x in terms:
+        if y := ((col := columns[c]).get(r, 0) + x) % p:
+            col[r] = y
+        else:
+            col.pop(r, None)
     return ColumnMatrix(n_rows, columns)
 
 

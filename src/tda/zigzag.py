@@ -1,16 +1,15 @@
 """Finite zigzag modules and finite diagrams of vector spaces.
 
-Limits and colimits are the kernels of difference maps, built from
-their blocks. The generalized rank of a zigzag over [b, d],
-the rank of the canonical map from the limit to the colimit of the
-restriction, counts the interval summands that contain [b, d]; it is the
-definition ``decompose_zigzag`` is tested against. ``decompose_zigzag``
-finds the summands in one left-to-right sweep (Carlsson–de Silva 2010,
-right filtrations) on the column reduction of :mod:`fields`: one
-reduction of the images per forward arrow, three of slot-sized columns
-per backward arrow, so a zigzag of n slots takes O(n) of them. An
-ordinary persistence module (:class:`ExplicitModule`) is decomposed as
-the all-forward zigzag.
+Limits and colimits are the kernels of difference maps, built from their
+blocks. The generalized rank of a zigzag over [b, d], the rank of the
+canonical map from the limit to the colimit of the restriction, counts
+the interval summands that contain [b, d]; it is the definition
+``decompose_zigzag`` is tested against. ``decompose_zigzag`` finds the
+summands in one left-to-right sweep (Carlsson–de Silva 2010, right
+filtrations) on the column reduction of :mod:`fields`: one reduction of
+the images per forward arrow, three of slot-sized columns per backward
+arrow, so a zigzag of n slots takes O(n) of them. An ordinary persistence
+module (:class:`ExplicitModule`) is decomposed as the all-forward zigzag.
 """
 
 from __future__ import annotations
@@ -64,8 +63,8 @@ def _difference_kernel(dims, morphisms, field: int) -> tuple[int, list[np.ndarra
     off = list(accumulate(dims, initial=0))
     starts = list(accumulate((dims[t] for _, t, _ in morphisms), initial=0))
     fields.check_dense(starts[-1], off[-1])
-    minus_eye = [-np.eye(d, dtype=np.int64) for d in dims]
-    blocks = [(r, off[x], B) for r, (s, t, M) in zip(starts, morphisms) for x, B in ((s, M), (t, minus_eye[t]))]
+    blocks = ((r, off[x], B) for r, (s, t, M) in zip(starts, morphisms)
+              for x, B in ((s, M), (t, -np.eye(dims[t], dtype=np.int64))))  # -I made as it is summed
     K = fields.kernel_basis(fields.block_columns(starts[-1], off[-1], blocks, field), field)
     return K.shape[1], [K[off[x] : off[x + 1], :] for x in range(len(dims))]
 

@@ -331,6 +331,12 @@ def test_block_columns_sum_their_blocks(seed, p):
     assert built.n_rows == m and np.array_equal(built.dense(), (total % p).astype(np.int64))
 
 
+def test_term_columns_sum_repeated_pairs():
+    """Terms at one (row, column) add up mod p, and a sum of zero drops its entry."""
+    rows, cols, coeffs = np.array([0, 0, 1, 1, 2]), np.array([0, 0, 0, 0, 1]), np.array([1, 1, 2, 1, 4])
+    assert fields.term_columns(3, 2, rows, cols, coeffs, 3).cols == [{0: 2}, {2: 1}]
+
+
 
 def test_quotients_rejects_a_mismatched_middle_pair():
     ds = [np.zeros((0, 3)), np.zeros((3, 2)), np.zeros((3, 1)), np.zeros((1, 0))]
