@@ -64,7 +64,7 @@ def _difference_kernel(dims, morphisms, field: int) -> tuple[int, list[np.ndarra
     starts = list(accumulate((dims[t] for _, t, _ in morphisms), initial=0))
     fields.check_dense(starts[-1], off[-1])
     blocks = ((r, off[x], B) for r, (s, t, M) in zip(starts, morphisms)
-              for x, B in ((s, M), (t, -np.eye(dims[t], dtype=np.int64))))  # -I made as it is summed
+              for x, B in ((s, M), (t, -np.eye(dims[t], dtype=np.int64))))  # one -I at a time, targets only
     K = fields.kernel_basis(fields.block_columns(starts[-1], off[-1], blocks, field), field)
     return K.shape[1], [K[off[x] : off[x + 1], :] for x in range(len(dims))]
 

@@ -173,7 +173,8 @@ def test_validity_is_checked_on_the_reduced_boundaries(monkeypatch):
     """On a 2-dimensional base every route builds each d_k at most once,
     d_1 and d_2 for the squares and the others its degrees need, and
     multiplies no pair of extension maps; over a tetrahedron ``validate``
-    builds d_1, d_2 and d_3 once each."""
+    builds d_1, d_2 and d_3 once each, and keeps none of them past its
+    check but those of the degrees the reduction asks for."""
     K = tda.build_complex([[0, 1, 2], [1, 2, 3], [3, 4]])
     F = twisted_constant_cosheaf(np.random.default_rng(34), K, 2, 3)
     tetrahedron = twisted_constant_cosheaf(np.random.default_rng(35), tda.build_complex([[0, 1, 2, 3]]), 1, 3)
@@ -199,6 +200,9 @@ def test_validity_is_checked_on_the_reduced_boundaries(monkeypatch):
     with pytest.raises(InvalidCosheafError):
         C.cosheaf_homology(bad, 0, 3)
     assert sorted(built) == [1, 2]
+    for keep in [(), range(0, 2), range(2, 4), range(1, 5)]:
+        C._violation(tetrahedron, ds := {}, 3, keep)
+        assert sorted(ds) == [k for k in (1, 2, 3) if k in keep]
 
 
 def test_boundary_negates_the_most_negative_entry_exactly():
