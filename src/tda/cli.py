@@ -98,9 +98,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_DeferredParser)
 
-    def add_common(p, field=True, output=False):
-        if field:
-            p.add_argument("--field", type=_prime, default=2, help="prime field (default 2)")
+    def add_common(p, output=False):
+        p.add_argument("--field", type=_prime, default=2, help="prime field (default 2)")
         if output:
             p.add_argument("--output", help="output path (default: stdout)")
 

@@ -38,7 +38,8 @@ def codim1_pairs(K: SimplicialComplex) -> list[tuple[Simplex, Simplex]]:
 
 
 def _check_stalks(base: SimplicialComplex, stalks: dict[Simplex, int], kind: str) -> None:
-    """One non-negative stalk dimension per simplex of the base, and no other."""
+    """One non-negative stalk dimension per simplex of the base, and no
+    other, in total at most ``zigzag.MAX_TOTAL_DIMENSION``."""
     for s in base.simplices:
         if s not in stalks:
             raise InvalidCosheafError(f"{kind} has no stalk dimension for {s}")
@@ -47,28 +48,18 @@ def _check_stalks(base: SimplicialComplex, stalks: dict[Simplex, int], kind: str
     extra = set(stalks) - base.simplices
     if extra:
         raise InvalidCosheafError(f"stalks given for simplices not in the base: {sorted(extra)}")
-
-
-def _is_codim1_pair(key, simplices: frozenset[Simplex]) -> bool:
-    """Whether key is a (face, coface) pair of the complex with these simplices."""
-    return isinstance(key, tuple) and len(key) == 2 and key[1] in simplices and key[0] in faces(key[1])
+    if (total := sum(stalks.values())) > zigzag.MAX_TOTAL_DIMENSION:
+        raise InvalidCosheafError(f"the {kind} stalks total {total:,}, over {zigzag.MAX_TOTAL_DIMENSION:,}")
 
 
 def _check_structure(F, kind: str) -> None:
-    """Validate stalks, map keys and map shapes; make each map an int64 array
-    by :func:`fields.integer_array` (an empty one takes the shape of its zero-size block)."""
+    """Validate stalks, map keys (the :func:`codim1_pairs`, no other) and map shapes; make each map
+    an int64 array by :func:`fields.integer_array` (an empty one takes the shape of its zero-size block)."""
     base, stalks, maps = F.base, F.stalks, F.maps
     _check_stalks(base, stalks, kind)
-    # Distinct keys, each a face/coface pair and as many as the complex has, are all of them.
-    count = sum((p + 1) * len(base._layer(p)[0]) for p in range(1, base.dimension + 1))
-    simplices = base.simplices
-    if len(maps) != count or not all(_is_codim1_pair(key, simplices) for key in maps):
-        needed = set(codim1_pairs(base))
-        missing = sorted(needed - set(maps))
-        extra = sorted(set(maps) - needed)
-        raise InvalidCosheafError(
-            f"{kind} extension maps mismatch; missing {missing}, unexpected {extra}"
-        )
+    if maps.keys() != (needed := set(codim1_pairs(base))):
+        missing, extra = sorted(needed - maps.keys()), sorted(maps.keys() - needed)
+        raise InvalidCosheafError(f"{kind} extension maps mismatch; missing {missing}, unexpected {extra}")
     for (face, coface), M in maps.items():
         shape = (stalks[face], stalks[coface]) if kind == "cosheaf" else (stalks[coface], stalks[face])
         M = fields.integer_array(M)

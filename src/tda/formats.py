@@ -18,6 +18,7 @@ Formats:
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from itertools import chain, repeat
@@ -114,21 +115,25 @@ def parse_filtration(text: str) -> FilteredComplex:
     return FilteredComplex(entries)
 
 
+def _matrix(entries: list[str], shape: tuple[int, int], name: str, *args) -> np.ndarray:
+    """The row-major integer entries, each converted before they are counted, as
+    an int64 matrix of this shape; ``name % args`` names the line, in an error only."""
+    values = [int(x) for x in entries]
+    if len(values) != shape[0] * shape[1]:
+        raise TdaError(f"{name % args} needs {shape[0] * shape[1]} entries, got {len(values)}")
+    return np.asarray(values, dtype=np.int64).reshape(shape)
+
+
 def parse_cosheaf(text: str) -> SimplicialCosheaf:
     """Cosheaf file: complex section, stalk lines, map lines.
 
     Unlisted stalks default to dimension 0 and unlisted extension maps to
     zero matrices, so zero-stalk simplices need no explicit lines. Each
-    distinct simplex token is parsed once, at its first use.
+    distinct simplex token is parsed once, at its first use. The shapes of
+    the :func:`codim1_pairs`, kept in their order, bound the maps' size and
+    give the pairs a map line may name; only the pairs no line names get a zero map.
     """
-    tokens: dict[str, tuple[int, ...]] = {}
-
-    def parse_token(token: str) -> tuple[int, ...]:
-        s = tokens.get(token)
-        if s is None:
-            s = tokens[token] = simplex(int(v) for v in token.split(","))
-        return s
-
+    parse_token = functools.cache(lambda token: simplex(int(v) for v in token.split(",")))
     complex_lines: list[str] = []
     stalk_lines: list[list[str]] = []
     map_lines: list[list[str]] = []
@@ -150,24 +155,20 @@ def parse_cosheaf(text: str) -> SimplicialCosheaf:
             raise TdaError(f"stalk given for {s}, which is not in the complex")
         stalks[s] = int(parts[2])
     _check_stalks(base, stalks, "cosheaf")
-    pairs = codim1_pairs(base)
-    if (size := 8 * sum(stalks[f] * stalks[c] for f, c in pairs)) > fields.MAX_DENSE_BYTES:
+    shapes = {(f, c): (stalks[f], stalks[c]) for f, c in codim1_pairs(base)}
+    if (size := 8 * sum(m * n for m, n in shapes.values())) > fields.MAX_DENSE_BYTES:
         raise TdaError(f"the extension maps would take {size:,} bytes, over {fields.MAX_DENSE_BYTES:,}")
-    maps = {(f, c): np.zeros((stalks[f], stalks[c]), dtype=np.int64) for f, c in pairs}
+    maps = dict.fromkeys(shapes)
     for parts in map_lines:
         if len(parts) < 3:
             raise TdaError("bad map line; expected `map <face> <coface> <entries>`")
-        face = parse_token(parts[1])
-        coface = parse_token(parts[2])
-        if (face, coface) not in maps:
-            raise TdaError(f"map {face} <- {coface} is not a face/coface pair of the complex")
-        entries = [int(x) for x in parts[3:]]
-        shape = maps[(face, coface)].shape
-        if len(entries) != shape[0] * shape[1]:
-            raise TdaError(
-                f"map {face} <- {coface} needs {shape[0] * shape[1]} entries, got {len(entries)}"
-            )
-        maps[(face, coface)] = np.asarray(entries, dtype=np.int64).reshape(shape)
+        pair = (parse_token(parts[1]), parse_token(parts[2]))
+        if (shape := shapes.get(pair)) is None:
+            raise TdaError(f"map {pair[0]} <- {pair[1]} is not a face/coface pair of the complex")
+        maps[pair] = _matrix(parts[3:], shape, "map %s <- %s", *pair)
+    for pair, M in maps.items():
+        if M is None:
+            maps[pair] = np.zeros(shapes[pair], dtype=np.int64)
     return SimplicialCosheaf(base=base, stalks=stalks, maps=maps)
 
 
@@ -185,15 +186,8 @@ def parse_zigzag(text: str) -> ZigzagModule:
             raise TdaError(f"arrow direction must be {FORWARD!r} or {BACKWARD!r}, got {direction!r}")
         if i + 1 >= len(dims):
             raise TdaError("more arrows than dims allow")
-        shape = (
-            (dims[i + 1], dims[i]) if direction == FORWARD else (dims[i], dims[i + 1])
-        )
-        entries = [int(x) for x in parts[1:]]
-        if len(entries) != shape[0] * shape[1]:
-            raise TdaError(
-                f"arrow {i} needs {shape[0] * shape[1]} entries, got {len(entries)}"
-            )
-        arrows.append((direction, np.asarray(entries, dtype=np.int64).reshape(shape)))
+        shape = (dims[i + 1], dims[i]) if direction == FORWARD else (dims[i], dims[i + 1])
+        arrows.append((direction, _matrix(parts[1:], shape, "arrow %d", i)))
     return ZigzagModule(dims=dims, arrows=arrows)
 
 

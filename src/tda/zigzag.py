@@ -27,11 +27,18 @@ from .persistence import Bar, Barcode
 
 FORWARD = "fwd"
 BACKWARD = "bwd"
+# Largest total dimension of a zigzag, a diagram, a module or the stalks of a
+# cosheaf. The sweep holds ~310 bytes per dimension (`tda zigzag` on `dims
+# 200000`: 91 MiB) and cosheaf homology ~930 (`tda cosheaf` on a triangle with
+# stalk 200,000: 206 MiB), so at 1 KiB per dimension this is about 1 GiB.
+MAX_TOTAL_DIMENSION = fields.MAX_DENSE_BYTES // 1024
 
 
 def _check_dims(dims: Sequence[int]) -> None:
     if any(d < 0 for d in dims):
         raise TdaError(f"dimensions must be non-negative, got {list(dims)}")
+    if (total := sum(dims)) > MAX_TOTAL_DIMENSION:
+        raise TdaError(f"the dimensions total {total:,}, over {MAX_TOTAL_DIMENSION:,}")
 
 
 @dataclass

@@ -19,8 +19,8 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import tda
-from conftest import FIXTURES, linear_cosheaves, octagon_circle, random_complex, twisted_constant_cosheaf
-from tda import cli, fields, formats
+from conftest import FIXTURES, linear_cosheaves, octagon_circle, random_complex, small_zigzags, twisted_constant_cosheaf
+from tda import cli, fields, formats, zigzag
 from tda import cosheaf as C
 from tda.errors import NonlinearNerveError, TdaError
 from tda.persistence import Bar, Barcode
@@ -110,6 +110,43 @@ def test_parse_zigzag():
     assert z.dims == [1, 2, 1]
     assert z.arrows[0][0] == "fwd"
     assert z.arrows[1][1].shape == (2, 1)
+
+
+@pytest.mark.parametrize(
+    "parse, text, message",
+    [
+        (formats.parse_cosheaf, "0 1\nstalk 0 1\nstalk 0,1 2\nmap 0 0,1 1\n", "map (0,) <- (0, 1) needs 2 entries, got 1"),
+        (formats.parse_zigzag, "dims 1 2 1\nfwd 1 1\nbwd 1 0 1\n", "arrow 1 needs 2 entries, got 3"),
+        (formats.parse_cosheaf, "0 1\nstalk 0 1\nstalk 0,1 2\nmap 0 0,1 1 x 1\n", "invalid literal for int() with base 10: 'x'"),
+        (formats.parse_zigzag, "dims 1 2 1\nfwd 1 1\nbwd 1 x 0\n", "invalid literal for int() with base 10: 'x'"),
+    ],
+    ids=["map-count", "arrow-count", "map-not-an-integer", "arrow-not-an-integer"],
+)
+def test_matrix_lines_name_their_line(parse, text, message):
+    """A map or arrow line of the wrong length is named with the count it
+    needs; a non-integer entry is reported first, even on a line of the
+    wrong length."""
+    with pytest.raises(ValueError) as info:
+        parse(text)
+    assert str(info.value) == message
+
+
+def test_parse_cosheaf_makes_zero_maps_only_for_pairs_without_a_map_line():
+    """Over a path of 8 vertices with stalks 1, dropping the map lines of the
+    first k of its 14 pairs makes exactly k more zero matrices, and those
+    maps are zero, in their place in the order of ``codim1_pairs``."""
+    n = 8
+    lines = [f"{i} {i + 1}" for i in range(n - 1)] + [f"stalk {i} 1" for i in range(n)]
+    lines += [f"stalk {i},{i + 1} 1" for i in range(n - 1)]
+    maps = [f"map {v} {i},{i + 1} 1" for i in range(n - 1) for v in (i, i + 1)]  # in codim1_pairs order
+    counts = []
+    for k in (0, 5):
+        with mock.patch.object(np, "zeros", wraps=np.zeros) as zeros:
+            F = formats.parse_cosheaf("\n".join(lines + maps[k:]))
+        counts.append(zeros.call_count)
+        assert list(F.maps) == C.codim1_pairs(F.base)
+        assert [M.tolist() for M in F.maps.values()] == [[[0]]] * k + [[[1]]] * (len(maps) - k)
+    assert counts[1] - counts[0] == 5
 
 
 def test_barcode_json_round_trip_is_byte_identical():
@@ -302,6 +339,47 @@ def test_parse_cosheaf_refuses_maps_over_the_dense_bound(tmp_path, capsys, monke
     assert run_cli(capsys, "cosheaf", "--input", str(path)) == (1, "", f"error: {message}\n")
 
 
+def test_dimension_totals_are_bounded(tmp_path, capsys, monkeypatch):
+    """Dims, or stalks, in total over ``zigzag.MAX_TOTAL_DIMENSION`` are
+    refused by the parsers, the constructors and the CLI (exit code 1),
+    and a total exactly at the bound passes."""
+    monkeypatch.setattr(zigzag, "MAX_TOTAL_DIMENSION", 6)
+    over = "the dimensions total 7, over 6"
+    assert zigzag.ZigzagModule([2, 4], [(zigzag.FORWARD, np.zeros((4, 2)))]).dims == [2, 4]
+    assert zigzag.FiniteDiagram([2, 4], []).dims == [2, 4]
+    assert zigzag.ExplicitModule([6]).dims == [6]
+    for make in (
+        lambda: zigzag.ZigzagModule([3, 4], [(zigzag.FORWARD, np.zeros((4, 3)))]),
+        lambda: zigzag.FiniteDiagram([3, 4], []),
+        lambda: zigzag.ExplicitModule([7]),
+        lambda: formats.parse_zigzag("dims 3 4\n"),
+    ):
+        with pytest.raises(TdaError, match=f"^{over}$"):
+            make()
+    edge = tda.build_complex([[0, 1]])
+    for kind, make in (("cosheaf", C.SimplicialCosheaf), ("sheaf", C.SimplicialSheaf)):
+        zero = {((0,), (0, 1)): [], ((1,), (0, 1)): []}  # an empty map takes the shape of its block
+        assert make(edge, {(0,): 0, (1,): 0, (0, 1): 6}, zero).stalks[(0, 1)] == 6
+        with pytest.raises(TdaError, match=f"^the {kind} stalks total 7, over 6$"):
+            make(edge, {(0,): 0, (1,): 0, (0, 1): 7}, zero)
+    at_zigzag, at_cosheaf = "dims 2 4\nfwd" + " 1" * 8, "0 1\nstalk 0 2\nstalk 1 1\nstalk 0,1 3"
+    over_cosheaf = "0 1\nstalk 0 2\nstalk 1 1\nstalk 0,1 4"
+    assert formats.parse_zigzag(at_zigzag).dims == [2, 4]
+    assert sum(formats.parse_cosheaf(at_cosheaf).stalks.values()) == 6
+    with pytest.raises(TdaError, match="^the cosheaf stalks total 7, over 6$"):
+        formats.parse_cosheaf(over_cosheaf)
+    runs = [
+        ("zigzag", at_zigzag, 0, "bar [0,0] multiplicity 1\nbar [0,1] multiplicity 1\nbar [1,1] multiplicity 3\n", ""),
+        ("zigzag", "dims 3 4", 1, "", f"error: {over}\n"),
+        ("cosheaf", at_cosheaf, 0, "H_0=3\nH_1=3\ncensus=(3, 3, 0)\n", ""),
+        ("cosheaf", over_cosheaf, 1, "", "error: the cosheaf stalks total 7, over 6\n"),
+    ]
+    for command, text, *result in runs:
+        path = tmp_path / f"input.{command}"
+        path.write_text(text + "\n")
+        assert run_cli(capsys, command, "--input", str(path)) == tuple(result), text
+
+
 def test_cli_cosheaf_open_interval(tmp_path, capsys):
     path = tmp_path / "open.cosheaf"
     path.write_text("0 1\nstalk 0,1 1\n")
@@ -390,6 +468,33 @@ def test_cli_cosheaf_prints_cosheaf_homology(case):
     degrees = range(max(F.base.dimension, 0) + 1)
     expected = [f"H_{p}={C.cosheaf_homology(F, p, field).dimension}" for p in degrees] + [census]
     assert (code, out.getvalue().splitlines()) == (0, expected)
+
+
+@given(cli_cosheaves(), st.randoms(use_true_random=False))
+def test_cosheaf_files_round_trip(case, random):
+    """A cosheaf written as a file, with some of its zero maps left out and
+    its map lines shuffled, parses to the same stalks and maps, keyed in
+    the order of ``codim1_pairs``."""
+    F, _ = case
+    lines = cosheaf_text(F).splitlines()
+    n = len(lines) - len(F.maps)
+    map_lines = [line for line, M in zip(lines[n:], F.maps.values()) if M.any() or random.random() < 0.5]
+    random.shuffle(map_lines)
+    G = formats.parse_cosheaf("\n".join(lines[:n] + map_lines))
+    assert (G.base.simplices, G.stalks) == (F.base.simplices, F.stalks)
+    assert list(G.maps) == list(F.maps) == C.codim1_pairs(F.base)
+    assert all(G.maps[pair].shape == M.shape and np.array_equal(G.maps[pair], M) for pair, M in F.maps.items())
+
+
+@given(small_zigzags())
+def test_zigzag_files_round_trip(case):
+    """A zigzag written as a file parses to the same dims and arrows."""
+    z, _ = case
+    lines = ["dims " + " ".join(map(str, z.dims))]
+    lines += [" ".join([direction, *map(str, M.ravel().tolist())]) for direction, M in z.arrows]
+    y = formats.parse_zigzag("\n".join(lines))
+    assert y.dims == z.dims
+    assert [(d, M.shape, M.tolist()) for d, M in y.arrows] == [(d, M.shape, M.tolist()) for d, M in z.arrows]
 
 
 def test_cli_rips_circle_fixture(tmp_path, capsys):

@@ -118,6 +118,31 @@ def test_extension_map_of_the_wrong_shape_is_rejected(kind):
 
 
 @pytest.mark.parametrize("kind", ["cosheaf", "sheaf"])
+@pytest.mark.parametrize(
+    "drop, add",
+    [
+        ([((1, 2), (0, 1, 2))], []),
+        ([], [((0,), (0, 1, 2))]),
+        ([], [((0, 1), (0, 1))]),
+        ([], [((0,), (0, 1), (0, 1, 2))]),
+        ([((0,), (0, 1))], [((0,), (1, 2))]),
+    ],
+    ids=["pair-dropped", "codimension-2-pair", "simplex-with-itself", "3-tuple-key", "pair-swapped-for-a-non-pair"],
+)
+def test_map_keys_are_exactly_the_face_coface_pairs(kind, drop, add):
+    """Over the filled triangle, keys that are not the nine face/coface
+    pairs are named as missing and unexpected, whether or not their count
+    is right."""
+    make = C.SimplicialCosheaf if kind == "cosheaf" else C.SimplicialSheaf
+    K = solid_triangle()
+    maps = {pair: np.eye(1, dtype=np.int64) for pair in C.codim1_pairs(K) if pair not in drop}
+    maps.update((key, np.eye(1, dtype=np.int64)) for key in add)
+    with pytest.raises(InvalidCosheafError) as info:
+        make(K, {s: 1 for s in K.simplices}, maps)
+    assert str(info.value) == f"{kind} extension maps mismatch; missing {drop}, unexpected {add}"
+
+
+@pytest.mark.parametrize("kind", ["cosheaf", "sheaf"])
 def test_non_integral_extension_map_is_rejected(kind):
     """A map entry of 0.5 raises, naming it, where a cast to int64 would
     truncate it to 0 and answer for another cosheaf; integral floats pass."""
