@@ -26,6 +26,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import fields
 from .errors import InvalidMetricError, MalformedSimplexError, NonlinearNerveError, TdaError
 
 TOL = 1e-9
@@ -33,6 +34,17 @@ TOL = 1e-9
 # per simplex near it (noisy circle, radius 0.3: 1,000 points, 4,649,194 simplices,
 # 1,096 MiB; 600 points, 1,002,826 simplices, 283 MiB), so about 1.2 GB.
 MAX_SIMPLICES = 5_000_000
+# Largest count of the vertex ids in one layer of face candidates, and of the
+# boundary nonzeros of the layers kept, as a complex is closed under faces.
+# `tda homology` on one line of k vertex ids peaks at ~134 bytes per boundary
+# nonzero (k = 16, 17, 18: 97, 172, 332 MiB) and the closure alone at ~27 per
+# candidate vertex id (k = 16, 18), so at 160 bytes per entry this is about 1 GiB.
+MAX_COMPLEX_ENTRIES = fields.MAX_DENSE_BYTES // 160
+# Largest count of point pairs, n^2 for n points or an n x n distance matrix.
+# `tda rips --max-dim 1 --max-radius 0.5` on uniform points in [0, 100]^2 peaks
+# at ~11 bytes per pair (n = 3,000 and 6,000: 130 and 408 MiB), so at 16 bytes
+# per pair this is about 1 GiB.
+MAX_POINT_PAIRS = fields.MAX_DENSE_BYTES // 16
 # Largest block, in bytes, of coordinate differences (squared_distance_matrix)
 # or adjacency rows (_rips_entries) held at once. Each distance is the same
 # einsum over its row's block, so the result equals the unblocked einsum bit
@@ -163,8 +175,10 @@ class SimplicialComplex:
     rows in lexicographic order, and an (N_k, k+1) array of facet
     positions among the (k-1)-simplices, column j deleting vertex j (none
     for vertices). The constructor normalizes each simplex and closes
-    under faces, so it is idempotent on closed input. The frozenset of
-    simplex tuples is built when first asked for.
+    under faces, so it is idempotent on closed input. Before each layer of
+    face candidates is made, its vertex ids and the boundary nonzeros of
+    the layers kept so far are counted: over ``MAX_COMPLEX_ENTRIES``, it
+    raises. The frozenset of simplex tuples is built when first asked for.
     """
 
     __slots__ = ("_verts", "_faces", "_simplices")
@@ -172,8 +186,17 @@ class SimplicialComplex:
     def __init__(self, simplices: Iterable[Sequence[int]] = ()):
         groups = _size_groups(simplices)
         layers: list[np.ndarray] = []
+        nonzeros = 0
         for size in range(max(groups, default=0), 0, -1):
-            rows = [groups.get(size, np.zeros((0, size), dtype=np.int64))]
+            given = groups.get(size, np.zeros((0, size), dtype=np.int64))
+            faces = layers[-1].size if layers else 0  # (size + 1) faces per simplex above, one nonzero each
+            entries, nonzeros = (len(given) + faces) * size, nonzeros + faces
+            if max(entries, nonzeros) > MAX_COMPLEX_ENTRIES:
+                raise TdaError(
+                    f"closing the complex under faces would take {entries:,} vertex ids in dimension {size - 1} "
+                    f"and {nonzeros:,} boundary nonzeros, over {MAX_COMPLEX_ENTRIES:,}"
+                )
+            rows = [given]
             rows += [layers[-1][:, np.arange(size + 1) != j] for j in range(size + 1)] if layers else []
             rows = np.concatenate(rows)
             rows = rows[np.lexsort(rows.T[::-1])]  # lexicographic, so repeats are adjacent
@@ -286,13 +309,22 @@ def _looks_like_distance_matrix(arr: np.ndarray) -> bool:
     )
 
 
+def check_point_pairs(n: int) -> None:
+    """Raise TdaError if n points make more than ``MAX_POINT_PAIRS`` pairs."""
+    if n * n > MAX_POINT_PAIRS:
+        raise TdaError(f"{n:,} points make {n * n:,} distance pairs, over {MAX_POINT_PAIRS:,}")
+
+
 def squared_distance_matrix(data, precomputed: bool | None = None) -> np.ndarray:
     """Squared pairwise distances from points or a precomputed matrix.
 
     With precomputed=None, a square symmetric zero-diagonal array is taken
     to be a distance matrix; anything else is taken to be coordinates.
+    Either way the result is n x n for the n rows of data: over
+    ``MAX_POINT_PAIRS`` pairs it raises before any is made.
     """
     arr = np.asarray(data, dtype=float)
+    check_point_pairs(len(arr) if arr.ndim else 0)
     if precomputed is None:
         precomputed = _looks_like_distance_matrix(arr)
     if precomputed:

@@ -7,14 +7,16 @@ one column-reduction kernel :func:`reduce_columns`: homology
 (:func:`quotients`: one sweep down the degrees, each boundary reduced
 once, a d_k column at a pivot row of d_{k+1} skipped), the persistence
 barcode (coboundary columns, with clearing), the zigzag sweep, and the
-dense routines :func:`rank`, :func:`kernel_basis`, :func:`solve` and
-:func:`rref`, read off the reduction of a matrix's columns with unit
-tracks. A quotient keeps its representatives as the sparse reduction
-tracks. numpy int64 arrays appear only at the interface: arguments, and
-results as views that :meth:`ColumnMatrix.dense` builds, or refuses over
-``MAX_DENSE_BYTES``. Both are converted in Python: at stalk sizes a numpy
-call costs more than the arithmetic. Each column is reduced at its pivot
-(largest row) by earlier columns only, so every routine is deterministic.
+dense routines :func:`rank` and :func:`kernel_basis`, read off the
+reduction of a matrix's columns (the kernel with unit tracks). The one
+product is :meth:`ColumnMatrix.compose`. A quotient keeps its
+representatives as the sparse reduction tracks. numpy int64 arrays
+appear only at the interface: arguments, which :func:`as_columns` turns
+into columns, and results as views that :meth:`ColumnMatrix.dense`
+builds, or refuses over ``MAX_DENSE_BYTES``. Both are converted in
+Python: at stalk sizes a numpy call costs more than the arithmetic. Each
+column is reduced at its pivot (largest row) by earlier columns only, so
+every routine is deterministic.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .errors import InternalInconsistencyError, TdaError
 
 MAX_DENSE_BYTES = 2**30  # check_dense raises, before any dense allocation, over this
 MAX_FIELD = 2**15  # a field characteristic is a prime below this
+INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1  # the range of a matrix entry
 
 
 def check_prime(p) -> int:
@@ -44,16 +47,23 @@ def check_prime(p) -> int:
 
 def integer_array(A) -> np.ndarray:
     """A as an int64 array. Integral floats (``np.eye``) pass; any other
-    entry raises, naming the first, where a cast would truncate it."""
+    entry, or an integer past int64, raises, naming the first, where a cast
+    would truncate, wrap or overflow it."""
     M = np.asarray(A)
-    if M.dtype.kind in "biu":
+    if M.dtype.kind in "bi":
         return M.astype(np.int64, copy=False)
+    if M.dtype.kind in "uO" or not isinstance(A, np.ndarray):  # numpy holds integers past int64
+        for at, x in np.ndenumerate(np.asarray(A, dtype=object)):  # as uint64 (a cast wraps), float or object
+            if isinstance(x, (int, np.integer)) and not INT64_MIN <= int(x) <= INT64_MAX:
+                raise TdaError(f"matrix entries must fit in 64-bit integers, got {int(x)} at {at}")
     with np.errstate(invalid="ignore"):
         I = M.astype(np.int64)
     bad = np.flatnonzero(I != M)
     if bad.size:
         at = tuple(int(i) for i in np.unravel_index(bad[0], M.shape))
-        raise TdaError(f"matrix entries must be integers, got {M.item(at)!r} at {at}")
+        x = M.item(at)
+        rule = "fit in 64-bit integers" if isinstance(x, float) and x.is_integer() else "be integers"
+        raise TdaError(f"matrix entries must {rule}, got {x!r} at {at}")
     return I
 
 
@@ -71,34 +81,6 @@ def check_dense(n_rows: int, n_cols: int) -> None:
         raise TdaError(f"a dense {n_rows} x {n_cols} matrix would take {size:,} bytes, over {MAX_DENSE_BYTES:,}")
 
 
-def normalize(A, p: int) -> np.ndarray:
-    """Coerce to a 2-D int64 array with entries in [0, p), p a prime."""
-    M = integer_array(A)
-    if M.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got shape {M.shape}")
-    return M % check_prime(p)
-
-
-def rref(A, p: int):
-    """Reduced row echelon form mod p. Returns (R, pivot_columns), read off
-    :func:`reduce_columns` with unit tracks. A column that stays nonzero
-    is a pivot column, independent of the earlier ones. A column j that
-    reduces to zero has a track e_j plus earlier pivot columns; negated,
-    its entries there are the coordinates of column j on them, column j
-    of R."""
-    cols = as_columns(A, p)
-    rows: dict[int, int] = {}  # pivot column -> its row of R
-    out = []
-    units = ({j: 1} for j in range(len(cols.cols)))
-    for j, (piv, _, track) in enumerate(reduce_columns(cols.cols, p, None, units)):
-        if piv is not None:
-            rows[j] = len(rows)
-            out.append({rows[j]: 1})
-        else:
-            out.append({rows[i]: -c % p for i, c in track.items() if i != j})
-    return ColumnMatrix(cols.n_rows, out).dense(), list(rows)
-
-
 def rank(A, p: int) -> int:
     """The number of columns that stay nonzero under :func:`reduce_columns`."""
     return sum(piv is not None for piv, _, _ in reduce_columns(as_columns(A, p).cols, p))
@@ -106,36 +88,13 @@ def rank(A, p: int) -> int:
 
 def kernel_basis(A, p: int) -> np.ndarray:
     """Column basis of the null space of A, shape (n_cols, nullity): the
-    tracks of the columns that reduce to zero, which is the rref's basis,
-    e_j plus earlier pivot columns for each free column j."""
+    tracks of the columns that reduce to zero, e_j plus earlier pivot
+    columns for each free column j (the basis read off the reduced row
+    echelon form)."""
     cols = as_columns(A, p).cols
     units = ({j: 1} for j in range(len(cols)))
     kernel = [track for piv, _, track in reduce_columns(cols, p, None, units) if piv is None]
     return ColumnMatrix(len(cols), kernel).dense()
-
-
-def solve(A, B, p: int):
-    """One solution X of A X = B mod p, or None if inconsistent.
-
-    B may be a vector or a matrix of stacked right-hand sides; X is zero
-    at every free variable, so the solution is deterministic.
-    """
-    rhs = np.asarray(B)
-    squeeze = rhs.ndim == 1
-    rhs = as_columns(rhs[:, None] if squeeze else rhs, p)
-    cols = as_columns(A, p)
-    if rhs.n_rows != cols.n_rows:
-        raise ValueError("right-hand side has wrong number of rows")
-    pivots: dict = {}
-    units = ({j: 1} for j in range(len(cols.cols)))
-    for _ in reduce_columns(cols.cols, p, pivots, units):
-        pass
-    X = _coordinates(rhs.cols, pivots, len(cols.cols), p)
-    return X[:, 0] if squeeze and X is not None else X
-
-
-def matmul(A, B, p: int) -> np.ndarray:
-    return (normalize(A, p) @ normalize(B, p)) % p
 
 
 @dataclass
@@ -196,10 +155,14 @@ def sparse_columns(rows: np.ndarray, coeffs: np.ndarray, bounds):
 
 
 def as_columns(A, p: int) -> ColumnMatrix:
-    """A :class:`ColumnMatrix` as given, or the columns of a dense matrix."""
+    """A :class:`ColumnMatrix` as given, or the columns of a dense 2-D
+    matrix (:func:`integer_array`), entries reduced to [1, p)."""
     if isinstance(A, ColumnMatrix):
         return A
-    M = normalize(A, p)
+    M = integer_array(A)
+    if M.ndim != 2:
+        raise ValueError(f"expected a 2-D matrix, got shape {M.shape}")
+    M = M % check_prime(p)
     cols: list[dict] = [{} for _ in range(M.shape[1])]
     for r, row in enumerate(M.tolist()):  # in Python: at stalk sizes a numpy call costs more
         for col, x in zip(cols, row):
@@ -259,8 +222,8 @@ def quotients(boundaries, p: int) -> list["Quotient"]:
     of d_k at no pivot row of d_{k+1} with unit tracks; the others would
     reduce to zero (clearing). The nonzero columns, tracks dropped, are the
     image of degree k - 1, as reducing all of d_k stores it. A column j
-    reducing to zero has a track e_j plus earlier columns (the rref kernel
-    vector of free column j), independent of the image and the earlier
+    reducing to zero has a track e_j plus earlier columns (the kernel
+    vector of free column j in :func:`kernel_basis`), independent of the image and the earlier
     tracks by the pairing lemma: the representatives, the leftmost-pivot
     extension of an image basis. ``_paired``: image pivot row -> column."""
     ds = [as_columns(d, p) for d in boundaries]

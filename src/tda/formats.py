@@ -27,7 +27,7 @@ from typing import Iterator
 import numpy as np
 
 from . import fields
-from .complexes import IntervalCover, SimplicialComplex, build_complex, simplex
+from .complexes import IntervalCover, SimplicialComplex, build_complex, check_point_pairs, simplex
 from .cosheaf import SimplicialCosheaf, _check_stalks, codim1_pairs
 from .errors import TdaError
 from .persistence import _NONE, Bar, Barcode, FilteredComplex
@@ -61,6 +61,7 @@ def parse_distance_matrix(text: str) -> np.ndarray:
     """Lower-triangular rows; line j (0-based) must hold j+1 entries."""
     lines = _nonblank_lines(text)
     n = len(lines) + 1
+    check_point_pairs(n)
     D = np.zeros((n, n), dtype=float)
     for j, line in enumerate(lines):
         parts = line.replace(",", " ").split()
@@ -116,11 +117,15 @@ def parse_filtration(text: str) -> FilteredComplex:
 
 
 def _matrix(entries: list[str], shape: tuple[int, int], name: str, *args) -> np.ndarray:
-    """The row-major integer entries, each converted before they are counted, as
-    an int64 matrix of this shape; ``name % args`` names the line, in an error only."""
+    """The row-major integer entries, each converted before they are counted
+    and range-checked after, as an int64 matrix of this shape; ``name % args``
+    names the line, in an error only."""
     values = [int(x) for x in entries]
     if len(values) != shape[0] * shape[1]:
         raise TdaError(f"{name % args} needs {shape[0] * shape[1]} entries, got {len(values)}")
+    if values and not fields.INT64_MIN <= min(values) <= max(values) <= fields.INT64_MAX:
+        t = next(t for t, x in enumerate(values) if not fields.INT64_MIN <= x <= fields.INT64_MAX)
+        raise TdaError(f"{name % args}: entries must fit in 64-bit integers, got {values[t]} at {divmod(t, shape[1])}")
     return np.asarray(values, dtype=np.int64).reshape(shape)
 
 

@@ -168,7 +168,7 @@ def generalized_rank(z: ZigzagModule, b: int, d: int, field: int = 2) -> int:
     sub = z.restriction(b, d)
     _, projections = limit(sub, field)
     _, inclusions = colimit(sub, field)
-    canonical = fields.matmul(inclusions[0], projections[0], field)
+    canonical = fields.as_columns(inclusions[0], field).compose(fields.as_columns(projections[0], field), field)
     return fields.rank(canonical, field)
 
 

@@ -453,10 +453,10 @@ def twisted_constant_cosheaf(rng: np.random.Generator, K: SimplicialComplex, n: 
 
     twists = {s: random_invertible(rng, n, field) for s in K.simplices}
     inverses = {
-        s: fields.solve(A, np.eye(n, dtype=np.int64), field) for s, A in twists.items()
+        s: solve(A, np.eye(n, dtype=np.int64), field) for s, A in twists.items()
     }
     maps = {
-        (face, coface): fields.matmul(inverses[face], twists[coface], field)
+        (face, coface): matmul(inverses[face], twists[coface], field)
         for face, coface in codim1_pairs(K)
     }
     return SimplicialCosheaf(base=K, stalks={s: n for s in K.simplices}, maps=maps)
@@ -521,10 +521,64 @@ def gf2_rank_reference(A) -> int:
         rank += 1
 
 
+# The former dense routines of ``tda.fields``, which no library code calls:
+# kept here as oracles, and for building test inputs.
+def normalize(A, p: int) -> np.ndarray:
+    """Coerce to a 2-D int64 array with entries in [0, p), p a prime."""
+    M = fields.integer_array(A)
+    if M.ndim != 2:
+        raise ValueError(f"expected a 2-D matrix, got shape {M.shape}")
+    return M % fields.check_prime(p)
+
+
+def rref(A, p: int):
+    """Reduced row echelon form mod p. Returns (R, pivot_columns), read off
+    :func:`reduce_columns` with unit tracks. A column that stays nonzero
+    is a pivot column, independent of the earlier ones. A column j that
+    reduces to zero has a track e_j plus earlier pivot columns; negated,
+    its entries there are the coordinates of column j on them, column j
+    of R. Checked against ``rref_oracle``."""
+    cols = fields.as_columns(A, p)
+    rows: dict[int, int] = {}  # pivot column -> its row of R
+    out = []
+    units = ({j: 1} for j in range(len(cols.cols)))
+    for j, (piv, _, track) in enumerate(fields.reduce_columns(cols.cols, p, None, units)):
+        if piv is not None:
+            rows[j] = len(rows)
+            out.append({rows[j]: 1})
+        else:
+            out.append({rows[i]: -c % p for i, c in track.items() if i != j})
+    return fields.ColumnMatrix(cols.n_rows, out).dense(), list(rows)
+
+
+def solve(A, B, p: int):
+    """One solution X of A X = B mod p, or None if inconsistent.
+
+    B may be a vector or a matrix of stacked right-hand sides; X is zero
+    at every free variable, so the solution is deterministic.
+    """
+    rhs = np.asarray(B)
+    squeeze = rhs.ndim == 1
+    rhs = fields.as_columns(rhs[:, None] if squeeze else rhs, p)
+    cols = fields.as_columns(A, p)
+    if rhs.n_rows != cols.n_rows:
+        raise ValueError("right-hand side has wrong number of rows")
+    pivots: dict = {}
+    units = ({j: 1} for j in range(len(cols.cols)))
+    for _ in fields.reduce_columns(cols.cols, p, pivots, units):
+        pass
+    X = fields._coordinates(rhs.cols, pivots, len(cols.cols), p)
+    return X[:, 0] if squeeze and X is not None else X
+
+
+def matmul(A, B, p: int) -> np.ndarray:
+    return (normalize(A, p) @ normalize(B, p)) % p
+
+
 def rref_oracle(A, p: int):
     """Reduced row echelon form mod p by numpy row operations, one numpy
     call per pivot: the library's former elimination, kept as the oracle
-    for ``fields.rref``. Same pivot rule: leftmost column, then topmost
+    for ``rref``. Same pivot rule: leftmost column, then topmost
     row. Returns (R, pivot_columns)."""
     R = np.asarray(A, dtype=np.int64) % p
     m, n = R.shape
@@ -557,11 +611,11 @@ def dense_quotient(low, high, p: int, V):
     image basis]. Returns (representatives, coordinates of the columns of
     V), the coordinates None when some column of V is not a cycle."""
     Z = fields.kernel_basis(low, p)
-    _, pivots = fields.rref(np.hstack([high, Z]), p)
+    _, pivots = rref(np.hstack([high, Z]), p)
     nb = high.shape[1]
     reps = Z[:, [c - nb for c in pivots if c >= nb]]
     image = high[:, [c for c in pivots if c < nb]]
-    X = fields.solve(np.hstack([reps, image]), V, p)
+    X = solve(np.hstack([reps, image]), V, p)
     return reps, None if X is None else X[: reps.shape[1]]
 
 

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 import tda
 from conftest import FIXTURES, linear_cosheaves, octagon_circle, random_complex, small_zigzags, twisted_constant_cosheaf
-from tda import cli, fields, formats, zigzag
+from tda import cli, complexes, fields, formats, zigzag
 from tda import cosheaf as C
 from tda.errors import NonlinearNerveError, TdaError
 from tda.persistence import Bar, Barcode
@@ -378,6 +378,96 @@ def test_dimension_totals_are_bounded(tmp_path, capsys, monkeypatch):
         path = tmp_path / f"input.{command}"
         path.write_text(text + "\n")
         assert run_cli(capsys, command, "--input", str(path)) == tuple(result), text
+
+
+def test_matrix_entries_must_fit_in_int64(tmp_path, capsys):
+    """An entry past int64 is refused by both parsers, naming its line and
+    its place, and by a constructor, where numpy would overflow, wrap or
+    round it, or has made it a float; the CLI exits 1 with the message.
+    Both int64 extremes pass."""
+    lo, hi = -(2**63), 2**63 - 1
+    big = "99999999999999999999"
+    fit = "entries must fit in 64-bit integers, got"
+    cosheaf = "0 1\nstalk 0 1\nstalk 1 1\nstalk 0,1 1\nmap 0 0,1 %s\nmap 1 0,1 %s\n"
+    refused = [
+        (formats.parse_zigzag, "dims 1 1\nfwd %s\n" % big, f"arrow 0: {fit} {big} at (0, 0)"),
+        (formats.parse_zigzag, f"dims 2 2\nfwd 1 2 3 {lo - 1}\n", f"arrow 0: {fit} {lo - 1} at (1, 1)"),
+        (formats.parse_cosheaf, cosheaf % (big, 1), f"map (0,) <- (0, 1): {fit} {big} at (0, 0)"),
+        (formats.parse_cosheaf, cosheaf % (1, hi + 1), f"map (1,) <- (0, 1): {fit} {hi + 1} at (0, 0)"),
+        (lambda A: zigzag.ZigzagModule([1, 1], [(zigzag.FORWARD, A)]), [[10**20]], f"matrix {fit} {10**20} at (0, 0)"),
+        (lambda A: zigzag.ZigzagModule([1, 2], [(zigzag.FORWARD, A)]), [[1], [hi + 1]], f"matrix {fit} {hi + 1} at (1, 0)"),
+        (lambda A: zigzag.ZigzagModule([1, 1], [(zigzag.FORWARD, A)]), np.array([[hi + 1]], np.uint64), f"matrix {fit} {hi + 1} at (0, 0)"),
+        (lambda A: zigzag.ZigzagModule([1, 1], [(zigzag.FORWARD, A)]), np.array([[2.0**63]]), f"matrix {fit} {2.0**63!r} at (0, 0)"),
+    ]
+    for make, data, message in refused:
+        with pytest.raises(TdaError) as info:
+            make(data)
+        assert str(info.value) == message
+    assert formats.parse_zigzag(f"dims 1 2\nfwd {lo} {hi}\n").arrows[0][1].tolist() == [[lo], [hi]]
+    assert [M.tolist() for M in formats.parse_cosheaf(cosheaf % (lo, hi)).maps.values()] == [[[lo]], [[hi]]]
+    assert zigzag.ZigzagModule([1, 2], [(zigzag.FORWARD, [[lo], [hi]])]).arrows[0][1].tolist() == [[lo], [hi]]
+    for command, make, text, message in (("zigzag", *refused[0]), ("cosheaf", *refused[2])):
+        path = tmp_path / f"big.{command}"
+        path.write_text(text)
+        assert run_cli(capsys, command, "--input", str(path)) == (1, "", f"error: {message}\n")
+
+
+def test_complex_closure_is_bounded(tmp_path, capsys, monkeypatch):
+    """Closing a complex under faces counts each layer's candidate vertex
+    ids and the boundary nonzeros of the layers kept before it makes the
+    layer. The triangle [0, 1, 2] holds 9 nonzeros when its vertex layer is
+    sliced, after its two other layers are made, and three bare vertices 3
+    vertex ids: each passes a bound equal to its total and is refused,
+    under one less, before the vertex layer is made, by the constructor, by
+    ``parse_complex`` and by ``tda homology`` (exit code 1)."""
+    cases = [
+        ("0 1 2", "6 vertex ids in dimension 0 and 9 boundary nonzeros", 9, 2, "H_0=1\nH_1=0\nH_2=0\n"),
+        ("0\n1\n2", "3 vertex ids in dimension 0 and 0 boundary nonzeros", 3, 0, "H_0=3\n"),
+    ]
+    for text, counts, bound, made, betti in cases:
+        simplices = [list(map(int, line.split())) for line in text.splitlines()]
+        path = tmp_path / "complex.txt"
+        path.write_text(text + "\n")
+        monkeypatch.setattr(complexes, "MAX_COMPLEX_ENTRIES", bound)
+        assert len(tda.build_complex(simplices)) == len(formats.parse_complex(text))
+        assert run_cli(capsys, "homology", "--complex", str(path)) == (0, betti, "")
+        monkeypatch.setattr(complexes, "MAX_COMPLEX_ENTRIES", bound - 1)
+        message = f"closing the complex under faces would take {counts}, over {bound - 1}"
+        for make in (lambda: tda.SimplicialComplex(simplices), lambda: formats.parse_complex(text)):
+            with mock.patch.object(np, "lexsort", wraps=np.lexsort) as sort:  # one call per layer made
+                with pytest.raises(TdaError, match=f"^{message}$"):
+                    make()
+            assert sort.call_count == made
+        assert run_cli(capsys, "homology", "--complex", str(path)) == (1, "", f"error: {message}\n")
+
+
+def test_point_pairs_are_bounded(tmp_path, capsys, monkeypatch):
+    """Four points make 16 distance pairs: they pass a bound of 16 and are
+    refused under 15, as points and as a distance matrix, by
+    ``squared_distance_matrix`` and ``parse_distance_matrix`` before their
+    n x n results are made, and by ``tda rips`` on a point file and on a
+    distance file (exit code 1)."""
+    pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    D = np.sqrt(complexes.squared_distance_matrix(pts, False))
+    points, distances = tmp_path / "points.csv", tmp_path / "distances.txt"
+    points.write_text("".join(f"{x!r},{y!r}\n" for x, y in pts.tolist()))
+    distances.write_text("".join(" ".join(map(repr, D[i, :i].tolist())) + "\n" for i in range(1, 4)))
+    argvs = [["rips", "--input", str(points)], ["rips", "--distances", str(distances)]]
+    monkeypatch.setattr(complexes, "MAX_POINT_PAIRS", 16)
+    assert complexes.squared_distance_matrix(D, True).shape == (4, 4)
+    outputs = [run_cli(capsys, *argv, "--max-radius", "1") for argv in argvs]
+    assert outputs[0] == outputs[1] and outputs[0][0] == 0
+    monkeypatch.setattr(complexes, "MAX_POINT_PAIRS", 15)
+    message = "4 points make 16 distance pairs, over 15"
+    for data, precomputed in ((pts, False), (D, True), (pts, None)):
+        with mock.patch.object(np, "empty", side_effect=AssertionError("allocated")):
+            with pytest.raises(TdaError, match=f"^{message}$"):
+                complexes.squared_distance_matrix(data, precomputed)
+    with mock.patch.object(np, "zeros", side_effect=AssertionError("allocated")):
+        with pytest.raises(TdaError, match=f"^{message}$"):
+            formats.parse_distance_matrix(distances.read_text())
+    for argv in argvs:
+        assert run_cli(capsys, *argv, "--max-radius", "1") == (1, "", f"error: {message}\n")
 
 
 def test_cli_cosheaf_open_interval(tmp_path, capsys):

@@ -7,7 +7,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import dense_quotient, gf2_rank_reference, hollow_triangle, random_complex, rref_oracle
+from conftest import (
+    dense_quotient,
+    gf2_rank_reference,
+    hollow_triangle,
+    matmul,
+    random_complex,
+    rref,
+    rref_oracle,
+    solve,
+)
 from tda import fields
 from tda.errors import InternalInconsistencyError, TdaError
 from tda.homology import boundary_matrix
@@ -38,7 +47,7 @@ def test_check_prime():
 
 @pytest.mark.parametrize("p", [3.5, 2.0, "3", 2**61 - 1])
 def test_check_prime_rejects_non_integers_and_large_primes(p):
-    """As every dense routine does through ``normalize``. The prime 2^61 - 1
+    """As every dense routine does through ``as_columns``. The prime 2^61 - 1
     is refused by its size before a trial division up to its square root."""
     with pytest.raises(ValueError, match="field characteristic must be a prime < 2\\^15"):
         fields.check_prime(p)
@@ -53,18 +62,18 @@ def test_check_prime_accepts_numpy_integers_as_int():
 
 def test_non_integral_entries_are_rejected_naming_the_first():
     with pytest.raises(TdaError, match=r"^matrix entries must be integers, got 2.7 at \(0, 0\)$"):
-        fields.normalize([[2.7]], 5)
+        fields.as_columns([[2.7]], 5)
     with pytest.raises(TdaError, match=r"^matrix entries must be integers, got nan at \(1, 0\)$"):
         fields.rank(np.array([[1.0, 2.0], [np.nan, 0.5]]), 3)
-    assert fields.normalize(np.eye(2), 5).tolist() == [[1, 0], [0, 1]]
-    assert fields.normalize([[-1.0, 7.0]], 5).dtype == np.int64
+    assert fields.as_columns(np.eye(2), 5).dense().tolist() == [[1, 0], [0, 1]]
+    assert fields.as_columns([[-1.0, 7.0]], 5).cols == [{0: 4}, {0: 2}]
 
 
 def test_gf2_rank_matches_rref_and_reference():
     rng = np.random.default_rng(40)
     for _ in range(30):
         A = rng.integers(0, 2, size=(rng.integers(0, 9), rng.integers(0, 9)))
-        assert fields.rank(A, 2) == len(fields.rref(A, 2)[1]) == gf2_rank_reference(A)
+        assert fields.rank(A, 2) == len(rref(A, 2)[1]) == gf2_rank_reference(A)
 
 
 @st.composite
@@ -84,7 +93,7 @@ def elimination_cases(draw):
 @given(elimination_cases())
 def test_rref_kernel_and_solve_match_the_numpy_elimination(case):
     A, B, p = case
-    R, pivots = fields.rref(A, p)
+    R, pivots = rref(A, p)
     R_oracle, pivots_oracle = rref_oracle(A, p)
     assert R.dtype == R_oracle.dtype == np.int64
     assert R.shape == R_oracle.shape == A.shape
@@ -103,7 +112,7 @@ def test_rref_kernel_and_solve_match_the_numpy_elimination(case):
 
     rhs = B[:, None] if B.ndim == 1 else B
     R_aug, pivots_aug = rref_oracle(np.hstack([A, rhs]), p)
-    X = fields.solve(A, B, p)
+    X = solve(A, B, p)
     if any(c >= n for c in pivots_aug):
         assert X is None
         return
@@ -121,26 +130,26 @@ def test_dense_routines_on_empty_and_zero_matrices(shape, p):
     """Zero rows or zero columns survive the round trip through row lists."""
     m, n = shape
     A = np.zeros(shape, dtype=np.int64)
-    R, pivots = fields.rref(A, p)
+    R, pivots = rref(A, p)
     assert R.dtype == np.int64 and R.shape == shape and not R.any() and pivots == []
     assert fields.rank(A, p) == 0
     K = fields.kernel_basis(A, p)
     assert K.dtype == np.int64
     assert np.array_equal(K, np.eye(n, dtype=np.int64)) and K.shape == (n, n)
-    X = fields.solve(A, np.zeros(m, dtype=np.int64), p)
+    X = solve(A, np.zeros(m, dtype=np.int64), p)
     assert X.dtype == np.int64 and X.shape == (n,) and not X.any()
-    X = fields.solve(A, np.zeros((m, 2), dtype=np.int64), p)
+    X = solve(A, np.zeros((m, 2), dtype=np.int64), p)
     assert X.dtype == np.int64 and X.shape == (n, 2) and not X.any()
     if m:
-        assert fields.solve(A, np.ones(m, dtype=np.int64), p) is None
+        assert solve(A, np.ones(m, dtype=np.int64), p) is None
 
 
 def test_kernel_and_solve_on_empty_shapes():
     assert np.array_equal(fields.kernel_basis(np.zeros((0, 3)), 2), np.eye(3, dtype=np.int64))
     assert fields.kernel_basis(np.zeros((3, 0)), 2).shape == (0, 0)
-    assert fields.solve(np.zeros((0, 2)), np.zeros(0), 3).tolist() == [0, 0]
+    assert solve(np.zeros((0, 2)), np.zeros(0), 3).tolist() == [0, 0]
     with pytest.raises(ValueError):
-        fields.solve(np.zeros((2, 2)), np.zeros((2, 1, 1)), 3)
+        solve(np.zeros((2, 2)), np.zeros((2, 1, 1)), 3)
 
 
 def test_kernel_basis_spans_the_kernel():
@@ -149,7 +158,7 @@ def test_kernel_basis_spans_the_kernel():
         for _ in range(10):
             A = rng.integers(0, p, size=(rng.integers(1, 7), rng.integers(1, 7)))
             K = fields.kernel_basis(A, p)
-            assert not fields.matmul(A, K, p).any()
+            assert not matmul(A, K, p).any()
             assert K.shape[1] == A.shape[1] - fields.rank(A, p)
             assert fields.rank(K, p) == K.shape[1]
 
@@ -160,12 +169,12 @@ def test_solve_round_trip_and_inconsistency():
         for _ in range(10):
             A = rng.integers(0, p, size=(5, 4))
             x = rng.integers(0, p, size=4)
-            b = fields.matmul(A, x[:, None], p)[:, 0]
-            got = fields.solve(A, b, p)
+            b = matmul(A, x[:, None], p)[:, 0]
+            got = solve(A, b, p)
             assert got is not None
-            assert np.array_equal(fields.matmul(A, got[:, None], p)[:, 0], b)
+            assert np.array_equal(matmul(A, got[:, None], p)[:, 0], b)
     A = np.array([[1, 0], [0, 0]])
-    assert fields.solve(A, np.array([0, 1]), 2) is None
+    assert solve(A, np.array([0, 1]), 2) is None
 
 
 def test_quotient_representatives_are_independent_mod_image():
@@ -177,7 +186,7 @@ def test_quotient_representatives_are_independent_mod_image():
             # build a valid d_high whose image lies inside ker(low)
             ker = fields.kernel_basis(low, p)
             mix = rng.integers(0, p, size=(ker.shape[1], 3))
-            high = fields.matmul(ker, mix, p)
+            high = matmul(ker, mix, p)
             quotient = fields.Quotient(low, high, p)
             stacked = np.hstack([high, quotient.representatives])
             assert fields.rank(stacked, p) == fields.rank(high, p) + quotient.dimension
@@ -196,9 +205,9 @@ def quotient_cases(draw):
                    dtype=np.int64).reshape(m, n)
     Z = fields.kernel_basis(low, p)
     mix = draw(st.lists(st.integers(0, p - 1), min_size=Z.shape[1] * k, max_size=Z.shape[1] * k))
-    high = fields.matmul(Z, np.array(mix, dtype=np.int64).reshape(Z.shape[1], k), p)
+    high = matmul(Z, np.array(mix, dtype=np.int64).reshape(Z.shape[1], k), p)
     coeffs = draw(st.lists(st.integers(0, p - 1), min_size=Z.shape[1] * r, max_size=Z.shape[1] * r))
-    V = fields.matmul(Z, np.array(coeffs, dtype=np.int64).reshape(Z.shape[1], r), p)
+    V = matmul(Z, np.array(coeffs, dtype=np.int64).reshape(Z.shape[1], r), p)
     return low, high, V, p
 
 
@@ -235,7 +244,7 @@ def test_quotients_sweep_matches_dense_recipe_in_every_degree(seed, p):
     assert len(swept) == len(ds) - 1
     for low, high, quotient in zip(ds, ds[1:], swept):
         Z = fields.kernel_basis(low, p)
-        V = fields.matmul(Z, rng.integers(0, p, size=(Z.shape[1], 3)), p)
+        V = matmul(Z, rng.integers(0, p, size=(Z.shape[1], 3)), p)
         reps, coords = dense_quotient(low, high, p, V)
         assert quotient.dimension == reps.shape[1]
         assert np.array_equal(quotient.representatives, reps)
@@ -266,7 +275,7 @@ def test_coordinates_check_their_size_before_reducing(monkeypatch):
             q.coordinates(cycle)
     monkeypatch.setattr(fields, "MAX_DENSE_BYTES", 15)
     with pytest.raises(TdaError, match=r"^a dense 2 x 1 matrix would take 16 bytes, over 15$"):
-        fields.solve(np.array([[1, 0], [0, 0]]), np.array([0, 1]), 2)
+        solve(np.array([[1, 0], [0, 0]]), np.array([0, 1]), 2)
 
 
 def assert_unit_dicts(columns, p):
@@ -296,7 +305,7 @@ def test_every_sparse_column_is_a_dict_of_units(seed, p):
     assert sliced == built.cols
     product = built.compose(fields.as_columns(B, p), p)
     assert_unit_dicts(product.cols, p)
-    assert np.array_equal(product.dense(), fields.matmul(A, B, p))
+    assert np.array_equal(product.dense(), matmul(A, B, p))
     pivots: dict = {}
     units = ({j: 1} for j in range(n))
     for piv, col, track in fields.reduce_columns(built.cols, p, pivots, units):

@@ -15,6 +15,7 @@ from conftest import (
     grid_torus,
     hollow_triangle,
     interval_complex,
+    matmul,
     random_complex,
     small_clouds,
     solid_triangle,
@@ -83,7 +84,7 @@ def test_boundary_squares_to_zero_random():
         for _ in range(10):
             K = random_complex(rng)
             for p in range(1, K.dimension + 1):
-                prod = fields.matmul(
+                prod = matmul(
                     boundary_matrix(K, p, field), boundary_matrix(K, p + 1, field), field
                 )
                 assert not prod.any()
@@ -109,7 +110,7 @@ def test_coboundary_squares_to_zero():
     for _ in range(5):
         K = random_complex(rng)
         for p in range(0, max(K.dimension, 1)):
-            prod = fields.matmul(
+            prod = matmul(
                 coboundary_matrix(K, p + 1, 3), coboundary_matrix(K, p, 3), 3
             )
             assert not prod.any()
@@ -148,7 +149,7 @@ def test_cycle_basis_consists_of_cycles():
     res = tda.homology(K, 1, 5)
     D = boundary_matrix(K, 1, 5)
     for z in res.cycle_basis:
-        assert not fields.matmul(D, z[:, None], 5).any()
+        assert not matmul(D, z[:, None], 5).any()
 
 
 def test_homology_equals_cohomology_dimension():
@@ -276,10 +277,10 @@ def test_chain_map_commutes_with_boundary():
         image = {v: int(rng.integers(0, 5)) for v in K.vertices()}
         L = tda.build_complex([sorted({image[v] for v in s}) for s in K.simplices] or [[0]])
         for p in range(1, K.dimension + 1):
-            lhs = fields.matmul(
+            lhs = matmul(
                 chain_map(image, K, L, p - 1, 3), tda.boundary_matrix(K, p, 3), 3
             )
-            rhs = fields.matmul(
+            rhs = matmul(
                 tda.boundary_matrix(L, p, 3), chain_map(image, K, L, p, 3), 3
             )
             assert np.array_equal(lhs, rhs)
@@ -296,7 +297,7 @@ def test_functoriality_of_induced_maps():
         gf = {v: g[f[v]] for v in K.vertices()}
         for p in (0, 1):
             left = induced_map(gf, K, Mcx, p, 2)
-            right = fields.matmul(
+            right = matmul(
                 induced_map(g, L, Mcx, p, 2), induced_map(f, K, L, p, 2), 2
             )
             assert np.array_equal(left, right)

@@ -12,10 +12,12 @@ from conftest import (
     dense_limit,
     gf2_rank_reference,
     long_zigzags,
+    matmul,
     random_invertible,
     random_zigzag,
     small_diagrams,
     small_zigzags,
+    solve,
     torus_leray_zigzag,
     zigzag_bars_oracle,
 )
@@ -104,7 +106,7 @@ def test_limit_projections_commute_with_morphisms():
             _, projections = Z.limit(d, field)
             for s, t, M in d.morphisms:
                 assert np.array_equal(
-                    fields.matmul(M, projections[s], field), projections[t] % field
+                    matmul(M, projections[s], field), projections[t] % field
                 )
 
 
@@ -135,7 +137,7 @@ def test_colimit_inclusions_commute_with_morphisms():
             _, inclusions = Z.colimit(d, field)
             for s, t, M in d.morphisms:
                 assert np.array_equal(
-                    fields.matmul(inclusions[t], M, field), inclusions[s] % field
+                    matmul(inclusions[t], M, field), inclusions[s] % field
                 )
 
 
@@ -199,7 +201,7 @@ def test_generalized_rank_equals_composite_rank_when_forward():
                 M = np.eye(dims[b], dtype=np.int64)
                 for d in range(b, 4):
                     if d > b:
-                        M = fields.matmul(maps[d - 1], M, field)
+                        M = matmul(maps[d - 1], M, field)
                     assert Z.generalized_rank(z, b, d, field) == fields.rank(M, field)
 
 
@@ -432,7 +434,7 @@ def test_decompose_zigzag_is_invariant_under_a_change_of_basis(seed, field, n):
         M = np.eye(*shape, dtype=np.int64) if rng.random() < 0.5 else rng.integers(0, field, shape)
         arrows.append((direction, M))
     P = [random_invertible(rng, d, field) for d in dims]
-    inverse = [fields.solve(Q, np.eye(len(Q), dtype=np.int64), field) for Q in P]
+    inverse = [solve(Q, np.eye(len(Q), dtype=np.int64), field) for Q in P]
     moved = [
         (direction, P[i + 1] @ M @ inverse[i] if direction == Z.FORWARD else P[i] @ M @ inverse[i + 1])
         for i, (direction, M) in enumerate(arrows)
