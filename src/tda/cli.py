@@ -252,7 +252,7 @@ def _leray_command(args: argparse.Namespace) -> int:
 def _sublevel_command(args: argparse.Namespace) -> int:
     M, cover = _mapped_complex_and_cover(args)
     module = leray.sublevel_module(M, cover, args.degree, args.thresholds, args.field)
-    ranks = [int(fields.rank(Mx, args.field)) for Mx in module.maps]
+    ranks = [int(Mx.sum()) for Mx in module.maps]  # a bar goes to itself or to 0, so rank = number of ones
     payload = {
         "degree": args.degree,
         "dims": module.dims,

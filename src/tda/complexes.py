@@ -22,12 +22,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from . import fields
-from .errors import InvalidMetricError, MalformedSimplexError, NonlinearNerveError, TdaError
+from .errors import InvalidMetricError, MalformedSimplexError, MissingVertexValueError, NonlinearNerveError, TdaError
 
 TOL = 1e-9
 # Largest predicted Rips/Čech simplex count. `tda rips --output` peaks at ~250 bytes
@@ -219,6 +219,14 @@ class SimplicialComplex:
             return self._verts[p], self._faces[p]
         empty = np.zeros((0, max(p + 1, 0)), dtype=np.int64)
         return empty, empty
+
+    def _vertex_function(self, values: Mapping[int, float]) -> np.ndarray:
+        """values[v] as a float for each vertex v, in vertex order."""
+        vertices = self.vertices()
+        for v in vertices:
+            if v not in values:
+                raise MissingVertexValueError(f"vertex {v} has no value")
+        return np.array([values[v] for v in vertices], dtype=float)
 
     def _fold(self, f: np.ndarray, ufunc: np.ufunc) -> list[np.ndarray]:
         """Per dimension in row order, ``ufunc`` (np.maximum, np.minimum)

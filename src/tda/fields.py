@@ -47,23 +47,24 @@ def check_prime(p) -> int:
 
 def integer_array(A) -> np.ndarray:
     """A as an int64 array. Integral floats (``np.eye``) pass; any other
-    entry, or an integer past int64, raises, naming the first, where a cast
-    would truncate, wrap or overflow it."""
+    entry, or an integer or float past int64, raises, where a cast would
+    truncate, wrap, overflow or raise: the first such integer or float in
+    row order, else the first other entry that is not an integer."""
     M = np.asarray(A)
     if M.dtype.kind in "bi":
         return M.astype(np.int64, copy=False)
-    if M.dtype.kind in "uO" or not isinstance(A, np.ndarray):  # numpy holds integers past int64
-        for at, x in np.ndenumerate(np.asarray(A, dtype=object)):  # as uint64 (a cast wraps), float or object
-            if isinstance(x, (int, np.integer)) and not INT64_MIN <= int(x) <= INT64_MAX:
-                raise TdaError(f"matrix entries must fit in 64-bit integers, got {int(x)} at {at}")
-    with np.errstate(invalid="ignore"):
-        I = M.astype(np.int64)
-    bad = np.flatnonzero(I != M)
-    if bad.size:
+    # Entries as given: numpy holds an integer past int64 as uint64 (a cast wraps) or float, and
+    # a cast of an object array raises on nan, inf or a float past int64.
+    for at, x in np.ndenumerate(np.asarray(A, dtype=object)):
+        if isinstance(x, (int, np.integer)) and not INT64_MIN <= int(x) <= INT64_MAX:
+            raise TdaError(f"matrix entries must fit in 64-bit integers, got {int(x)} at {at}")
+        if isinstance(x, (float, np.floating)) and not (x.is_integer() and -(2.0**63) <= x < 2.0**63):
+            rule = "fit in 64-bit integers" if x.is_integer() else "be integers"
+            raise TdaError(f"matrix entries must {rule}, got {float(x)!r} at {at}")
+    I = M.astype(np.int64)
+    if (bad := np.flatnonzero(I != M)).size:  # an entry neither integer nor float
         at = tuple(int(i) for i in np.unravel_index(bad[0], M.shape))
-        x = M.item(at)
-        rule = "fit in 64-bit integers" if isinstance(x, float) and x.is_integer() else "be integers"
-        raise TdaError(f"matrix entries must {rule}, got {x!r} at {at}")
+        raise TdaError(f"matrix entries must be integers, got {M.item(at)!r} at {at}")
     return I
 
 

@@ -31,7 +31,7 @@ import numpy as np
 from . import fields
 from .complexes import IntervalCover, Simplex, SimplicialComplex, _lookup, nerve_of_interval_cover
 from .cosheaf import SimplicialCosheaf, _quotients as _cosheaf_quotients
-from .errors import CoverGranularityError, InternalInconsistencyError, MissingVertexValueError
+from .errors import CoverGranularityError, InternalInconsistencyError
 from .homology import _boundary, _check_degree, _quotients
 from .persistence import Barcode, _boundary_terms, _filtration_barcode
 from .zigzag import ExplicitModule
@@ -47,20 +47,13 @@ class MappedComplex:
     def __init__(self, complex: SimplicialComplex, values: Mapping[int, float]):
         self.complex = complex
         self.values = {int(v): float(x) for v, x in values.items()}
-        for v in complex.vertices():
-            if v not in self.values:
-                raise MissingVertexValueError(f"vertex {v} has no value")
-
-
-def _vertex_values(M: MappedComplex, K: SimplicialComplex) -> np.ndarray:
-    """The value of each vertex of K (a subcomplex of M's), in vertex order."""
-    return np.array([M.values[v] for v in K.vertices()], dtype=float)
+        complex._vertex_function(self.values)
 
 
 def preimage_subcomplex(M: MappedComplex, interval: Sequence[float]) -> SimplicialComplex:
     """Full subcomplex on the vertices whose value lies in the open interval."""
     lo, hi = float(interval[0]), float(interval[1])
-    f = _vertex_values(M, M.complex)
+    f = M.complex._vertex_function(M.values)
     return M.complex._full((lo < f) & (f < hi))
 
 
@@ -72,7 +65,7 @@ def check_cover_granularity(M: MappedComplex, cover: IntervalCover) -> None:
     scanning dimensions in order names a vertex or edge first.
     """
     K, (lo, hi) = M.complex, np.array(cover.intervals).reshape(-1, 2).T
-    f = _vertex_values(M, K)
+    f = K._vertex_function(M.values)
     for p, (vmin, vmax) in enumerate(zip(K._fold(f, np.minimum), K._fold(f, np.maximum))):
         bad = np.flatnonzero(~((lo < vmin[:, None]) & (vmax[:, None] < hi)).any(axis=1))
         if len(bad):
@@ -147,7 +140,7 @@ def _value_ordered(M: MappedComplex, P: SimplicialComplex, degrees: range, ts: n
     """Per degree, the stored columns, births and deaths of the bars of P in
     value order alive at some t in ts, and the pivot table, each such bar's
     entry tracked by its index; then the value orders and their inverses."""
-    values = P._fold(_vertex_values(M, P), np.maximum)
+    values = P._fold(P._vertex_function(M.values), np.maximum)
     order = [np.argsort(v, kind="stable") for v in values]  # ties stay lexicographic
     rank = [np.argsort(o) for o in order]
     span = range(degrees.start, degrees.stop + 1)
@@ -251,7 +244,7 @@ def _blowup_barcode(M: MappedComplex, pieces: dict[Simplex, SimplicialComplex], 
     nerve, start, n = sorted(pieces), {}, 0
     values, degrees = [np.zeros(0)], [np.zeros(0, dtype=np.int64)]
     for ns in nerve:
-        maxima = pieces[ns]._fold(_vertex_values(M, pieces[ns]), np.maximum)
+        maxima = pieces[ns]._fold(pieces[ns]._vertex_function(M.values), np.maximum)
         start[ns] = n + np.cumsum([0] + [len(vals) for vals in maxima])
         n = start[ns][-1]
         values += maxima

@@ -35,7 +35,7 @@ from .complexes import (
     _rips_entries,
     squared_distance_matrix,
 )
-from .errors import InternalInconsistencyError, MalformedSimplexError, MissingVertexValueError, TdaError
+from .errors import InternalInconsistencyError, MalformedSimplexError, TdaError
 
 _NONE = np.iinfo(np.int64).max  # the degree code of degree None, after every degree
 
@@ -266,11 +266,7 @@ def cech_filtration(
 def lower_star_filtration(K: SimplicialComplex, vertex_values: Mapping[int, float]) -> FilteredComplex:
     """Each simplex appears at the max of its vertices' values, so the
     sublevel complex at t is the full subcomplex on {v : f(v) <= t}."""
-    for v in K.vertices():
-        if v not in vertex_values:
-            raise MissingVertexValueError(f"vertex {v} has no value")
-    f = np.array([vertex_values[v] for v in K.vertices()], dtype=float)
-    return FilteredComplex._of(K, K._fold(f, np.maximum))
+    return FilteredComplex._of(K, K._fold(K._vertex_function(vertex_values), np.maximum))
 
 
 def superlevel_filtration(K: SimplicialComplex, vertex_values: Mapping[int, float]) -> FilteredComplex:

@@ -25,6 +25,8 @@ FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 # constants parsed from source files; that cache goes to the temp directory,
 # not to a .hypothesis/ in the checkout.
 settings.register_profile("tda", derandomize=True, database=None, deadline=None)
+# A deeper run of the same properties: `pytest --hypothesis-profile=ci`.
+settings.register_profile("ci", settings.get_profile("tda"), max_examples=1000)
 settings.load_profile("tda")
 configuration.set_hypothesis_home_dir(os.path.join(tempfile.gettempdir(), "tda-hypothesis"))
 
@@ -680,3 +682,68 @@ def homology_barcode(fc, field: int = 2, include_zero_bars: bool = False) -> Bar
         elif i is not None and (values[i] != values[j] or include_zero_bars):
             bars.append(Bar(len(cells[i]) - 1, values[i], values[j]))
     return Barcode(bars)
+
+
+def bottleneck(A: Barcode, B: Barcode) -> float:
+    """The bottleneck distance of two barcodes, the largest over degrees.
+    Finite bars are matched to each other or to the diagonal at L-infinity
+    cost, the diagonal being (death - birth) / 2 away; infinite bars are
+    matched to each other by birth, in sorted order, and inf is returned
+    if their counts differ in some degree."""
+    bars = ({}, {})
+    for side, bc in zip(bars, (A, B)):
+        for degree, birth, death in zip(*bc.columns):
+            finite, infinite = side.setdefault(degree, ([], []))
+            if death < math.inf:
+                finite.append((birth, death))
+            else:
+                infinite.append(birth)
+    distance = 0.0
+    for degree in bars[0].keys() | bars[1].keys():
+        (P, P_inf), (Q, Q_inf) = (side.get(degree, ([], [])) for side in bars)
+        if len(P_inf) != len(Q_inf):
+            return math.inf
+        births = (abs(p - q) for p, q in zip(sorted(P_inf), sorted(Q_inf)))
+        distance = max(distance, _finite_bottleneck(P, Q), *births)
+    return distance
+
+
+def _finite_bottleneck(P, Q) -> float:
+    """The least candidate eps at which the matching graph has a perfect
+    matching. Left nodes are the points of P, then Q's diagonal copies;
+    right nodes the points of Q, then P's diagonal copies. A point meets
+    its own diagonal copy at its distance to the diagonal and any point of
+    the other side at their L-infinity distance; diagonal copies meet at 0."""
+    m, n = len(P), len(Q)
+
+    def cost(i, j) -> float:
+        if i < m and j < n:
+            return max(abs(P[i][0] - Q[j][0]), abs(P[i][1] - Q[j][1]))
+        if i < m:
+            return (P[i][1] - P[i][0]) / 2 if j - n == i else math.inf
+        if j < n:
+            return (Q[j][1] - Q[j][0]) / 2 if i - m == j else math.inf
+        return 0.0
+
+    costs = [[cost(i, j) for j in range(m + n)] for i in range(m + n)]
+
+    def matched(eps: float) -> bool:  # a perfect matching by augmenting paths (Kuhn)
+        owner = [-1] * (m + n)
+
+        def augment(i, seen) -> bool:
+            for j in range(m + n):
+                if costs[i][j] <= eps and j not in seen:
+                    seen.add(j)
+                    if owner[j] < 0 or augment(owner[j], seen):
+                        owner[j] = i
+                        return True
+            return False
+
+        return all(augment(i, set()) for i in range(m + n))
+
+    candidates = sorted({0.0, *(c for row in costs for c in row if c < math.inf)})
+    lo, hi = 0, len(candidates) - 1  # the last candidate always admits a matching
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if matched(candidates[mid]) else (mid + 1, hi)
+    return candidates[lo]

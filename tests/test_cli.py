@@ -801,6 +801,21 @@ def test_cli_leray_and_sublevel_reproduce_golden_stdout(capsys, command, degree,
         assert out.encode("utf-8") == fh.read()
 
 
+@pytest.mark.parametrize("command", ["leray", "sublevel"])
+def test_cli_names_the_first_vertex_without_a_value(tmp_path, capsys, command):
+    """The torus-18 values file with vertex 7's line removed."""
+    with open(os.path.join(GOLDEN, "torus18.values")) as fh:
+        lines = [line for line in fh if line.split()[0] != "7"]
+    values = tmp_path / "values.txt"
+    values.write_text("".join(lines))
+    argv = [command, "--complex", os.path.join(GOLDEN, "torus18.complex"), "--values", str(values),
+            f"--cover={TORUS18_COVER}"]
+    if command == "sublevel":
+        argv.append("--thresholds=0,1")
+    assert len(lines) == 323
+    assert run_cli(capsys, *argv) == (1, "", "error: vertex 7 has no value\n")
+
+
 def test_cli_rips_from_distances(tmp_path, capsys):
     dm = tmp_path / "d.txt"
     dm.write_text("3.0\n")

@@ -1,5 +1,6 @@
 """Prime-field arithmetic and the elimination helpers."""
 
+import re
 from unittest import mock
 
 import numpy as np
@@ -17,7 +18,7 @@ from conftest import (
     rref_oracle,
     solve,
 )
-from tda import fields
+from tda import fields, zigzag
 from tda.errors import InternalInconsistencyError, TdaError
 from tda.homology import boundary_matrix
 
@@ -67,6 +68,31 @@ def test_non_integral_entries_are_rejected_naming_the_first():
         fields.rank(np.array([[1.0, 2.0], [np.nan, 0.5]]), 3)
     assert fields.as_columns(np.eye(2), 5).dense().tolist() == [[1, 0], [0, 1]]
     assert fields.as_columns([[-1.0, 7.0]], 5).cols == [{0: 4}, {0: 2}]
+
+
+def test_object_arrays_of_floats_are_refused_as_float_arrays_are():
+    """nan, inf, floats past int64 and non-integral floats held in an object
+    array get the message float64 input gets, naming the entry, where a
+    cast would raise numpy's OverflowError or ValueError."""
+    cases = [
+        (1e20, "fit in 64-bit integers, got 1e+20"),
+        (-1e20, "fit in 64-bit integers, got -1e+20"),
+        (float("nan"), "be integers, got nan"),
+        (float("inf"), "be integers, got inf"),
+        (1.5, "be integers, got 1.5"),
+    ]
+    makers = (
+        fields.integer_array,
+        lambda A: fields.as_columns(A, 3),
+        lambda A: zigzag.ZigzagModule([A.shape[1], 1], [(zigzag.FORWARD, A)]),
+        lambda A: fields.integer_array(A.astype(float)),  # the float64 message
+    )
+    for x, rule in cases:
+        for A, at in ((np.array([[x]], dtype=object), "(0, 0)"), (np.array([[1, x]], dtype=object), "(0, 1)")):
+            for make in makers:
+                with pytest.raises(TdaError, match=rf"^matrix entries must {re.escape(rule)} at {re.escape(at)}$"):
+                    make(A)
+    assert fields.integer_array(np.array([[2.0, -(2.0**63), 3]], dtype=object)).tolist() == [[2, -(2**63), 3]]
 
 
 def test_gf2_rank_matches_rref_and_reference():

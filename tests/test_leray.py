@@ -28,7 +28,7 @@ from tda import fields
 from tda import leray as L
 from tda import persistence as P
 from tda.complexes import IntervalCover, nerve_of_interval_cover
-from tda.errors import CoverGranularityError, InternalInconsistencyError
+from tda.errors import CoverGranularityError, InternalInconsistencyError, MissingVertexValueError
 from tda.homology import boundary_matrix
 
 
@@ -40,6 +40,24 @@ def octagon_mapped():
 GOLDEN = os.path.join(FIXTURES, "golden")
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 OCTAGON_COVER = IntervalCover([(-1.5, -0.3), (-0.8, 0.8), (0.3, 1.5)])
+
+
+def test_the_first_vertex_without_a_value_is_named():
+    """lower_star_filtration, superlevel_filtration and MappedComplex read f
+    by one rule: a float per vertex in vertex order, or the first vertex
+    without a value named. Here vertices 7 and 9 have none. The lower star
+    looks for a missing vertex before it converts any value."""
+    K = tda.build_complex([[v, v + 1] for v in range(10)])
+    values = {v: v for v in range(11) if v not in (7, 9)}
+    for read in (P.lower_star_filtration, P.superlevel_filtration, L.MappedComplex):
+        with pytest.raises(MissingVertexValueError, match=r"^vertex 7 has no value$"):
+            read(K, values)
+    with pytest.raises(MissingVertexValueError, match=r"^vertex 7 has no value$"):
+        P.lower_star_filtration(K, {**values, 0: "not a number"})
+    every = {v: v for v in range(11)}  # ints, read as floats
+    for read, value in ((P.lower_star_filtration, max), (P.superlevel_filtration, lambda s: -min(s))):
+        values = read(K, every).values()
+        assert values == {s: value(s) for s in K.simplices} and {type(x) for x in values.values()} == {float}
 
 
 def test_preimage_whole_complex():
