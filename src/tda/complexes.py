@@ -13,9 +13,12 @@ holds a point at distance <= radius + 1e-9.
 
 Rips and Čech complexes and filtrations have one construction path:
 ``_rips_entries`` is the only clique enumerator and ``_cech_entries`` the
-only enclosing-ball filter. Both return numpy arrays per dimension, the
-simplices' sorted vertex ids and their values, laid out as the complexes
-here and as the filtrations of ``persistence``.
+only enclosing-ball filter. The first returns numpy arrays per dimension,
+the simplices' sorted vertex ids and their values; the second restricts
+the layout of those Rips rows to the simplices it keeps, so a Čech
+complex is laid out once. Point data are rows of coordinates unless
+``precomputed=True`` says they are the rows of a distance matrix; the
+shape of the data is never taken as a sign of either.
 """
 
 from __future__ import annotations
@@ -308,33 +311,21 @@ def as_point_cloud(points) -> np.ndarray:
     return pts
 
 
-def _looks_like_distance_matrix(arr: np.ndarray) -> bool:
-    return (
-        arr.ndim == 2
-        and arr.shape[0] == arr.shape[1]
-        and np.allclose(arr, arr.T, atol=TOL)
-        and np.allclose(np.diag(arr), 0.0, atol=TOL)
-    )
-
-
 def check_point_pairs(n: int) -> None:
     """Raise TdaError if n points make more than ``MAX_POINT_PAIRS`` pairs."""
     if n * n > MAX_POINT_PAIRS:
         raise TdaError(f"{n:,} points make {n * n:,} distance pairs, over {MAX_POINT_PAIRS:,}")
 
 
-def squared_distance_matrix(data, precomputed: bool | None = None) -> np.ndarray:
-    """Squared pairwise distances from points or a precomputed matrix.
-
-    With precomputed=None, a square symmetric zero-diagonal array is taken
-    to be a distance matrix; anything else is taken to be coordinates.
+def squared_distance_matrix(data, precomputed: bool = False) -> np.ndarray:
+    """Squared pairwise distances of the rows of data: points, or with
+    precomputed=True the rows of a distance matrix. No shape is guessed, so
+    n points in R^n are points unless precomputed=True says otherwise.
     Either way the result is n x n for the n rows of data: over
     ``MAX_POINT_PAIRS`` pairs it raises before any is made.
     """
     arr = np.asarray(data, dtype=float)
     check_point_pairs(len(arr) if arr.ndim else 0)
-    if precomputed is None:
-        precomputed = _looks_like_distance_matrix(arr)
     if precomputed:
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise InvalidMetricError(f"distance matrix must be square, got shape {arr.shape}")
@@ -414,10 +405,12 @@ def _rips_entries(D2: np.ndarray, max_dim: int, max_radius: float) -> list[tuple
     return layers
 
 
-def build_rips(data, r: float, max_dim: int = 2, precomputed: bool | None = None) -> SimplicialComplex:
+def build_rips(data, r: float, max_dim: int = 2, precomputed: bool = False) -> SimplicialComplex:
     """Vietoris-Rips complex: a simplex iff all pairwise distances <= 2r.
+    The rows of data are points, or with precomputed=True the rows of a
+    distance matrix.
 
-    The underlying complex of ``rips_filtration(data, max_dim, r)``.
+    The underlying complex of ``rips_filtration(data, max_dim, r, precomputed)``.
     """
     layers = _rips_entries(squared_distance_matrix(data, precomputed), max_dim, r)
     return _layout([verts for verts, _ in layers])[0]
@@ -465,18 +458,19 @@ def min_enclosing_ball(points) -> tuple[np.ndarray, float]:
     return center, radius
 
 
-def _cech_entries(points, max_dim: int, max_radius: float) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Every simplex whose minimum enclosing ball has radius <= max_radius
-    (+TOL), valued at that radius, in ``_rips_entries``' per-dimension
-    array layout.
+def _cech_entries(points, max_dim: int, max_radius: float) -> tuple[SimplicialComplex, list[np.ndarray]]:
+    """The complex of every simplex whose minimum enclosing ball has radius
+    <= max_radius (+TOL), and its values, that radius, per dimension in
+    row order.
 
-    The one Čech filter, run over the Rips candidates. The exact radius is
-    never below a facet's, but rounding can put it an ulp below, so each
-    value is clamped by its facets'; a facet dropped for its radius (valued
-    inf here) drops the simplex too.
+    The one Čech filter, run over the Rips candidates and restricting their
+    layout, so the kept complex is laid out once. The exact radius is never
+    below a facet's, but rounding can put it an ulp below, so each value is
+    clamped by its facets'; a facet dropped for its radius (valued inf
+    here) drops its cofaces too.
     """
     pts = as_point_cloud(points)
-    layers = _rips_entries(squared_distance_matrix(pts, precomputed=False), max_dim, max_radius)
+    layers = _rips_entries(squared_distance_matrix(pts), max_dim, max_radius)
     K = _layout([verts for verts, _ in layers])[0]  # the Rips rows are already in lexicographic order
     values = [vals for _, vals in layers[:2]]  # below three vertices the radius is 0 or half the distance
     for verts, facets in zip(K._verts[2:], K._faces[2:]):
@@ -485,8 +479,8 @@ def _cech_entries(points, max_dim: int, max_radius: float) -> list[tuple[np.ndar
         values[-1][values[-1] > max_radius + TOL] = math.inf
         if np.isinf(values[-1]).all():
             break
-    kept = [(verts[vals < math.inf], vals[vals < math.inf]) for verts, vals in zip(K._verts, values)]
-    return [layer for layer in kept if len(layer[1])]
+    kept = [vals < math.inf for vals in values]
+    return K._restrict(kept), [vals[keep] for vals, keep in zip(values, kept)]
 
 
 def build_cech(points, r: float, max_dim: int = 2) -> SimplicialComplex:
@@ -495,7 +489,7 @@ def build_cech(points, r: float, max_dim: int = 2) -> SimplicialComplex:
 
     The underlying complex of ``cech_filtration(points, max_dim, r)``.
     """
-    return _layout([verts for verts, _ in _cech_entries(points, max_dim, r)])[0]
+    return _cech_entries(points, max_dim, r)[0]
 
 
 @dataclass(frozen=True)
@@ -547,5 +541,5 @@ def eccentricity_values(points, p: float = 2.0) -> np.ndarray:
     pts = as_point_cloud(points)
     if len(pts) == 0:
         raise ValueError("eccentricity of an empty point cloud is undefined")
-    D = np.sqrt(squared_distance_matrix(pts, precomputed=False))
+    D = np.sqrt(squared_distance_matrix(pts))
     return (np.mean(D**p, axis=1)) ** (1.0 / p)

@@ -248,9 +248,11 @@ def rips_filtration(
     data,
     max_dim: int = 2,
     max_radius: float = math.inf,
-    precomputed: bool | None = None,
+    precomputed: bool = False,
 ) -> FilteredComplex:
-    """Rips filtration: each simplex appears at half its diameter."""
+    """Rips filtration: each simplex appears at half its diameter. The rows
+    of data are points, or with precomputed=True the rows of a distance
+    matrix."""
     D2 = squared_distance_matrix(data, precomputed)
     return FilteredComplex.from_layers(_rips_entries(D2, max_dim, max_radius))
 
@@ -260,7 +262,7 @@ def cech_filtration(
 ) -> FilteredComplex:
     """Čech filtration: each simplex appears at its minimum enclosing ball
     radius, which is exactly the smallest r whose closed balls intersect."""
-    return FilteredComplex.from_layers(_cech_entries(points, max_dim, max_radius))
+    return FilteredComplex._of(*_cech_entries(points, max_dim, max_radius))
 
 
 def lower_star_filtration(K: SimplicialComplex, vertex_values: Mapping[int, float]) -> FilteredComplex:

@@ -1025,3 +1025,79 @@ def test_cli_domain_errors_exit_1(tmp_path, capsys):
     code, _, err = run_cli(capsys, "homology", "--complex", str(bad))
     assert code == 1
     assert "error" in err
+
+
+EDGE_VALUES = "0 0.0\n1 1.0\n"
+LERAY = ("leray", "--complex", "0 1\n", "--values")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("rips", "--input", "1,x\n", "--max-radius", "1"), "bad point line '1,x'"),
+        (("rips", "--input", "", "--max-radius", "1"), "point cloud file has no points"),
+        (("rips", "--input", "0,0\n1,1,1\n", "--max-radius", "1"), "points have inconsistent dimensions [2, 3]"),
+        (LERAY + ("0 1.0 2\n", "--cover", "0,2"), "bad values line '0 1.0 2'; expected `vertex value`"),
+        (LERAY + (EDGE_VALUES, "--cover", "0"), "bad cover interval '0'; expected `lo,hi`"),
+        (LERAY + (EDGE_VALUES, "--cover", ";"), "cover specification is empty"),
+        (("cosheaf", "--input", "0 1\nstalk 0\n"), "bad stalk line ['stalk', '0']; expected `stalk <simplex> <dim>`"),
+        (("cosheaf", "--input", "0 1\nstalk 9 1\n"), "stalk given for (9,), which is not in the complex"),
+        (("cosheaf", "--input", "0 1\nmap 0\n"), "bad map line; expected `map <face> <coface> <entries>`"),
+        (("zigzag", "--input", "fwd 1\n"), "zigzag file must start with a `dims d0 d1 ...` header"),
+        (("zigzag", "--input", "dims 1 1\nup 1\n"), "arrow direction must be 'fwd' or 'bwd', got 'up'"),
+        (("zigzag", "--input", "dims 1 1\nfwd 1\nfwd 1\n"), "more arrows than dims allow"),
+    ],
+    ids=[
+        "rips-bad-point", "rips-no-points", "rips-ragged-points", "leray-bad-values", "leray-bad-interval",
+        "leray-empty-cover", "cosheaf-short-stalk", "cosheaf-stalk-off-complex", "cosheaf-short-map",
+        "zigzag-no-header", "zigzag-bad-direction", "zigzag-too-many-arrows",
+    ],
+)
+def test_cli_input_refusals_exit_1_with_their_message(tmp_path, capsys, argv, message):
+    """Each file argument (the token after --input, --complex or --values)
+    is written to a file first; the command prints one error line."""
+    argv = list(argv)
+    for i, flag in enumerate(argv[:-1]):
+        if flag in ("--input", "--complex", "--values"):
+            path = tmp_path / flag.strip("-")
+            path.write_text(argv[i + 1])
+            argv[i + 1] = str(path)
+    assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")
+
+
+def test_cli_plot_of_malformed_json_names_the_json_error(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text("{bad")
+    with pytest.raises(json.JSONDecodeError) as decode:
+        json.loads("{bad")
+    code, out, err = run_cli(capsys, "plot", "--input", str(path), "--output", str(tmp_path / "bars.svg"))
+    assert (code, out, err) == (1, "", f"error: bad barcode JSON: {decode.value}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ("rips", "--input", CIRCLE, "--max-radius", "0"),
+            "tda rips: error: argument --max-radius: expected a positive number, got 0.0",
+        ),
+        (
+            ("rips", "--input", CIRCLE, "--max-radius", "1", "--max-dim", "-1"),
+            "tda rips: error: argument --max-dim: expected a nonnegative integer, got -1",
+        ),
+        (
+            ("sublevel", "--complex", CIRCLE, "--values", CIRCLE, "--cover", "0,1", "--thresholds=a,b"),
+            "tda sublevel: error: argument --thresholds: bad thresholds 'a,b'",
+        ),
+        (
+            ("sublevel", "--complex", CIRCLE, "--values", CIRCLE, "--cover", "0,1", "--thresholds=,"),
+            "tda sublevel: error: argument --thresholds: thresholds list is empty",
+        ),
+    ],
+    ids=["max-radius-zero", "max-dim-negative", "thresholds-not-numbers", "thresholds-empty"],
+)
+def test_cli_argument_refusals_are_usage_errors(capsys, argv, message):
+    with pytest.raises(SystemExit) as err:
+        cli.main(list(argv))
+    assert err.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == message

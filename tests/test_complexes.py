@@ -251,8 +251,19 @@ def test_rips_matches_brute_force():
 
 def test_rips_from_distance_matrix():
     D = np.array([[0.0, 1.0, 3.0], [1.0, 0.0, 1.0], [3.0, 1.0, 0.0]])
-    K = tda.build_rips(D, 0.5, 2)
+    K = tda.build_rips(D, 0.5, 2, precomputed=True)
     assert (0, 1) in K and (1, 2) in K and (0, 2) not in K
+
+
+def test_square_point_arrays_are_points_unless_precomputed():
+    """Two points of the plane, sqrt(2) apart, make a square symmetric
+    zero-diagonal array; they are read as points, not as distances."""
+    pts = [[0.0, 1.0], [1.0, 0.0]]
+    assert P.rips_filtration(pts, 1, 1.0).values()[(0, 1)] == 0.7071067811865476
+    assert P.rips_filtration(pts, 1, 1.0, precomputed=True).values()[(0, 1)] == 0.5
+    assert squared_distance_matrix(pts).tolist() == [[0.0, 2.0], [2.0, 0.0]]
+    assert (0, 1) not in tda.build_rips(pts, 0.6, 1)
+    assert (0, 1) in tda.build_rips(pts, 0.6, 1, precomputed=True)
 
 
 def test_rips_rejects_asymmetric_matrix():
@@ -540,6 +551,33 @@ def test_builders_are_underlying_complexes_of_filtrations(cloud):
     cech = tda.build_cech(pts, r, max_dim)
     assert cech == P.cech_filtration(pts, max_dim, r).underlying_complex()
     assert cech.is_subcomplex_of(rips)
+
+
+@given(small_clouds())
+def test_cech_layout_restricted_from_rips_equals_a_fresh_layout(cloud):
+    """The Čech complex restricted from the Rips layout has the vertex rows,
+    facet positions and values of the layout its kept rows would get anew."""
+    pts, r, max_dim = cloud
+    fc = P.cech_filtration(pts, max_dim, r)
+    K, vals = fc.underlying_complex(), fc._vals
+    fresh = P.FilteredComplex.from_layers(list(zip(K._verts, vals)))
+    assert len(K._faces) == len(fresh.underlying_complex()._faces) == len(vals)
+    for a, b in zip(K._faces, fresh.underlying_complex()._faces):
+        assert np.array_equal(a, b)
+    assert fresh.underlying_complex() == K and fresh.entries == fc.entries
+
+
+def test_cech_lays_out_its_complex_once():
+    """The filtration and the builder lay out the Rips candidates once and
+    restrict that layout, with no second ``_layout`` of the kept rows."""
+    pts = np.random.default_rng(7).uniform(0, 1, size=(12, 2))
+    layout = mock.Mock(wraps=complexes._layout)
+    with mock.patch.object(complexes, "_layout", layout), mock.patch.object(P, "_layout", layout):
+        fc = P.cech_filtration(pts, 2, 0.3)
+        assert layout.call_count == 1
+        assert tda.build_cech(pts, 0.3, 2) == fc.underlying_complex()
+        assert layout.call_count == 2
+    assert len(fc.underlying_complex().p_simplices(2)) > 0
 
 
 def test_nerve_two_overlapping():
